@@ -14,6 +14,7 @@ unknown keys are rejected before any work starts.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -21,10 +22,10 @@ import numpy as np
 
 from . import dependence as dep
 from .diagnostics import depfn_curves, pp_qq_tables, render_svg, write_table
-from .errors import InputError, OrdextError, ParameterError
+from .errors import InputError, OrdextError
 from .estimation import (FitConfig, FitResult, estimate_c_hat, fit_restricted,
-                         fitted_exp_scale, pickands_curve)
-from .margins import GevmParams, TrendSpec, exp_scale
+                         pickands_curve)
+from .margins import GevmParams, TrendSpec, exp_scale, log_exp_scale
 from .measure import c_from_margins
 from .series import BivariateSeries
 from .simulate import StudyConfig, run_study
@@ -38,15 +39,26 @@ STUDY_DESIGN = {
 # dest -> (parser, default, help); parser None means str
 _STR, _FLOAT, _INT, _BOOL = str, float, int, lambda v: str(v).lower() in ("1", "true", "yes", "on")
 
-COMMAND_OPTIONS = {
-    "simulate": {
+# parameters of every dependence family, as make_model takes them
+FAMILY_KEYS = ("c", "s", "theta1", "theta2", "c1", "c2")
+
+
+def _family_options(s_default):
+    """The family option and its parameters; only s's default varies."""
+    return {
         "family": (_STR, "restricted", "dependence family"),
-        "c": (_FLOAT, 0.25, "ordering boundary (restricted)"),
-        "s": (_FLOAT, 2.0, "dependence strength"),
+        "c": (_FLOAT, 0.25, "ordering boundary (restricted, upper)"),
+        "s": (_FLOAT, s_default, "dependence strength"),
         "theta1": (_FLOAT, 1.0, "asymmetric weight 1"),
         "theta2": (_FLOAT, 1.0, "asymmetric weight 2"),
         "c1": (_FLOAT, 0.25, "interval lower boundary"),
         "c2": (_FLOAT, 0.75, "interval upper boundary"),
+    }
+
+
+COMMAND_OPTIONS = {
+    "simulate": {
+        **_family_options(2.0),
         "n": (_INT, 100, "number of pairs"),
         "seed": (_INT, 0, "random seed"),
         "mu_x": (_FLOAT, None, "X location (omit for exponential scale)"),
@@ -67,13 +79,7 @@ COMMAND_OPTIONS = {
         "out_dir": (_STR, None, "output directory (required)"),
     },
     "depfn": {
-        "family": (_STR, "restricted", "dependence family"),
-        "c": (_FLOAT, 0.25, "ordering boundary"),
-        "s": (_FLOAT, 1.0, "dependence strength"),
-        "theta1": (_FLOAT, 1.0, "asymmetric weight 1"),
-        "theta2": (_FLOAT, 1.0, "asymmetric weight 2"),
-        "c1": (_FLOAT, 0.25, "interval lower boundary"),
-        "c2": (_FLOAT, 0.75, "interval upper boundary"),
+        **_family_options(1.0),
         "grid": (_INT, 201, "grid size"),
         "out": (_STR, None, "output CSV path (default stdout)"),
         "svg": (_STR, None, "optional SVG path"),
@@ -87,13 +93,7 @@ COMMAND_OPTIONS = {
         "out_dir": (_STR, None, "output directory (required)"),
     },
     "validate": {
-        "family": (_STR, "restricted", "dependence family"),
-        "c": (_FLOAT, 0.25, "ordering boundary"),
-        "s": (_FLOAT, 1.5, "dependence strength"),
-        "theta1": (_FLOAT, 1.0, "asymmetric weight 1"),
-        "theta2": (_FLOAT, 1.0, "asymmetric weight 2"),
-        "c1": (_FLOAT, 0.25, "interval lower boundary"),
-        "c2": (_FLOAT, 0.75, "interval upper boundary"),
+        **_family_options(1.5),
         "grid": (_INT, 101, "grid size"),
     },
     "study": {
@@ -125,6 +125,7 @@ class RunConfig(dict):
     def __init__(self, command, values):
         super().__init__(values)
         self.command = command
+        self.model = None       # set by validation for family commands
 
 
 def _parse_config_file(path, options):
@@ -191,25 +192,11 @@ def parse_and_validate(argv) -> RunConfig:
     return cfg
 
 
-def _model_from_cfg(cfg):
-    family = cfg["family"]
-    if family == "restricted":
-        return dep.make_model("restricted", c=cfg["c"], s=cfg["s"])
-    if family == "asymmetric":
-        return dep.make_model("asymmetric", theta1=cfg["theta1"],
-                              theta2=cfg["theta2"], s=cfg["s"])
-    if family == "upper":
-        return dep.make_model("upper", c=cfg["c"], s=cfg["s"])
-    if family == "interval":
-        return dep.make_model("interval", c1=cfg["c1"], c2=cfg["c2"],
-                              s=cfg["s"])
-    raise ParameterError(f"unknown dependence family {family!r}")
-
-
 def _validate_ranges(cfg: RunConfig):
     """Build the parameter objects once so bad values fail before any work."""
-    if cfg.command in ("simulate", "depfn", "validate"):
-        _model_from_cfg(cfg)
+    if "family" in cfg:
+        cfg.model = dep.make_model(cfg["family"],
+                                   **{k: cfg[k] for k in FAMILY_KEYS})
     if cfg.command == "simulate":
         if cfg["n"] < 1:
             raise InputError("n must be positive")
@@ -238,23 +225,47 @@ def _out_path(path):
     return path
 
 
-def read_series_csv(path, expected_scale="original") -> BivariateSeries:
-    """Read a t,x,y (or x,y) CSV into a series."""
+def read_csv_columns(path, required):
+    """Read a numeric CSV with a header row into {column name: array}.
+
+    Blank lines and '#' lines are skipped.  A missing required column, a
+    row whose cell count differs from the header's, a non-numeric cell or
+    a non-finite value raises InputError.
+    """
     with open(path) as fh:
         rows = [line.strip() for line in fh if line.strip()
                 and not line.startswith("#")]
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [h.strip().lower() for h in rows[0].split(",")]
-    if "x" not in header or "y" not in header:
-        raise InputError(f"{path}: need columns x and y (got {header})")
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    if data.size == 0:
+    if any(name not in header for name in required):
+        raise InputError(f"{path}: need columns {', '.join(required)} "
+                         f"(got {header})")
+    data = []
+    for k, row in enumerate(rows[1:], 1):
+        cells = row.split(",")
+        if len(cells) != len(header):
+            raise InputError(f"{path}: data row {k} has {len(cells)} cells, "
+                             f"the header has {len(header)}")
+        try:
+            values = [float(v) for v in cells]
+        except ValueError:
+            raise InputError(f"{path}: data row {k} has a non-numeric "
+                             f"cell") from None
+        if not all(math.isfinite(v) for v in values):
+            raise InputError(f"{path}: data row {k} has a non-finite value")
+        data.append(values)
+    if not data:
         raise InputError(f"{path}: no data rows")
-    x = data[:, header.index("x")]
-    y = data[:, header.index("y")]
-    if "t" in header:
-        t = data[:, header.index("t")]
+    return dict(zip(header, np.array(data).T))
+
+
+def read_series_csv(path, expected_scale="original") -> BivariateSeries:
+    """Read a t,x,y (or x,y) CSV into a series."""
+    cols = read_csv_columns(path, ("x", "y"))
+    x, y = cols["x"], cols["y"]
+    if "t" in cols:
+        t = cols["t"]
     else:
         t = np.linspace(0.0, 1.0, len(x)) if len(x) > 1 else np.zeros(1)
     return BivariateSeries(t, x, y, scale=expected_scale)
@@ -284,7 +295,7 @@ def _write_rows_csv(path, header, rows, meta=()):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg):
-    model = _model_from_cfg(cfg)
+    model = cfg.model
     times = np.linspace(0.0, 1.0, cfg["n"]) if cfg["n"] > 1 else np.zeros(1)
     if cfg["mu_x"] is None:
         from .simulate import sample_pairs, replicate_rngs
@@ -324,24 +335,20 @@ def _fit_to_files(fit: FitResult, out_dir):
           r["penalized_loglik"]] for r in fit.trace])
 
 
-def _fit_from_files(fit_dir, n_obs):
-    params_path = os.path.join(fit_dir, "params.csv")
-    trends_path = os.path.join(fit_dir, "trends.csv")
-    with open(params_path) as fh:
-        rows = [r for r in fh.read().splitlines() if r and not r.startswith("#")]
-    header = rows[0].split(",")
-    vals = dict(zip(header, rows[1].split(",")))
-    trends = np.array([[float(v) for v in r.split(",")]
-                       for r in open(trends_path).read().splitlines()[1:] if r])
-    if len(trends) != n_obs:
-        raise InputError("fit trends do not match the data length")
-    return FitResult(
-        s=float(vals["s"]), sigma_x=float(vals["sigma_x"]),
-        sigma_y=float(vals["sigma_y"]), xi=float(vals["xi"]),
-        g_x=trends[:, 1], g_y=trends[:, 2], c_hat=float(vals["c_hat"]),
-        c_hat_pickands=float(vals["c_hat_pickands"]), times=trends[:, 0],
-        trace=[], loglik=float(vals["loglik"]),
-        converged=bool(float(vals["converged"])))
+def _fit_from_files(fit_dir, series: BivariateSeries):
+    """FitResult written by _fit_to_files, checked against the data times."""
+    scalars = ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
+               "loglik", "converged")
+    params = read_csv_columns(os.path.join(fit_dir, "params.csv"), scalars)
+    trends = read_csv_columns(os.path.join(fit_dir, "trends.csv"),
+                              ("t", "g_x", "g_y"))
+    if not np.array_equal(trends["t"], series.t):
+        raise InputError(f"fit trend times ({len(trends['t'])} rows) do not "
+                         f"match the data times ({len(series)} rows)")
+    vals = {k: float(params[k][0]) for k in scalars}
+    converged = bool(vals.pop("converged"))
+    return FitResult(**vals, g_x=trends["g_x"], g_y=trends["g_y"],
+                     times=trends["t"], trace=[], converged=converged)
 
 
 def _cmd_fit(cfg):
@@ -358,9 +365,8 @@ def _cmd_fit(cfg):
 
 
 def _cmd_depfn(cfg):
-    model = _model_from_cfg(cfg)
     grid = np.linspace(0.0, 1.0, cfg["grid"])
-    tables = depfn_curves([(cfg["family"], model)], grid)
+    tables = depfn_curves([(cfg["family"], cfg.model)], grid)
     if cfg["svg"]:
         render_svg(tables, _out_path(cfg["svg"]))
     if cfg["out"]:
@@ -379,7 +385,7 @@ def _cmd_estimate_c(cfg):
 
 def _cmd_diagnose(cfg):
     series = read_series_csv(cfg["data"])
-    fit = _fit_from_files(_out_path(cfg["fit_dir"]), len(series))
+    fit = _fit_from_files(_out_path(cfg["fit_dir"]), series)
     model = dep.make_model("restricted", c=min(fit.c_hat, 0.499999),
                            s=max(fit.s, 1.0))
     tables = pp_qq_tables(series, fit, model)
@@ -392,8 +398,7 @@ def _cmd_diagnose(cfg):
 
 
 def _cmd_validate(cfg):
-    model = _model_from_cfg(cfg)
-    report = dep.validate_dependence(model, n=cfg["grid"])
+    report = dep.validate_dependence(cfg.model, n=cfg["grid"])
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -469,8 +474,11 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
                         GevmParams(0.0, d["sigma_x"], d["xi"]))
     ye_true = exp_scale(first.y - (d["mu_y0"] + d["slope"] * first.t),
                         GevmParams(0.0, d["sigma_y"], d["xi"]))
-    xe_fit = fitted_exp_scale(first.x, fit0.g_x, fit0.sigma_x, fit0.xi)
-    ye_fit = fitted_exp_scale(first.y, fit0.g_y, fit0.sigma_y, fit0.xi)
+    # clipped: fitted margins can put a point near a support endpoint
+    xe_fit = np.exp(np.clip(log_exp_scale(first.x, fit0.g_x, fit0.sigma_x,
+                                          fit0.xi), -700.0, 700.0))
+    ye_fit = np.exp(np.clip(log_exp_scale(first.y, fit0.g_y, fit0.sigma_y,
+                                          fit0.xi), -700.0, 700.0))
     fitted_model = dep.make_model("restricted", c=min(fit0.c_hat, 0.499999),
                                   s=fit0.s)
     curves = depfn_curves([

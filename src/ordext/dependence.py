@@ -120,14 +120,6 @@ class NadarajahGeneralParams:
         if self.gamma1 > (2.0 * self.b - 1.0) / span + 1e-12:
             raise ParameterError("gamma1 exceeds (2b-1)/(b-a)")
 
-    @property
-    def alpha(self):
-        return 2.0 * self.b - 1.0
-
-    @property
-    def beta(self):
-        return 1.0 - 2.0 * self.a
-
 
 @dataclass(frozen=True)
 class DependenceEval:
@@ -161,8 +153,8 @@ def _check_unit_interval(w):
 
 
 # ---------------------------------------------------------------------------
-# internal: asymmetric-logistic building blocks (the affine families reuse
-# these in transformed coordinates)
+# internal: asymmetric-logistic building blocks (the affine family reuses
+# the measure function in transformed coordinates)
 # ---------------------------------------------------------------------------
 
 def _alog_a(w, t1, t2, s):
@@ -316,205 +308,41 @@ class AsymLogisticModel(DependenceModel):
         return masses
 
 
-class RestrictedLogisticModel(DependenceModel):
-    """Logistic dependence whose density vanishes on [0, c], encoding X < Y.
+class AffineLogisticModel(DependenceModel):
+    """Logistic spectral density confined to (c1, c2), c1 < 1/2 < c2.
 
-    Equals the asymmetric logistic with theta1 = 1, theta2 = 1 - 2c mapped
-    onto (c, 1) by w = (omega - c)/(1 - c); densities pick up the Jacobian
-    1/(1 - c) per application of the map.
+    The asymmetric logistic with theta1 = 2 c2 - 1, theta2 = 1 - 2 c1,
+    mapped onto (c1, c2) by w = (omega - c1)/(c2 - c1); densities pick up
+    the Jacobian 1/(c2 - c1) per application of the map.  Outside the
+    interval A follows its linear tails 1 - w and w.  c2 = 1 is the
+    restricted family, c1 = 0 the upper one.  Build it through one of
+    those three subclasses, whose parameter records check (c1, c2, s).
     """
 
-    def __init__(self, params: RestrictedLogisticParams):
-        if not isinstance(params, RestrictedLogisticParams):
-            params = RestrictedLogisticParams(*params)
-        self.params = params
+    def __init__(self, c1, c2, s):
+        self.c1, self.c2, self.s = c1, c2, s
+        self.al, self.be = 2.0 * c2 - 1.0, 1.0 - 2.0 * c1
 
     @_array_method
     def a(self, w):
-        c, s = self.params.c, self.params.s
-        K = 1.0 - 2.0 * c
+        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
         out = np.empty_like(w)
-        lo = w <= c
-        out[lo] = 1.0 - w[lo]
-        hi = ~lo
-        wh = w[hi]
-        out[hi] = (c * (1.0 - wh) + ((wh - c) ** s + K ** s * (1.0 - wh) ** s) ** (1.0 / s)) / (1.0 - c)
-        return out
-
-    @_array_method
-    def a_prime(self, w):
-        c, s = self.params.c, self.params.s
-        K = 1.0 - 2.0 * c
-        out = np.full_like(w, -1.0)
-        hi = w >= c if s == 1.0 else w > c
-        wh = w[hi]
-        u = (wh - c) ** s + K ** s * (1.0 - wh) ** s
-        pw = (wh - c) ** (s - 1.0) - K ** s * (1.0 - wh) ** (s - 1.0)
-        out[hi] = (-c + pw * u ** (1.0 / s - 1.0)) / (1.0 - c)
-        return out
-
-    @_array_method
-    def h(self, w):
-        c, s = self.params.c, self.params.s
-        out = np.zeros_like(w)
-        if s == 1.0:
-            return out
-        K = 1.0 - 2.0 * c
-        inner = (w > c) & (w < 1.0)
-        wi = w[inner]
-        with np.errstate(divide="ignore"):
-            out[inner] = (
-                (s - 1.0) * (1.0 - c) * K ** s
-                * ((wi - c) * (1.0 - wi)) ** (s - 2.0)
-                * ((wi - c) ** s + K ** s * (1.0 - wi) ** s) ** (1.0 / s - 2.0)
-            )
-        return out
-
-    @_array_method
-    def H(self, w):
-        c, s = self.params.c, self.params.s
-        out = np.zeros_like(w)
-        if s == 1.0:
-            out[w >= c] = 1.0 / (1.0 - c)
-        else:
-            hi = (w >= c) & (w < 1.0)
-            wt = (w[hi] - c) / (1.0 - c)
-            out[hi] = _alog_H(wt, 1.0, 1.0 - 2.0 * c, s) / (1.0 - c)
-        out[w >= 1.0] = 2.0
-        return out
-
-    def support(self):
-        return (self.params.c, 1.0)
-
-    def point_masses(self):
-        c, s = self.params.c, self.params.s
-        if s > 1.0:
-            return []
-        # s = 1: all mass sits in two atoms, at the boundary and at 1.
-        return [(c, 1.0 / (1.0 - c)), (1.0, (1.0 - 2.0 * c) / (1.0 - c))]
-
-    def h_scalar(self, w):
-        c, s = self.params.c, self.params.s
-        if s == 1.0 or w <= c or w >= 1.0:
-            return 0.0
-        K = 1.0 - 2.0 * c
-        u = (w - c) ** s + (K * (1.0 - w)) ** s
-        return ((s - 1.0) * (1.0 - c) * K ** s
-                * ((w - c) * (1.0 - w)) ** (s - 2.0) * u ** (1.0 / s - 2.0))
-
-    def ordering_floor(self):
-        return self.params.c
-
-
-class UpperRestrictedModel(DependenceModel):
-    """Mirror image of the restricted family: density on (0, c), c > 1/2."""
-
-    def __init__(self, params: UpperRestrictedParams):
-        if not isinstance(params, UpperRestrictedParams):
-            params = UpperRestrictedParams(*params)
-        self.params = params
-
-    @_array_method
-    def a(self, w):
-        c, s = self.params.c, self.params.s
-        al = 2.0 * c - 1.0
-        out = np.empty_like(w)
-        hi = w > c
-        out[hi] = w[hi]
-        lo = ~hi
-        wl = w[lo]
-        out[lo] = ((1.0 - c) * wl + (al ** s * wl ** s + (c - wl) ** s) ** (1.0 / s)) / c
-        return out
-
-    @_array_method
-    def a_prime(self, w):
-        c, s = self.params.c, self.params.s
-        al = 2.0 * c - 1.0
-        out = np.ones_like(w)
-        lo = w < c
-        wl = w[lo]
-        u = al ** s * wl ** s + (c - wl) ** s
-        pw = al ** s * wl ** (s - 1.0) - (c - wl) ** (s - 1.0)
-        out[lo] = ((1.0 - c) + pw * u ** (1.0 / s - 1.0)) / c
-        return out
-
-    @_array_method
-    def h(self, w):
-        c, s = self.params.c, self.params.s
-        out = np.zeros_like(w)
-        if s == 1.0:
-            return out
-        al = 2.0 * c - 1.0
-        inner = (w > 0.0) & (w < c)
-        wi = w[inner]
-        with np.errstate(divide="ignore"):
-            out[inner] = (
-                (s - 1.0) * c * al ** s
-                * (wi * (c - wi)) ** (s - 2.0)
-                * (al ** s * wi ** s + (c - wi) ** s) ** (1.0 / s - 2.0)
-            )
-        return out
-
-    @_array_method
-    def H(self, w):
-        c, s = self.params.c, self.params.s
-        al = 2.0 * c - 1.0
-        out = np.empty_like(w)
-        if s == 1.0:
-            out[:] = al / c
-        else:
-            lo = w < c
-            out[lo] = (_alog_H(w[lo] / c, al, 1.0, s) - (1.0 - al)) / c
-        out[w >= c] = 2.0
-        return out
-
-    def support(self):
-        return (0.0, self.params.c)
-
-    def point_masses(self):
-        c, s = self.params.c, self.params.s
-        if s > 1.0:
-            return []
-        return [(0.0, (2.0 * c - 1.0) / c), (c, 1.0 / c)]
-
-
-class IntervalRestrictedModel(DependenceModel):
-    """Density confined to (c1, c2); linear tails 1 - w and w outside."""
-
-    def __init__(self, params: IntervalRestrictedParams):
-        if not isinstance(params, IntervalRestrictedParams):
-            params = IntervalRestrictedParams(*params)
-        self.params = params
-
-    def _alpha_beta(self):
-        p = self.params
-        return 2.0 * p.c2 - 1.0, 1.0 - 2.0 * p.c1
-
-    @_array_method
-    def a(self, w):
-        p = self.params
-        c1, c2, s = p.c1, p.c2, p.s
-        al, be = self._alpha_beta()
-        span = c2 - c1
-        out = np.empty_like(w)
-        lo = w < c1
+        lo = w <= c1            # exactly 1 - w up to and at the boundary
         hi = w > c2
         mid = ~(lo | hi)
         out[lo] = 1.0 - w[lo]
         out[hi] = w[hi]
         wm = w[mid]
         bracket = (al ** s * (wm - c1) ** s + be ** s * (c2 - wm) ** s) ** (1.0 / s)
-        out[mid] = ((1.0 - c2) * (wm - c1) + c1 * (c2 - wm) + bracket) / span
+        out[mid] = ((1.0 - c2) * (wm - c1) + c1 * (c2 - wm) + bracket) / (c2 - c1)
         return out
 
     @_array_method
     def a_prime(self, w):
-        p = self.params
-        c1, c2, s = p.c1, p.c2, p.s
-        al, be = self._alpha_beta()
-        span = c2 - c1
+        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
         out = np.empty_like(w)
-        lo = w < c1
+        # right derivative at c1: the slope of the atomic s = 1 case
+        lo = w < c1 if s == 1.0 else w <= c1
         hi = w >= c2
         mid = ~(lo | hi)
         out[lo] = -1.0
@@ -522,17 +350,15 @@ class IntervalRestrictedModel(DependenceModel):
         wm = w[mid]
         u = al ** s * (wm - c1) ** s + be ** s * (c2 - wm) ** s
         pw = al ** s * (wm - c1) ** (s - 1.0) - be ** s * (c2 - wm) ** (s - 1.0)
-        out[mid] = ((1.0 - c2) - c1 + pw * u ** (1.0 / s - 1.0)) / span
+        out[mid] = ((1.0 - c2) - c1 + pw * u ** (1.0 / s - 1.0)) / (c2 - c1)
         return out
 
     @_array_method
     def h(self, w):
-        p = self.params
-        c1, c2, s = p.c1, p.c2, p.s
+        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
         out = np.zeros_like(w)
         if s == 1.0:
             return out
-        al, be = self._alpha_beta()
         inner = (w > c1) & (w < c2)
         wi = w[inner]
         with np.errstate(divide="ignore"):
@@ -545,9 +371,7 @@ class IntervalRestrictedModel(DependenceModel):
 
     @_array_method
     def H(self, w):
-        p = self.params
-        c1, c2, s = p.c1, p.c2, p.s
-        al, be = self._alpha_beta()
+        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
         span = c2 - c1
         out = np.zeros_like(w)
         if s == 1.0:
@@ -559,17 +383,56 @@ class IntervalRestrictedModel(DependenceModel):
         return out
 
     def support(self):
-        return (self.params.c1, self.params.c2)
+        return (self.c1, self.c2)
 
     def point_masses(self):
-        p = self.params
-        if p.s > 1.0:
+        c1, c2 = self.c1, self.c2
+        if self.s > 1.0:
             return []
-        span = p.c2 - p.c1
-        return [(p.c1, (2.0 * p.c2 - 1.0) / span), (p.c2, (1.0 - 2.0 * p.c1) / span)]
+        # s = 1: all mass sits in two atoms, at the interval ends
+        span = c2 - c1
+        return [(c1, (2.0 * c2 - 1.0) / span), (c2, (1.0 - 2.0 * c1) / span)]
+
+    def h_scalar(self, w):
+        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
+        if s == 1.0 or w <= c1 or w >= c2:
+            return 0.0
+        u = (al * (w - c1)) ** s + (be * (c2 - w)) ** s
+        return ((s - 1.0) * (c2 - c1) * (al * be) ** s
+                * ((w - c1) * (c2 - w)) ** (s - 2.0) * u ** (1.0 / s - 2.0))
 
     def ordering_floor(self):
-        return self.params.c1
+        return self.c1
+
+
+class RestrictedLogisticModel(AffineLogisticModel):
+    """Logistic dependence whose density vanishes on [0, c], encoding X < Y."""
+
+    def __init__(self, params: RestrictedLogisticParams):
+        if not isinstance(params, RestrictedLogisticParams):
+            params = RestrictedLogisticParams(*params)
+        super().__init__(params.c, 1.0, params.s)
+        self.params = params
+
+
+class UpperRestrictedModel(AffineLogisticModel):
+    """Mirror image of the restricted family: density on (0, c), c > 1/2."""
+
+    def __init__(self, params: UpperRestrictedParams):
+        if not isinstance(params, UpperRestrictedParams):
+            params = UpperRestrictedParams(*params)
+        super().__init__(0.0, params.c, params.s)
+        self.params = params
+
+
+class IntervalRestrictedModel(AffineLogisticModel):
+    """Density confined to (c1, c2); linear tails 1 - w and w outside."""
+
+    def __init__(self, params: IntervalRestrictedParams):
+        if not isinstance(params, IntervalRestrictedParams):
+            params = IntervalRestrictedParams(*params)
+        super().__init__(params.c1, params.c2, params.s)
+        self.params = params
 
 
 class PointMassModel(DependenceModel):
@@ -630,26 +493,6 @@ class PointMassModel(DependenceModel):
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def eval_asym(w, params: AsymLogisticParams) -> DependenceEval:
-    """Asymmetric-logistic views at fraction w."""
-    return AsymLogisticModel(params).evaluate(w)
-
-
-def eval_restricted(w, params: RestrictedLogisticParams) -> DependenceEval:
-    """Restricted-logistic views at fraction w."""
-    return RestrictedLogisticModel(params).evaluate(w)
-
-
-def eval_upper(w, params: UpperRestrictedParams) -> DependenceEval:
-    """Upper-restricted views at fraction w."""
-    return UpperRestrictedModel(params).evaluate(w)
-
-
-def eval_interval(w, params: IntervalRestrictedParams) -> DependenceEval:
-    """Interval-restricted views at fraction w."""
-    return IntervalRestrictedModel(params).evaluate(w)
-
-
 def nadarajah_density(w, params: NadarajahGeneralParams):
     """General logistic-type spectral density on (a, b), zero elsewhere.
 
@@ -657,21 +500,7 @@ def nadarajah_density(w, params: NadarajahGeneralParams):
     theta1 = theta2 = 1; with a = c, b = 1 it is the restricted density.
     """
     _check_unit_interval(w)
-    arr = np.asarray(w, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    p = params
-    al, be = p.alpha, p.beta
-    out = np.zeros_like(arr)
-    inner = (arr > p.a) & (arr < p.b)
-    wi = arr[inner]
-    with np.errstate(divide="ignore"):
-        out[inner] = (
-            (p.s - 1.0) * (p.b - p.a) * (al * be) ** p.s
-            * ((wi - p.a) * (p.b - wi)) ** (p.s - 2.0)
-            * (al ** p.s * (wi - p.a) ** p.s + be ** p.s * (p.b - wi) ** p.s) ** (1.0 / p.s - 2.0)
-        )
-    return float(out[0]) if scalar else out
+    return AffineLogisticModel(params.a, params.b, params.s).h(w)
 
 
 def a_numeric_oracle(w, h, atom0=0.0, atom1=0.0, *, interior_atoms=(),

@@ -15,8 +15,8 @@ import numpy as np
 
 from .dependence import DependenceModel
 from .errors import InputError
-from .estimation import FitResult, PickandsCurve, margins_from_fit
-from .margins import exp_scale
+from .estimation import FitResult, PickandsCurve
+from .margins import GevmParams, exp_scale
 from .series import BivariateSeries
 
 
@@ -100,9 +100,9 @@ def pp_qq_tables(series: BivariateSeries, fit: FitResult,
     n = len(series)
     if len(fit.g_x) != n or len(fit.g_y) != n:
         raise InputError("fit trends do not match the series length")
-    mx, my = margins_from_fit(fit)
-    xe = np.array([exp_scale(series.x[i], mx[i]) for i in range(n)])
-    ye = np.array([exp_scale(series.y[i], my[i]) for i in range(n)])
+    # the fitted trend shifts the data; the margins are then fixed-location
+    xe = exp_scale(series.x - fit.g_x, GevmParams(0.0, fit.sigma_x, fit.xi))
+    ye = exp_scale(series.y - fit.g_y, GevmParams(0.0, fit.sigma_y, fit.xi))
 
     pos = np.arange(1, n + 1) / (n + 1.0)
     exp_q = -np.log1p(-pos)

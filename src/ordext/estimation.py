@@ -28,9 +28,16 @@ from scipy.linalg import solveh_banded
 from scipy.optimize import minimize
 
 from .errors import InputError, NumericError, ParameterError
-from .margins import GevmParams
+from .margins import log_exp_scale
 from .measure import _v_closed, _v_partials
 from .series import BivariateSeries
+
+# fixed settings of fit_restricted
+XI_BOUNDS = (-0.45, 0.95)       # box for the shared shape xi
+BOUNDARY_GRID = 128             # grid points of the xi <= 0 boundary search
+BOUNDARY_MARGIN = 1e-3          # least gap between y-fractions and c
+TREND_MAX_ITER = 50             # Newton steps per trend stage
+SCALAR_MAX_ITER = 60            # L-BFGS-B iterations per scalar start
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,8 @@ def estimate_c_hat(xe, ye):
 # penalized trend update
 # ---------------------------------------------------------------------------
 
+# The dense D'D algebra below is part of the fit's arithmetic: a banded
+# rewrite is faster but moves fitted trends in the last bits.
 def _second_difference_matrix(n):
     if n < 3:
         return np.zeros((0, n))
@@ -237,15 +246,10 @@ def ridge_trend(y, lam):
 
 @dataclass
 class FitConfig:
-    """Knobs for fit_restricted; defaults suit series of ~50-200 points."""
+    """Outer-loop cap and stall tolerance, and an optional start point."""
 
     max_outer: int = 60
     outer_tol: float = 1e-8
-    trend_max_iter: int = 50
-    scalar_max_iter: int = 60
-    xi_bounds: tuple = (-0.45, 0.95)
-    boundary_grid: int = 128
-    boundary_margin: float = 1e-3
     start: dict | None = None
 
 
@@ -277,7 +281,8 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
     (1/xi), and a crossing of upper support endpoints sends D to zero
     (ordering impossible, returned as 1).  For xi <= 0 the infimum is
     taken over a log-spaced grid spanning the data range extended toward
-    the lower tail.
+    the lower tail.  Kept apart from measure.c_from_margins: the fit's
+    numbers depend on this grid and its arithmetic.
     """
     if xi > 0.0:
         if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
@@ -323,21 +328,23 @@ class _RestrictedLikelihood:
     optimiser would race the boundary onto the data minimum.
     """
 
-    def __init__(self, series: BivariateSeries, lam_x, lam_y, n_grid=128,
-                 margin=1e-3):
+    def __init__(self, series: BivariateSeries, lam_x, lam_y):
         self.x = series.x
         self.y = series.y
         self.times = series.t
         self.lam_x = lam_x
         self.lam_y = lam_y
-        self.n_grid = n_grid
-        self.margin = margin
         lo = float(min(np.min(self.x), np.min(self.y)))
         hi = float(max(np.max(self.x), np.max(self.y)))
         self.data_lo, self.data_hi = lo, hi
 
     def terms(self, g_x, g_y, sig_x, sig_y, xi, s):
-        """Per-observation log density; -inf entries flag zero-mass points."""
+        """Per-observation log density; -inf entries flag zero-mass points.
+
+        The transform bx ** (-1/xi) and the closed-form density are fused
+        here rather than shared with margins/measure: this is the fit's
+        floating-point path, and last-bit changes move fitted parameters.
+        """
         n = len(self.x)
         bad = np.full(n, -np.inf)
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
@@ -347,7 +354,7 @@ class _RestrictedLikelihood:
         if np.any(bx <= 0.0) or np.any(by <= 0.0):
             return bad
         c = _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
-                            self.data_lo, self.data_hi, self.n_grid)
+                            self.data_lo, self.data_hi, BOUNDARY_GRID)
         if c >= 0.5:
             return bad
         with np.errstate(over="ignore", invalid="ignore"):
@@ -360,7 +367,7 @@ class _RestrictedLikelihood:
             if np.any(~np.isfinite(ex)) or np.any(~np.isfinite(ey)):
                 return bad
             frac = ey / (ex + ey)
-            if np.any(frac <= c + self.margin):
+            if np.any(frac <= c + BOUNDARY_MARGIN):
                 return bad
             v = _v_closed(ex, ey, c, s)
             vx, vy, vxy = _v_partials(ex, ey, c, s)
@@ -397,17 +404,17 @@ class _RestrictedLikelihood:
         if score > 0:
             return 1.0 + score
         c = _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
-                            self.data_lo, self.data_hi, self.n_grid)
+                            self.data_lo, self.data_hi, BOUNDARY_GRID)
         if c >= 0.5:
             return 1.0 + 10.0 * (c - 0.499)
-        log_ex = fitted_log_exp_scale(self.x, g_x, sig_x, xi)
-        log_ey = fitted_log_exp_scale(self.y, g_y, sig_y, xi)
+        log_ex = log_exp_scale(self.x, g_x, sig_x, xi)
+        log_ey = log_exp_scale(self.y, g_y, sig_y, xi)
         frac = 1.0 / (1.0 + np.exp(np.clip(log_ex - log_ey, -700.0, 700.0)))
-        return 100.0 * float(np.sum(np.maximum(c + self.margin - frac, 0.0)))
+        return 100.0 * float(np.sum(np.maximum(c + BOUNDARY_MARGIN - frac, 0.0)))
 
     def boundary(self, g_x, g_y, sig_x, sig_y, xi):
         return _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
-                               self.data_lo, self.data_hi, self.n_grid)
+                               self.data_lo, self.data_hi, BOUNDARY_GRID)
 
 
 def _initial_state(series, lam_x, lam_y, lik, start):
@@ -483,8 +490,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     if len(series) < 3:
         raise InputError("need at least 3 observations")
 
-    lik = _RestrictedLikelihood(series, lam_x, lam_y, config.boundary_grid,
-                                config.boundary_margin)
+    lik = _RestrictedLikelihood(series, lam_x, lam_y)
     st = _initial_state(series, lam_x, lam_y, lik, config.start)
     g_x, g_y = st["g_x"], st["g_y"]
     sig_x, sig_y, xi, s = st["sigma_x"], st["sigma_y"], st["xi"], st["s"]
@@ -501,7 +507,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     bounds = [(math.log(1e-6), math.log(60.0)),
               (math.log(1e-8), math.log(1e8)),
               (math.log(1e-8), math.log(1e8)),
-              config.xi_bounds]
+              XI_BOUNDS]
     # deterministic jitters used for multi-start on the first pass and as
     # a rescue when the outer loop stalls early
     scalar_offsets = np.array([
@@ -523,7 +529,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         for start in starts:
             res = minimize(scalar_neg, start, method="L-BFGS-B",
                            bounds=bounds,
-                           options={"maxiter": config.scalar_max_iter,
+                           options={"maxiter": SCALAR_MAX_ITER,
                                     "ftol": 1e-11, "gtol": 1e-9})
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_phi, best_val = res.x, res.fun
@@ -552,10 +558,10 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     for it in range(1, config.max_outer + 1):
         g_x = trend_penalized(
             lambda g: lik.terms(g, g_y, sig_x, sig_y, xi, s),
-            lam_x, series.t, g_x, max_iter=config.trend_max_iter)
+            lam_x, series.t, g_x, max_iter=TREND_MAX_ITER)
         g_y = trend_penalized(
             lambda g: lik.terms(g_x, g, sig_x, sig_y, xi, s),
-            lam_y, series.t, g_y, max_iter=config.trend_max_iter)
+            lam_y, series.t, g_y, max_iter=TREND_MAX_ITER)
         scalar_stage(multi_start=(it == 1 and explore),
                      polish=last_gain <= 1e-4 * (1.0 + abs(current)))
 
@@ -589,8 +595,8 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     c_hat = lik.boundary(g_x, g_y, sig_x, sig_y, xi)
     # smallest y-fraction on the fitted exponential scale, computed in log
     # space (direct powers can overflow near a fitted support endpoint)
-    log_ex = fitted_log_exp_scale(series.x, g_x, sig_x, xi)
-    log_ey = fitted_log_exp_scale(series.y, g_y, sig_y, xi)
+    log_ex = log_exp_scale(series.x, g_x, sig_x, xi)
+    log_ey = log_exp_scale(series.y, g_y, sig_y, xi)
     fracs = 1.0 / (1.0 + np.exp(np.clip(log_ex - log_ey, -700.0, 700.0)))
     c_pick = float(np.min(fracs))
 
@@ -599,24 +605,3 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                      times=series.t, trace=trace,
                      loglik=float(current), converged=converged,
                      message=message)
-
-
-def fitted_log_exp_scale(z, mu, sigma, xi):
-    """log of the exponential-scale transform under fitted margins."""
-    z = np.asarray(z, dtype=float)
-    if abs(xi) < 1e-8:
-        return (z - mu) / sigma
-    return -np.log(1.0 - xi * (z - mu) / sigma) / xi
-
-
-def fitted_exp_scale(z, mu, sigma, xi):
-    """Exponential-scale transform under fitted margins, overflow-safe."""
-    return np.exp(np.clip(fitted_log_exp_scale(z, mu, sigma, xi),
-                          -700.0, 700.0))
-
-
-def margins_from_fit(fit: FitResult):
-    """Per-observation GevmParams pairs implied by a fit (tabulated trend)."""
-    mx = [GevmParams(float(m), fit.sigma_x, fit.xi) for m in fit.g_x]
-    my = [GevmParams(float(m), fit.sigma_y, fit.xi) for m in fit.g_y]
-    return mx, my

@@ -111,6 +111,20 @@ def _split_scalar(z):
     return z.ndim == 0, np.atleast_1d(z)
 
 
+def log_exp_scale(z, mu, sigma, xi):
+    """log of the exponential-scale transform, -log(1 - xi (z - mu)/sigma)/xi.
+
+    mu may be an array (a location trend resolved over the observations).
+    No support check: outside the support the result is nan or infinite.
+    The penalized fit depends on this exact arithmetic (log of the
+    bracket, not log1p), so changing it moves fitted parameters.
+    """
+    z = np.asarray(z, dtype=float)
+    if abs(xi) < XI_ZERO_TOL:
+        return (z - mu) / sigma
+    return -np.log(1.0 - xi * (z - mu) / sigma) / xi
+
+
 def gevm_survival(z, p: GevmParams):
     """Survival Pr(Z > z).
 
@@ -119,16 +133,10 @@ def gevm_survival(z, p: GevmParams):
     the real line.
     """
     scalar, z = _split_scalar(z)
-    u = (z - p.mu) / p.sigma
-    if p.is_gumbel:
-        out = np.exp(-np.exp(u))
-    else:
-        bracket = 1.0 - p.xi * u
-        out = np.empty_like(u)
-        ok = bracket > 0.0
-        with np.errstate(over="ignore"):
-            out[ok] = np.exp(-np.exp(-np.log1p(-p.xi * u[ok]) / p.xi))
-        out[~ok] = 0.0 if p.xi > 0 else 1.0
+    with np.errstate(all="ignore"):
+        log_e = log_exp_scale(z, p.mu, p.sigma, p.xi)
+        out = np.exp(-np.exp(log_e))
+    out[np.isnan(log_e)] = 0.0 if p.xi > 0 else 1.0
     return float(out[0]) if scalar else out
 
 
@@ -140,14 +148,11 @@ def exp_scale(z, p: GevmParams):
     would corrupt likelihoods).
     """
     scalar, z = _split_scalar(z)
-    u = (z - p.mu) / p.sigma
-    if p.is_gumbel:
-        out = np.exp(u)
-    else:
-        bracket = 1.0 - p.xi * u
-        if np.any(bracket <= 0.0):
-            raise DomainError("value outside the margin support")
-        out = np.exp(-np.log1p(-p.xi * u) / p.xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_e = log_exp_scale(z, p.mu, p.sigma, p.xi)
+    if not np.all(np.isfinite(log_e)):
+        raise DomainError("value outside the margin support")
+    out = np.exp(log_e)
     return float(out[0]) if scalar else out
 
 

@@ -25,7 +25,8 @@ from scipy.optimize import minimize_scalar
 
 from .dependence import DependenceModel, RestrictedLogisticParams
 from .errors import BoundaryError, DomainError, NumericError
-from .margins import GevmParams, exp_scale, exp_scale_log_jacobian
+from .margins import (GevmParams, exp_scale, exp_scale_log_jacobian,
+                      log_exp_scale)
 
 V_QUAD_TOL = 1e-10
 
@@ -149,18 +150,9 @@ def v_partials(p: ExpPair, c, s):
 
 
 def v_frechet(p: FrechetPair, c, s):
-    """Restricted measure in Frechet coordinates.
-
-    Same function as v_closed after the reciprocal substitution; the
-    branch condition becomes x_f/(x_f + y_f) <= c.
-    """
+    """Restricted measure in Frechet coordinates: v_closed at (1/x_f, 1/y_f)."""
     RestrictedLogisticParams(c, s)
-    xf, yf = p.x_f, p.y_f
-    if xf / (xf + yf) <= c:
-        return 1.0 / xf
-    K = 1.0 - 2.0 * c
-    inner = (1.0 - c) / yf - c / xf
-    return ((inner ** s + K ** s * (1.0 / xf) ** s) ** (1.0 / s) + c / xf) / (1.0 - c)
+    return float(_v_closed(1.0 / p.x_f, 1.0 / p.y_f, c, s))
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +216,9 @@ def joint_log_density_gevm(x, y, mx: GevmParams, my: GevmParams,
 
 def _diag_ratio(x, mx: GevmParams, my: GevmParams):
     """D(x, x) = e_x(x) / e_y(x) where both margins are defined, else inf."""
-    x = np.asarray(x, dtype=float)
-    bx = 1.0 - mx.xi * (x - mx.mu) / mx.sigma
-    by = 1.0 - my.xi * (x - my.mu) / my.sigma
     with np.errstate(all="ignore"):
-        if mx.is_gumbel:
-            ex = np.exp((x - mx.mu) / mx.sigma)
-        else:
-            ex = np.where(bx > 0, bx ** (-1.0 / mx.xi), np.nan)
-        if my.is_gumbel:
-            ey = np.exp((x - my.mu) / my.sigma)
-        else:
-            ey = np.where(by > 0, by ** (-1.0 / my.xi), np.nan)
-        d = ex / ey
+        d = np.exp(log_exp_scale(x, mx.mu, mx.sigma, mx.xi)
+                   - log_exp_scale(x, my.mu, my.sigma, my.xi))
     return np.where(np.isfinite(d), d, np.inf)
 
 

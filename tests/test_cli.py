@@ -185,3 +185,55 @@ def test_study_requires_design_flag(capsys):
     code, _, err = run_cli(capsys, "study", "--out-dir", "/tmp/s")
     assert code != 0
     assert "paper-defaults" in err
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("t,x,y\n0.0,0.7,abc\n1.0,0.5,1.5\n", "non-numeric"),
+    ("t,x,y\n0.0,0.7,0.3\n1.0,0.5\n", "cells"),
+    ("t,x,y\n0.0,0.7,nan\n1.0,0.5,1.5\n", "non-finite"),
+], ids=["non_numeric_cell", "ragged_row", "nan_value"])
+def test_estimate_c_rejects_bad_cells(tmp_path, capsys, body, reason):
+    data = tmp_path / "pairs.csv"
+    data.write_text(body)
+    code, out, err = run_cli(capsys, "estimate-c", "--data", str(data))
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def write_fit_dir(fit_dir, times, trend_header="t,g_x,g_y"):
+    fit_dir.mkdir()
+    (fit_dir / "params.csv").write_text(
+        "s,sigma_x,sigma_y,xi,c_hat,c_hat_pickands,loglik,converged\n"
+        "2.0,4.0,2.0,0.2,0.03,0.05,-100.0,1.0\n")
+    (fit_dir / "trends.csv").write_text(
+        trend_header + "\n"
+        + "".join(f"{t!r},{100.0 - 40.0 * t!r},{150.0 - 40.0 * t!r}\n"
+                  for t in times))
+
+
+def diagnose_data(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("t,x,y\n0.0,99.0,149.0\n0.5,80.5,130.0\n1.0,59.0,109.5\n")
+    return data
+
+
+def test_diagnose_rejects_fit_with_other_times(tmp_path, capsys):
+    data = diagnose_data(tmp_path)
+    write_fit_dir(tmp_path / "fit", [0.0, 0.4, 1.0])
+    code, _, err = run_cli(capsys, "diagnose", "--data", str(data),
+                           "--fit-dir", str(tmp_path / "fit"),
+                           "--out-dir", str(tmp_path / "diag"))
+    assert code == 2
+    assert "times" in err
+
+
+def test_diagnose_rejects_fit_missing_column(tmp_path, capsys):
+    data = diagnose_data(tmp_path)
+    write_fit_dir(tmp_path / "fit", [0.0, 0.5, 1.0], trend_header="t,g_x,gy")
+    code, _, err = run_cli(capsys, "diagnose", "--data", str(data),
+                           "--fit-dir", str(tmp_path / "fit"),
+                           "--out-dir", str(tmp_path / "diag"))
+    assert code == 2
+    assert "g_y" in err
+

@@ -6,9 +6,8 @@ import pytest
 from ordext import (AsymLogisticParams, DomainError, IntervalRestrictedParams,
                     NadarajahGeneralParams, ParameterError, PointMassModel,
                     RestrictedLogisticParams, UpperRestrictedParams,
-                    a_numeric_oracle, eval_asym, eval_interval,
-                    eval_restricted, eval_upper, make_model,
-                    nadarajah_density, validate_dependence)
+                    a_numeric_oracle, make_model, nadarajah_density,
+                    validate_dependence)
 from ordext.dependence import (AsymLogisticModel, IntervalRestrictedModel,
                                RestrictedLogisticModel, UpperRestrictedModel,
                                a_numeric_from_model)
@@ -44,13 +43,13 @@ def test_parameter_invariants():
 
 def test_asym_boundary_values():
     for p in (AsymLogisticParams(0.3, 0.9, 2.5), AsymLogisticParams(1.0, 1.0, 4.0)):
-        assert eval_asym(0.0, p).a_val == 1.0
-        assert eval_asym(1.0, p).a_val == 1.0
+        assert AsymLogisticModel(p).evaluate(0.0).a_val == 1.0
+        assert AsymLogisticModel(p).evaluate(1.0).a_val == 1.0
 
 
 def test_asym_symmetric_logistic_density():
     # theta1 = theta2 = 1, s = 2 at the midpoint: 0.5**-1.5
-    ev = eval_asym(0.5, AsymLogisticParams(1.0, 1.0, 2.0))
+    ev = AsymLogisticModel(AsymLogisticParams(1.0, 1.0, 2.0)).evaluate(0.5)
     assert ev.h_val == pytest.approx(2.0 ** 1.5, rel=1e-14)
     # finite-difference second derivative as the oracle
     m = AsymLogisticModel(AsymLogisticParams(1.0, 1.0, 2.0))
@@ -62,7 +61,7 @@ def test_asym_symmetric_logistic_density():
 def test_asym_independence_at_s1():
     p = AsymLogisticParams(1.0, 1.0, 1.0)
     for w in np.linspace(0.0, 1.0, 21):
-        assert eval_asym(float(w), p).a_val == 1.0
+        assert AsymLogisticModel(p).evaluate(float(w)).a_val == 1.0
 
 
 def test_asym_measure_limits():
@@ -74,13 +73,13 @@ def test_asym_measure_limits():
 
 
 def test_restricted_examples():
-    assert eval_restricted(0.5, RestrictedLogisticParams(0.25, 1.0)).a_val == \
-        pytest.approx(5.0 / 6.0, rel=1e-14)
+    m = RestrictedLogisticModel(RestrictedLogisticParams(0.25, 1.0))
+    assert m.evaluate(0.5).a_val == pytest.approx(5.0 / 6.0, rel=1e-14)
     for s in (1.0, 1.7, 3.0):
-        assert eval_restricted(0.1, RestrictedLogisticParams(0.25, s)).a_val == \
-            pytest.approx(0.9, abs=1e-15)
-    assert eval_restricted(0.5, RestrictedLogisticParams(0.0, 2.0)).a_val == \
-        pytest.approx(math.sqrt(0.5), rel=1e-14)
+        m = RestrictedLogisticModel(RestrictedLogisticParams(0.25, s))
+        assert m.evaluate(0.1).a_val == pytest.approx(0.9, abs=1e-15)
+    m = RestrictedLogisticModel(RestrictedLogisticParams(0.0, 2.0))
+    assert m.evaluate(0.5).a_val == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
 
 def test_restricted_linear_branch_exact():
@@ -100,9 +99,9 @@ def test_restricted_continuity_at_boundary():
 
 
 def test_upper_examples_and_reflection():
-    assert eval_upper(0.9, UpperRestrictedParams(0.75, 2.0)).a_val == 0.9
-    assert eval_upper(0.0, UpperRestrictedParams(0.75, 2.0)).a_val == \
-        pytest.approx(1.0, abs=1e-15)
+    m = UpperRestrictedModel(UpperRestrictedParams(0.75, 2.0))
+    assert m.evaluate(0.9).a_val == 0.9
+    assert m.evaluate(0.0).a_val == pytest.approx(1.0, abs=1e-15)
     grid = np.linspace(0.0, 1.0, 201)
     for c, s in [(0.75, 2.0), (0.6, 1.0), (0.9, 5.0)]:
         up = UpperRestrictedModel(UpperRestrictedParams(c, s))
@@ -113,9 +112,9 @@ def test_upper_examples_and_reflection():
 def test_interval_examples():
     p = IntervalRestrictedParams(0.25, 0.75, 1.0)
     for w in (0.25, 0.4, 0.5, 0.75):
-        assert eval_interval(w, p).a_val == 0.75
-    assert eval_interval(0.25, IntervalRestrictedParams(0.25, 0.75, 4.0)).a_val == \
-        pytest.approx(0.75, abs=1e-14)
+        assert IntervalRestrictedModel(p).evaluate(w).a_val == 0.75
+    m = IntervalRestrictedModel(IntervalRestrictedParams(0.25, 0.75, 4.0))
+    assert m.evaluate(0.25).a_val == pytest.approx(0.75, abs=1e-14)
     # c2 = 1 collapses onto the restricted family
     grid = np.linspace(0.0, 1.0, 101)
     iv = IntervalRestrictedModel(IntervalRestrictedParams(0.25, 1.0, 2.0))
@@ -242,11 +241,11 @@ def test_density_is_second_derivative():
 def test_dependence_strengthens_with_s():
     for c in (0.0, 0.25, 0.45):
         for w in (0.5, 0.7, 0.9):
-            vals = [eval_restricted(w, RestrictedLogisticParams(c, s)).a_val
-                    for s in (1.0, 1.5, 2.5, 5.0)]
+            vals = [RestrictedLogisticModel(RestrictedLogisticParams(c, s))
+                    .evaluate(w).a_val for s in (1.0, 1.5, 2.5, 5.0)]
             assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
 
 def test_eval_rejects_out_of_range_fraction():
     with pytest.raises(DomainError):
-        eval_restricted(1.2, RestrictedLogisticParams(0.25, 2.0))
+        RestrictedLogisticModel(RestrictedLogisticParams(0.25, 2.0)).evaluate(1.2)
