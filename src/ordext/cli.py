@@ -384,10 +384,10 @@ def _cmd_estimate_c(cfg):
 
 
 def _cmd_diagnose(cfg):
-    series = read_series_csv(cfg["data"])
+    # fit_restricted writes its trends in this order
+    series = read_series_csv(cfg["data"]).sorted_by_time()
     fit = _fit_from_files(_out_path(cfg["fit_dir"]), series)
-    model = dep.make_model("restricted", c=min(fit.c_hat, 0.499999),
-                           s=max(fit.s, 1.0))
+    model = dep.make_model("restricted", c=fit.c_hat, s=fit.s)
     tables = pp_qq_tables(series, fit, model)
     out_dir = _out_path(cfg["out_dir"])
     os.makedirs(out_dir, exist_ok=True)
@@ -479,8 +479,7 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
                                           fit0.xi), -700.0, 700.0))
     ye_fit = np.exp(np.clip(log_exp_scale(first.y, fit0.g_y, fit0.sigma_y,
                                           fit0.xi), -700.0, 700.0))
-    fitted_model = dep.make_model("restricted", c=min(fit0.c_hat, 0.499999),
-                                  s=fit0.s)
+    fitted_model = dep.make_model("restricted", c=fit0.c_hat, s=fit0.s)
     curves = depfn_curves([
         ("parametric_true", model),
         ("parametric_fitted", fitted_model),

@@ -9,12 +9,16 @@ pins the endpoints at exactly 1 and keeps the curve above the convex
 envelope max(w, 1-w).
 
 The parametric fit alternates penalized trend updates with a bounded
-quasi-Newton step on (s, sigma_x, sigma_y, xi), reparametrised as
-(log(s-1), log sigma_x, log sigma_y, xi) so the constraints s > 1 and
-sigma > 0 hold by construction.  Observations falling in the model's
-zero-density region make a trial parameter point infinitely unlikely,
-which keeps the implied boundary constant below the smallest observed
-y-fraction.
+quasi-Newton step (L-BFGS-B, the one scalar optimiser) on (s, sigma_x,
+sigma_y, xi), reparametrised as (log(s-1), log sigma_x, log sigma_y, xi)
+so the constraints s > 1 and sigma > 0 hold by construction.  The first
+scalar stage also tries six jittered starts, and a stall triggers one
+more multi-start pass before the fit is declared converged; both pay for
+themselves in fitted log-likelihood on the reference study.  Observations
+falling in the model's zero-density region make a trial parameter point
+infinitely unlikely, which keeps the implied boundary constant below the
+smallest observed y-fraction.  Data reach the exponential scale only
+through margins.log_exp_scale.
 """
 
 from __future__ import annotations
@@ -132,8 +136,9 @@ def estimate_c_hat(xe, ye):
 # penalized trend update
 # ---------------------------------------------------------------------------
 
-# The dense D'D algebra below is part of the fit's arithmetic: a banded
-# rewrite is faster but moves fitted trends in the last bits.
+# The dense D'D algebra below costs O(n^2) per trend stage; a banded
+# rewrite is faster but moves fitted trends in the last bits, so it
+# belongs with a change that measures the gain.
 def _second_difference_matrix(n):
     if n < 3:
         return np.zeros((0, n))
@@ -281,8 +286,8 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
     (1/xi), and a crossing of upper support endpoints sends D to zero
     (ordering impossible, returned as 1).  For xi <= 0 the infimum is
     taken over a log-spaced grid spanning the data range extended toward
-    the lower tail.  Kept apart from measure.c_from_margins: the fit's
-    numbers depend on this grid and its arithmetic.
+    the lower tail.  Kept apart from measure.c_from_margins, which takes
+    one scalar location per margin rather than a trend vector.
     """
     if xi > 0.0:
         if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
@@ -291,13 +296,10 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
         if log_d > 700.0:
             return 0.0
         return 1.0 / (1.0 + math.exp(log_d))
-    d_best = np.inf
-
     span = max(data_hi - data_lo, 1e-6)
-    hi = data_hi
     offsets = np.logspace(math.log10(span * 1e-6), math.log10(11.0 * span),
                           n_grid)
-    grid = hi - offsets
+    grid = data_hi - offsets
     if xi < 0.0:
         lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
             max(sig_x, sig_y) / xi
@@ -315,8 +317,12 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
                        - (grid[None, :] - mu_y[:, None]) / sig_y)
         else:
             d = (by / bx) ** (1.0 / xi)
-    d_best = min(d_best, float(np.min(np.where(ok, d, np.inf))))
-    return 1.0 / (1.0 + d_best)
+    return 1.0 / (1.0 + float(np.min(np.where(ok, d, np.inf))))
+
+
+def _y_fraction(log_ex, log_ey):
+    """y-fraction ey / (ex + ey) from log scales, safe from overflow."""
+    return 1.0 / (1.0 + np.exp(np.clip(log_ex - log_ey, -700.0, 700.0)))
 
 
 class _RestrictedLikelihood:
@@ -331,51 +337,34 @@ class _RestrictedLikelihood:
     def __init__(self, series: BivariateSeries, lam_x, lam_y):
         self.x = series.x
         self.y = series.y
-        self.times = series.t
         self.lam_x = lam_x
         self.lam_y = lam_y
-        lo = float(min(np.min(self.x), np.min(self.y)))
-        hi = float(max(np.max(self.x), np.max(self.y)))
-        self.data_lo, self.data_hi = lo, hi
+        self.data_lo = float(min(np.min(self.x), np.min(self.y)))
+        self.data_hi = float(max(np.max(self.x), np.max(self.y)))
 
     def terms(self, g_x, g_y, sig_x, sig_y, xi, s):
-        """Per-observation log density; -inf entries flag zero-mass points.
-
-        The transform bx ** (-1/xi) and the closed-form density are fused
-        here rather than shared with margins/measure: this is the fit's
-        floating-point path, and last-bit changes move fitted parameters.
-        """
-        n = len(self.x)
-        bad = np.full(n, -np.inf)
+        """Per-observation log density; -inf entries flag zero-mass points."""
+        bad = np.full(len(self.x), -np.inf)
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
             return bad
-        bx = 1.0 - xi * (self.x - g_x) / sig_x
-        by = 1.0 - xi * (self.y - g_y) / sig_y
-        if np.any(bx <= 0.0) or np.any(by <= 0.0):
+        log_ex, log_ey = self.log_scales(g_x, g_y, sig_x, sig_y, xi)
+        if not (np.all(np.isfinite(log_ex)) and np.all(np.isfinite(log_ey))):
             return bad
-        c = _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
-                            self.data_lo, self.data_hi, BOUNDARY_GRID)
+        c = self.boundary(g_x, g_y, sig_x, sig_y, xi)
         if c >= 0.5:
             return bad
+        if np.any(_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN):
+            return bad
         with np.errstate(over="ignore", invalid="ignore"):
-            if abs(xi) < 1e-8:
-                ex = np.exp((self.x - g_x) / sig_x)
-                ey = np.exp((self.y - g_y) / sig_y)
-            else:
-                ex = bx ** (-1.0 / xi)
-                ey = by ** (-1.0 / xi)
-            if np.any(~np.isfinite(ex)) or np.any(~np.isfinite(ey)):
-                return bad
-            frac = ey / (ex + ey)
-            if np.any(frac <= c + BOUNDARY_MARGIN):
+            ex, ey = np.exp(log_ex), np.exp(log_ey)
+            if not (np.all(np.isfinite(ex)) and np.all(np.isfinite(ey))):
                 return bad
             v = _v_closed(ex, ey, c, s)
             vx, vy, vxy = _v_partials(ex, ey, c, s)
             dens = vx * vy - vxy
             if np.any(~np.isfinite(dens)) or np.any(dens <= 0.0):
                 return bad
-            return (-v + np.log(dens)
-                    + (1.0 + xi) * (np.log(ex) + np.log(ey))
+            return (-v + np.log(dens) + (1.0 + xi) * (log_ex + log_ey)
                     - math.log(sig_x) - math.log(sig_y))
 
     def penalty(self, g_x, g_y):
@@ -395,26 +384,29 @@ class _RestrictedLikelihood:
         instead of a flat wall when a trial crosses a support or
         ordering constraint.
         """
-        score = 0.0
         if sig_x <= 0 or sig_y <= 0 or s <= 1.0:
             return 1e6
         bx = 1.0 - xi * (self.x - g_x) / sig_x
         by = 1.0 - xi * (self.y - g_y) / sig_y
-        score += float(np.sum(np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)))
+        score = float(np.sum(np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)))
         if score > 0:
             return 1.0 + score
-        c = _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
-                            self.data_lo, self.data_hi, BOUNDARY_GRID)
+        c = self.boundary(g_x, g_y, sig_x, sig_y, xi)
         if c >= 0.5:
             return 1.0 + 10.0 * (c - 0.499)
-        log_ex = log_exp_scale(self.x, g_x, sig_x, xi)
-        log_ey = log_exp_scale(self.y, g_y, sig_y, xi)
-        frac = 1.0 / (1.0 + np.exp(np.clip(log_ex - log_ey, -700.0, 700.0)))
+        frac = _y_fraction(*self.log_scales(g_x, g_y, sig_x, sig_y, xi))
         return 100.0 * float(np.sum(np.maximum(c + BOUNDARY_MARGIN - frac, 0.0)))
 
     def boundary(self, g_x, g_y, sig_x, sig_y, xi):
         return _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
                                self.data_lo, self.data_hi, BOUNDARY_GRID)
+
+    def log_scales(self, g_x, g_y, sig_x, sig_y, xi):
+        """log of the data on the trial exponential scales (nan or inf
+        off the support)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (log_exp_scale(self.x, g_x, sig_x, xi),
+                    log_exp_scale(self.y, g_y, sig_y, xi))
 
 
 def _initial_state(series, lam_x, lam_y, lik, start):
@@ -484,9 +476,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         raise InputError("smoothing weights must be nonnegative")
     if not series.is_ordered():
         raise InputError("fit requires x_i < y_i for every observation")
-    order = np.argsort(series.t, kind="stable")
-    series = BivariateSeries(series.t[order], series.x[order],
-                             series.y[order], series.scale)
+    series = series.sorted_by_time()
     if len(series) < 3:
         raise InputError("need at least 3 observations")
 
@@ -508,6 +498,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
               (math.log(1e-8), math.log(1e8)),
               (math.log(1e-8), math.log(1e8)),
               XI_BOUNDS]
+    lo, hi = np.array(bounds).T
     # deterministic jitters used for multi-start on the first pass and as
     # a rescue when the outer loop stalls early
     scalar_offsets = np.array([
@@ -516,14 +507,12 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         [0.0, 0.3, -0.1, 0.1], [0.0, -0.3, 0.1, -0.1],
     ])
 
-    def scalar_stage(multi_start, polish):
+    def scalar_stage(multi_start):
         nonlocal s, sig_x, sig_y, xi
         phi0 = np.array([math.log(s - 1.0), math.log(sig_x),
                          math.log(sig_y), xi])
         starts = [phi0]
         if multi_start:
-            lo = np.array([b[0] for b in bounds])
-            hi = np.array([b[1] for b in bounds])
             starts += [np.clip(phi0 + off, lo, hi) for off in scalar_offsets]
         best_phi, best_val = phi0, scalar_neg(phi0)
         for start in starts:
@@ -533,16 +522,6 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                                     "ftol": 1e-11, "gtol": 1e-9})
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_phi, best_val = res.x, res.fun
-        if polish:
-            # derivative-free endgame: finite-difference noise in the
-            # gradient keeps L-BFGS from localising the flat optimum
-            res = minimize(scalar_neg, best_phi, method="Nelder-Mead",
-                           options={"maxiter": 400, "xatol": 1e-9,
-                                    "fatol": 1e-11})
-            if np.isfinite(res.fun) and res.fun < best_val:
-                lo = np.array([b[0] for b in bounds])
-                hi = np.array([b[1] for b in bounds])
-                best_phi, best_val = np.clip(res.x, lo, hi), res.fun
         s = 1.0 + math.exp(best_phi[0])
         sig_x = math.exp(best_phi[1])
         sig_y = math.exp(best_phi[2])
@@ -554,7 +533,6 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
               "xi": xi, "penalized_loglik": current}]
     converged = False
     rescued = False
-    last_gain = math.inf
     for it in range(1, config.max_outer + 1):
         g_x = trend_penalized(
             lambda g: lik.terms(g, g_y, sig_x, sig_y, xi, s),
@@ -562,21 +540,19 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         g_y = trend_penalized(
             lambda g: lik.terms(g_x, g, sig_x, sig_y, xi, s),
             lam_y, series.t, g_y, max_iter=TREND_MAX_ITER)
-        scalar_stage(multi_start=(it == 1 and explore),
-                     polish=last_gain <= 1e-4 * (1.0 + abs(current)))
+        scalar_stage(multi_start=(it == 1 and explore))
 
         new = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
         trace.append({"iteration": it, "s": s, "sigma_x": sig_x,
                       "sigma_y": sig_y, "xi": xi, "penalized_loglik": new})
-        last_gain = new - current
-        if last_gain <= config.outer_tol * (1.0 + abs(current)) and it > 1:
+        if new - current <= config.outer_tol * (1.0 + abs(current)) and it > 1:
             current = max(new, current)
             if explore and not rescued:
                 # one multi-start rescue before declaring convergence;
                 # roll back unless it genuinely clears the stall bar
                 rescued = True
                 snapshot = (s, sig_x, sig_y, xi)
-                scalar_stage(multi_start=True, polish=True)
+                scalar_stage(multi_start=True)
                 rescue_val = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
                 if rescue_val - current > config.outer_tol * (1.0 + abs(current)):
                     current = rescue_val
@@ -593,12 +569,9 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                       "with care", RuntimeWarning, stacklevel=2)
 
     c_hat = lik.boundary(g_x, g_y, sig_x, sig_y, xi)
-    # smallest y-fraction on the fitted exponential scale, computed in log
-    # space (direct powers can overflow near a fitted support endpoint)
-    log_ex = log_exp_scale(series.x, g_x, sig_x, xi)
-    log_ey = log_exp_scale(series.y, g_y, sig_y, xi)
-    fracs = 1.0 / (1.0 + np.exp(np.clip(log_ex - log_ey, -700.0, 700.0)))
-    c_pick = float(np.min(fracs))
+    # smallest y-fraction of the data on the fitted exponential scale
+    c_pick = float(np.min(_y_fraction(*lik.log_scales(g_x, g_y, sig_x,
+                                                       sig_y, xi))))
 
     return FitResult(s=s, sigma_x=sig_x, sigma_y=sig_y, xi=xi,
                      g_x=g_x, g_y=g_y, c_hat=c_hat, c_hat_pickands=c_pick,

@@ -112,17 +112,16 @@ def _split_scalar(z):
 
 
 def log_exp_scale(z, mu, sigma, xi):
-    """log of the exponential-scale transform, -log(1 - xi (z - mu)/sigma)/xi.
+    """log of the exponential-scale transform, -log1p(-xi (z - mu)/sigma)/xi.
 
     mu may be an array (a location trend resolved over the observations).
     No support check: outside the support the result is nan or infinite.
-    The penalized fit depends on this exact arithmetic (log of the
-    bracket, not log1p), so changing it moves fitted parameters.
+    log1p keeps the relative error at rounding level for small |xi|.
     """
     z = np.asarray(z, dtype=float)
     if abs(xi) < XI_ZERO_TOL:
         return (z - mu) / sigma
-    return -np.log(1.0 - xi * (z - mu) / sigma) / xi
+    return -np.log1p(-xi * (z - mu) / sigma) / xi
 
 
 def gevm_survival(z, p: GevmParams):

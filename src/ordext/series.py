@@ -30,9 +30,19 @@ class BivariateSeries:
             raise InputError("series must not be empty")
         if self.scale not in SCALES:
             raise InputError(f"scale must be one of {SCALES}")
+        for name in ("t", "x", "y"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InputError(f"{name} has a NaN or infinite value")
 
     def __len__(self):
         return len(self.t)
 
     def is_ordered(self):
         return bool(np.all(self.x < self.y))
+
+    def sorted_by_time(self):
+        """The same observations in stable time order (ties keep their
+        row order)."""
+        order = np.argsort(self.t, kind="stable")
+        return BivariateSeries(self.t[order], self.x[order], self.y[order],
+                               self.scale)

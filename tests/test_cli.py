@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,11 +203,12 @@ def test_estimate_c_rejects_bad_cells(tmp_path, capsys, body, reason):
     assert reason in err
 
 
-def write_fit_dir(fit_dir, times, trend_header="t,g_x,g_y"):
+def write_fit_dir(fit_dir, times, trend_header="t,g_x,g_y", s=2.0,
+                  c_hat=0.03):
     fit_dir.mkdir()
     (fit_dir / "params.csv").write_text(
         "s,sigma_x,sigma_y,xi,c_hat,c_hat_pickands,loglik,converged\n"
-        "2.0,4.0,2.0,0.2,0.03,0.05,-100.0,1.0\n")
+        f"{s!r},4.0,2.0,0.2,{c_hat!r},0.05,-100.0,1.0\n")
     (fit_dir / "trends.csv").write_text(
         trend_header + "\n"
         + "".join(f"{t!r},{100.0 - 40.0 * t!r},{150.0 - 40.0 * t!r}\n"
@@ -237,3 +240,39 @@ def test_diagnose_rejects_fit_missing_column(tmp_path, capsys):
     assert code == 2
     assert "g_y" in err
 
+
+@pytest.mark.parametrize("s, c_hat", [(2.0, 0.5), (2.0, 0.7), (0.9, 0.03)],
+                         ids=["c_half", "c_above_half", "s_below_1"])
+def test_diagnose_rejects_out_of_range_fit(tmp_path, capsys, s, c_hat):
+    data = diagnose_data(tmp_path)
+    write_fit_dir(tmp_path / "fit", [0.0, 0.5, 1.0], s=s, c_hat=c_hat)
+    code, _, err = run_cli(capsys, "diagnose", "--data", str(data),
+                           "--fit-dir", str(tmp_path / "fit"),
+                           "--out-dir", str(tmp_path / "diag"))
+    assert code == 2
+    assert "must" in err
+
+
+def test_diagnose_reads_back_fit_of_unsorted_rows(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--c", str(1 / 33), "--s", "2",
+                         "--n", "40", "--seed", "5", "--out", str(data),
+                         "--mu-x", "100", "--sigma-x", "4", "--xi-x", "0.2",
+                         "--mu-y", "150", "--sigma-y", "2", "--xi-y", "0.2",
+                         "--slope-x", "-40", "--slope-y", "-40")
+    assert code == 0
+    lines = data.read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith("#") or ln.startswith("t,")]
+    rows = [ln for ln in lines if ln not in head]
+    data.write_text("\n".join(head + rows[::-1]) + "\n")
+    fit_dir = tmp_path / "fit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # iteration cap
+        code, _, err = run_cli(capsys, "fit", "--data", str(data),
+                               "--lambda-x", "100", "--lambda-y", "100",
+                               "--max-outer", "3", "--out-dir", str(fit_dir))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "diagnose", "--data", str(data),
+                           "--fit-dir", str(fit_dir),
+                           "--out-dir", str(tmp_path / "diag"))
+    assert code == 0, err

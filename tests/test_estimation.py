@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,32 @@ def test_fit_rejects_bad_input():
         fit_restricted(swapped, 10.0, 10.0)
     with pytest.raises(InputError):
         fit_restricted(series, -1.0, 10.0)
+
+
+@pytest.mark.parametrize("column", ["t", "x", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_series_rejects_non_finite_values(column, value):
+    cols = {"t": [0.0, 0.5, 1.0], "x": [1.0, 2.0, 3.0], "y": [2.0, 3.0, 4.0]}
+    cols[column][1] = value
+    with pytest.raises(InputError, match="NaN or infinite"):
+        BivariateSeries(cols["t"], cols["x"], cols["y"])
+
+
+def test_fit_is_invariant_to_row_order():
+    series = make_series(40, seed=3)
+    rev = slice(None, None, -1)
+    reversed_rows = BivariateSeries(series.t[rev], series.x[rev],
+                                    series.y[rev])
+    config = FitConfig(max_outer=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit = fit_restricted(series, 10.0, 10.0, config)
+        refit = fit_restricted(reversed_rows, 10.0, 10.0, config)
+    for name in ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
+                 "loglik"):
+        assert getattr(refit, name) == getattr(fit, name), name
+    for name in ("g_x", "g_y", "times"):
+        assert np.array_equal(getattr(refit, name), getattr(fit, name)), name
 
 
 DEEP = FitConfig(max_outer=200, outer_tol=1e-13)

@@ -145,3 +145,17 @@ def test_trend_spec():
         tab.resolve(np.array([0.0, 1.0]))
     with pytest.raises(ParameterError):
         TrendSpec(kind="quadratic")
+
+
+@pytest.mark.parametrize("xi", [2e-8, 1e-6, -1e-6, 1e-4, 0.2, -0.3])
+def test_exp_scale_matches_high_precision_reference(xi):
+    mpmath = pytest.importorskip("mpmath")
+    p = GevmParams(1.5, 2.0, xi)
+    z = np.linspace(-3.0, 5.0, 33)
+    got = exp_scale(z, p)
+    with mpmath.workdps(40):
+        want = [mpmath.power(1 - mpmath.mpf(xi) * (mpmath.mpf(float(v)) - p.mu)
+                             / p.sigma, -1 / mpmath.mpf(xi)) for v in z]
+    rel = max(abs(float((mpmath.mpf(float(g)) - w) / w))
+              for g, w in zip(got, want))
+    assert rel <= 1e-14

@@ -32,10 +32,6 @@ def family_models(strength):
 
 
 families = family_models(st.floats(1.0, 8.0))
-# the validator's moment quadrature cannot resolve the endpoint-heavy
-# density for 1 < s < ~1.15 (see test_validator_false_failure_near_s_1)
-validator_families = family_models(st.one_of(st.just(1.0),
-                                             st.floats(1.2, 8.0)))
 
 
 @given(families)
@@ -62,15 +58,14 @@ def test_measure_function_is_slope_plus_one(model):
                   initial=0.0) <= 1e-8
 
 
-@given(validator_families)
+@given(families)
 def test_validator_passes(model):
     report = validate_dependence(model)
     assert report.passed, report.lines()
 
 
-@pytest.mark.xfail(strict=True, reason="moment quadrature misses the mass "
-                   "that piles up at the interval ends as s -> 1+")
 def test_validator_false_failure_near_s_1():
+    # the density piles its mass up at the interval ends as s -> 1+
     assert validate_dependence(make_model("restricted", c=0.3,
                                           s=1.0 + 1e-6)).passed
 
