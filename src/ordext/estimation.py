@@ -19,6 +19,14 @@ falling in the model's zero-density region make a trial parameter point
 infinitely unlikely, which keeps the implied boundary constant below the
 smallest observed y-fraction.  Data reach the exponential scale only
 through margins.log_exp_scale.
+
+The trend penalty lam * g'D'Dg (D the second-difference operator) is the
+Whittaker smoother's.  D'D is pentadiagonal, so the trend stage and the
+starting trends use only its band and np.diff: O(n) per step and no BLAS
+matrix product, which keeps fits identical at any BLAS thread count.
+An outer iteration that does not clear the stall bar is rolled back, so
+the returned state is the last accepted one and a fit restarted from its
+own result returns it unchanged.
 """
 
 from __future__ import annotations
@@ -136,22 +144,31 @@ def estimate_c_hat(xe, ye):
 # penalized trend update
 # ---------------------------------------------------------------------------
 
-# The dense D'D algebra below costs O(n^2) per trend stage; a banded
-# rewrite is faster but moves fitted trends in the last bits, so it
-# belongs with a change that measures the gain.
-def _second_difference_matrix(n):
-    if n < 3:
-        return np.zeros((0, n))
-    d = np.zeros((n - 2, n))
-    for i in range(n - 2):
-        d[i, i] = 1.0
-        d[i, i + 1] = -2.0
-        d[i, i + 2] = 1.0
-    return d
+_STENCIL = (1.0, -2.0, 1.0)     # one row of the second-difference operator D
+
+
+def _penalty_band(n, lam):
+    """Lower band of 2 lam D'D in solveh_banded layout, shape (3, n).
+
+    Row k holds the k-th subdiagonal: each row i of D puts _STENCIL[a] at
+    column i + a, and contributes _STENCIL[a] * _STENCIL[a + k] to the
+    entry (i + a + k, i + a).  Valid for every n >= 3: at n = 3 and 4 the
+    edges of the interior diagonal 1, 5, 6, ..., 6, 5, 1 overlap.
+    """
+    band = np.zeros((3, n))
+    for a in range(3):
+        for k in range(3 - a):
+            band[k, a:a + n - 2] += _STENCIL[a] * _STENCIL[a + k]
+    return 2.0 * lam * band
+
+
+def _dtd_dot(g):
+    """D'D g in O(n): D' applied to the second differences of g."""
+    return np.diff(np.pad(np.diff(g, 2), 2), 2)
 
 
 def roughness(g):
-    """Sum of squared second differences along the time grid."""
+    """Sum of squared second differences along the time grid, g'D'Dg."""
     g = np.asarray(g, dtype=float)
     if len(g) < 3:
         return 0.0
@@ -164,9 +181,12 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
     objective(g) must return the per-observation log-likelihood terms as a
     vector aligned with times, where term i depends on g only through
     g[i].  That separability makes the Hessian of the penalized objective
-    diagonal-plus-pentadiagonal, so each damped Newton step is a banded
-    solve; derivatives of the terms come from simultaneous central
-    differences (two extra objective evaluations per step).
+    diagonal-plus-pentadiagonal, so each damped Newton step is one banded
+    solve and a stage costs O(n) per step; derivatives of the terms come
+    from simultaneous central differences (two extra objective evaluations
+    per step).  Raises NumericError when the Newton system cannot be
+    solved at any damping level or gives a non-finite step; a line search
+    that finds no ascent ends the stage normally.
 
     lam = 0 interpolates the per-time maximisers; lam -> inf approaches
     the best straight line under the objective.
@@ -178,17 +198,12 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
     if m < 3:
         raise InputError("need at least 3 observation times")
     g = np.zeros(m) if g0 is None else np.asarray(g0, dtype=float).copy()
-    d2 = _second_difference_matrix(m)
-    dtd = d2.T @ d2
-    pen_band = np.zeros((3, m))
-    pen_band[0] = 2.0 * lam * np.diag(dtd)
-    pen_band[1, :-1] = 2.0 * lam * np.diag(dtd, -1)
-    pen_band[2, :-2] = 2.0 * lam * np.diag(dtd, -2)
+    pen_band = _penalty_band(m, lam)
 
     def value(vec, terms=None):
         if terms is None:
             terms = np.asarray(objective(vec), dtype=float)
-        total = float(np.sum(terms)) - lam * float(vec @ (dtd @ vec))
+        total = float(np.sum(terms)) - lam * roughness(vec)
         return (total if np.isfinite(total) else -np.inf), terms
 
     current, terms = value(g)
@@ -200,25 +215,29 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
         up = np.asarray(objective(g + eps), dtype=float)
         dn = np.asarray(objective(g - eps), dtype=float)
         bad = ~(np.isfinite(up) & np.isfinite(dn))
-        d1 = np.where(bad, 0.0, (up - dn) / (2.0 * eps))
-        dd = np.where(bad, -1.0, (up - 2.0 * terms + dn) / eps ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = np.where(bad, 0.0, (up - dn) / (2.0 * eps))
+            dd = np.where(bad, -1.0, (up - 2.0 * terms + dn) / eps ** 2)
         dd = np.minimum(np.where(np.isfinite(dd), dd, -1.0), -1e-9)
-        grad = d1 - 2.0 * lam * (dtd @ g)
+        grad = d1 - 2.0 * lam * _dtd_dot(g)
         if float(np.max(np.abs(grad))) <= 1e-11 * (1.0 + abs(current)):
             break
 
-        step = None
         damp = 0.0
         for _try in range(12):
             band = pen_band.copy()
             band[0] += -dd + damp
             try:
-                step = solveh_banded(band, grad, lower=True)
+                step = solveh_banded(band, grad, lower=True,
+                                     check_finite=False)
                 break
             except np.linalg.LinAlgError:
                 damp = max(2.0 * damp, 1e-6)
-        if step is None or not np.all(np.isfinite(step)):
-            break
+        else:
+            raise NumericError("trend Newton system is singular at every "
+                               "damping level")
+        if not np.all(np.isfinite(step)):
+            raise NumericError("trend Newton step is not finite")
 
         improved = False
         alpha = 1.0
@@ -239,10 +258,13 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
 
 
 def ridge_trend(y, lam):
-    """Closed-form Gaussian trend: solve (I + 2 lam D'D) g = y."""
+    """Closed-form Gaussian trend: solve (I + 2 lam D'D) g = y, banded."""
     y = np.asarray(y, dtype=float)
-    d2 = _second_difference_matrix(len(y))
-    return np.linalg.solve(np.eye(len(y)) + 2.0 * lam * d2.T @ d2, y)
+    if len(y) < 3:
+        return y.copy()
+    band = _penalty_band(len(y), lam)
+    band[0] += 1.0
+    return solveh_banded(band, y, lower=True)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +551,18 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
 
     explore = config.start is None
     current = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
-    trace = [{"iteration": 0, "s": s, "sigma_x": sig_x, "sigma_y": sig_y,
-              "xi": xi, "penalized_loglik": current}]
+    trace = []
+
+    def record(iteration):
+        # the trace holds accepted states only; trace[-1] is the result
+        trace.append({"iteration": iteration, "s": s, "sigma_x": sig_x,
+                      "sigma_y": sig_y, "xi": xi, "penalized_loglik": current})
+
+    record(0)
     converged = False
     rescued = False
     for it in range(1, config.max_outer + 1):
+        before = (g_x, g_y, s, sig_x, sig_y, xi)
         g_x = trend_penalized(
             lambda g: lik.terms(g, g_y, sig_x, sig_y, xi, s),
             lam_x, series.t, g_x, max_iter=TREND_MAX_ITER)
@@ -541,27 +570,23 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
             lambda g: lik.terms(g_x, g, sig_x, sig_y, xi, s),
             lam_y, series.t, g_y, max_iter=TREND_MAX_ITER)
         scalar_stage(multi_start=(it == 1 and explore))
-
         new = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
-        trace.append({"iteration": it, "s": s, "sigma_x": sig_x,
-                      "sigma_y": sig_y, "xi": xi, "penalized_loglik": new})
-        if new - current <= config.outer_tol * (1.0 + abs(current)) and it > 1:
-            current = max(new, current)
-            if explore and not rescued:
-                # one multi-start rescue before declaring convergence;
-                # roll back unless it genuinely clears the stall bar
-                rescued = True
-                snapshot = (s, sig_x, sig_y, xi)
-                scalar_stage(multi_start=True)
-                rescue_val = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
-                if rescue_val - current > config.outer_tol * (1.0 + abs(current)):
-                    current = rescue_val
-                    continue
-                s, sig_x, sig_y, xi = snapshot
+        stall = config.outer_tol * (1.0 + abs(current))
+        if new - current <= stall and explore and not rescued:
+            # one multi-start rescue from the state before the stalled
+            # iteration, kept only if it genuinely clears the stall bar
+            rescued = True
+            g_x, g_y, s, sig_x, sig_y, xi = before
+            scalar_stage(multi_start=True)
+            new = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
+        if new - current <= stall:
+            # a stalled iteration is rolled back, so a fit restarted from
+            # its own result returns that result unchanged
+            g_x, g_y, s, sig_x, sig_y, xi = before
             converged = True
             break
         current = new
-    current = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
+        record(it)
 
     message = "" if converged else "iteration cap reached before stall"
     if not converged:

@@ -1,12 +1,19 @@
+import os
+import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordext
 from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
-                    TrendSpec, StudyConfig, estimate_c_hat, fit_restricted,
-                    make_model, pickands_curve, pickands_modified,
-                    pickands_raw, run_study, sample_pairs, trend_penalized)
+                    NumericError, TrendSpec, StudyConfig, estimate_c_hat,
+                    fit_restricted, make_model, pickands_curve,
+                    pickands_modified, pickands_raw, run_study, sample_pairs,
+                    trend_penalized)
 from ordext.estimation import ridge_trend, roughness
 
 
@@ -134,6 +141,15 @@ def test_trend_penalized_toy_objectives():
         trend_penalized(obj, -1.0, times)
 
 
+def test_trend_penalized_raises_on_non_finite_step():
+    # finite terms whose central differences overflow: +-1e308 either side
+    def obj(g):
+        return 1e308 * np.tanh(1e10 * g)
+
+    with pytest.raises(NumericError, match="not finite"):
+        trend_penalized(obj, 10.0, np.arange(20.0), np.zeros(20))
+
+
 def make_series(n=120, seed=8, s=2.0):
     mx = GevmParams(100.0, 4.0, 0.2)
     my = GevmParams(150.0, 2.0, 0.2)
@@ -224,6 +240,44 @@ def test_fit_is_fixed_point(reference_fit):
     assert abs(refit.xi - fit.xi) <= 1e-6
     assert float(np.max(np.abs(refit.g_x - fit.g_x))) <= 1e-6
     assert float(np.max(np.abs(refit.g_y - fit.g_y))) <= 1e-6
+
+
+def test_fit_trace_ends_at_result(reference_fit):
+    _, fit = reference_fit
+    last = fit.trace[-1]
+    assert (last["s"], last["sigma_x"], last["sigma_y"], last["xi"],
+            last["penalized_loglik"]) == \
+        (fit.s, fit.sigma_x, fit.sigma_y, fit.xi, fit.loglik)
+
+
+FIT_IN_CHILD = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from test_estimation import make_series
+from ordext import fit_restricted
+fit = fit_restricted(make_series(120, seed=8), 1000.0, 1000.0)
+sys.stdout.buffer.write(pickle.dumps(fit))
+"""
+
+
+def fit_with_threads(threads):
+    src = str(Path(ordext.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", FIT_IN_CHILD,
+                          str(Path(__file__).parent)],
+                         env=env, capture_output=True, check=True)
+    return pickle.loads(out.stdout)
+
+
+def test_fit_does_not_depend_on_blas_threads():
+    one, two = fit_with_threads(1), fit_with_threads(2)
+    for name in ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
+                 "loglik", "converged", "trace"):
+        assert getattr(two, name) == getattr(one, name), name
+    for name in ("g_x", "g_y", "times"):
+        assert np.array_equal(getattr(two, name), getattr(one, name)), name
 
 
 def test_fit_large_lambda_gives_straight_trends():
