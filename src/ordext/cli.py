@@ -17,12 +17,13 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import dependence as dep
 from .diagnostics import depfn_curves, pp_qq_tables, render_svg, write_table
-from .errors import InputError, OrdextError
+from .errors import InputError, NumericError, OrdextError
 from .estimation import (FitConfig, FitResult, estimate_c_hat, fit_restricted,
                          pickands_curve)
 from .margins import GevmParams, TrendSpec, exp_scale, log_exp_scale
@@ -404,10 +405,34 @@ def _cmd_validate(cfg):
     return 0 if report.passed else 1
 
 
+def _failed_fit(series: BivariateSeries, exc):
+    """Placeholder FitResult of a replicate whose fit raised: NaN values,
+    not converged, the error in its message."""
+    nan = float("nan")
+    return FitResult(s=nan, sigma_x=nan, sigma_y=nan, xi=nan,
+                     g_x=np.full(len(series), nan),
+                     g_y=np.full(len(series), nan), c_hat=nan,
+                     c_hat_pickands=nan, times=series.t, trace=[],
+                     loglik=nan, converged=False,
+                     message=f"fit failed: {exc}")
+
+
+def _medians(fits, keys):
+    """Medians of the named FitResult fields over the fits that did not
+    fail (a failed fit has NaN parameters)."""
+    done = [f for f in fits if math.isfinite(f.s)]
+    return {k: float(np.median([getattr(f, k) for f in done])) for k in keys}
+
+
 def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
                        lambda_x=None, lambda_y=None, max_outer=60):
     """End-to-end reference study: simulate, fit every replicate, emit
     the parameter summary, both boundary estimates, and all figure data.
+
+    A replicate whose fit raises NumericError gets a row of NaN values
+    with converged = 0 and a RuntimeWarning; the medians and the figures
+    (from the first replicate that was fitted) use the other fits, and
+    NumericError is raised only when every fit fails.
 
     Returns (fits, study_summary, parametric_c).
     """
@@ -429,9 +454,17 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
     series_list, summary = run_study(cfg)
 
     fits = []
-    for series in series_list:
-        fits.append(fit_restricted(series, lambda_x, lambda_y,
-                                   FitConfig(max_outer=max_outer)))
+    for i, series in enumerate(series_list):
+        try:
+            fits.append(fit_restricted(series, lambda_x, lambda_y,
+                                       FitConfig(max_outer=max_outer)))
+        except NumericError as exc:
+            warnings.warn(f"replicate {i}: fit failed ({exc}); its row "
+                          "is NaN", RuntimeWarning, stacklevel=2)
+            fits.append(_failed_fit(series, exc))
+    fitted = [i for i, f in enumerate(fits) if math.isfinite(f.s)]
+    if not fitted:
+        raise NumericError(f"all {len(fits)} replicate fits failed")
 
     os.makedirs(out_dir, exist_ok=True)
     _write_rows_csv(
@@ -441,9 +474,8 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
         [[i, f.s, f.sigma_x, f.sigma_y, f.xi, f.c_hat, f.c_hat_pickands,
           f.loglik, int(f.converged)] for i, f in enumerate(fits)])
 
-    med = {k: float(np.median([getattr(f, k) for f in fits]))
-           for k in ("s", "sigma_x", "sigma_y", "xi", "c_hat",
-                     "c_hat_pickands")}
+    med = _medians(fits, ("s", "sigma_x", "sigma_y", "xi", "c_hat",
+                          "c_hat_pickands"))
     _write_rows_csv(
         os.path.join(out_dir, "summary.csv"),
         ["statistic", "s", "sigma_x", "sigma_y", "xi", "c_hat",
@@ -454,7 +486,7 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
           float("nan")]],
         meta=[f"parametric boundary at true margins: {c_true!r}"])
 
-    first, fit0 = series_list[0], fits[0]
+    first, fit0 = series_list[fitted[0]], fits[fitted[0]]
     _write_rows_csv(
         os.path.join(out_dir, "fig5_series.csv"),
         ["t", "x", "y", "g_x", "g_y", "trend_x_true", "trend_y_true"],
@@ -469,7 +501,7 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
           r["penalized_loglik"]] for r in fit0.trace])
 
     # dependence curves: true and fitted parametric, true and fitted
-    # non-parametric estimates from the first replicate
+    # non-parametric estimates from the first fitted replicate
     xe_true = exp_scale(first.x - (d["mu_x0"] + d["slope"] * first.t),
                         GevmParams(0.0, d["sigma_x"], d["xi"]))
     ye_true = exp_scale(first.y - (d["mu_y0"] + d["slope"] * first.t),
@@ -507,8 +539,10 @@ def _cmd_study(cfg):
         seed=cfg["seed"], out_dir=out_dir, reps=cfg["reps"],
         n_times=cfg["n_times"], lambda_x=cfg["lambda_x"],
         lambda_y=cfg["lambda_y"], max_outer=cfg["max_outer"])
-    med = {k: float(np.median([getattr(f, k) for f in fits]))
-           for k in ("s", "sigma_x", "sigma_y", "xi", "c_hat_pickands")}
+    med = _medians(fits, ("s", "sigma_x", "sigma_y", "xi", "c_hat_pickands"))
+    failed = sum(not math.isfinite(f.s) for f in fits)
+    if failed:
+        print(f"{failed} of {len(fits)} replicate fits failed")
     print(f"parametric c at true margins: {c_true:.6g}")
     print(f"median fitted: s={med['s']:.4g} sigma_x={med['sigma_x']:.4g} "
           f"sigma_y={med['sigma_y']:.4g} xi={med['xi']:.4g}")

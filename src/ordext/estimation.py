@@ -11,7 +11,12 @@ envelope max(w, 1-w).
 The parametric fit alternates penalized trend updates with a bounded
 quasi-Newton step (L-BFGS-B, the one scalar optimiser) on (s, sigma_x,
 sigma_y, xi), reparametrised as (log(s-1), log sigma_x, log sigma_y, xi)
-so the constraints s > 1 and sigma > 0 hold by construction.  The first
+so the constraints s > 1 and sigma > 0 hold by construction.  L-BFGS-B
+gets the exact gradient of its objective, by the chain rule through
+measure._log_density_grad (the density in x, y, c, s),
+margins.log_exp_scale_grad (the transform in sigma, xi) and
+_trial_boundary's dc; the infeasible wall is piecewise linear and has
+its exact gradient too, so no finite difference is taken.  The first
 scalar stage also tries six jittered starts, and a stall triggers one
 more multi-start pass before the fit is declared converged; both pay for
 themselves in fitted log-likelihood on the reference study.  Observations
@@ -40,8 +45,8 @@ from scipy.linalg import solveh_banded
 from scipy.optimize import minimize
 
 from .errors import InputError, NumericError, ParameterError
-from .margins import log_exp_scale
-from .measure import _v_closed, _v_partials
+from .margins import log_exp_scale, log_exp_scale_grad
+from .measure import _log_density_grad, _v_closed, _v_partials
 from .series import BivariateSeries
 
 # fixed settings of fit_restricted
@@ -299,7 +304,8 @@ class FitResult:
     message: str = ""
 
 
-def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
+def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
+                    grad=False):
     """Boundary constant for trial margins: 1/(1 + inf D(x, x)).
 
     For shared shape xi > 0 the infimum is exact without any search:
@@ -310,14 +316,26 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
     taken over a log-spaced grid spanning the data range extended toward
     the lower tail.  Kept apart from measure.c_from_margins, which takes
     one scalar location per margin rather than a trend vector.
+
+    grad=True returns (c, dc) with dc = dc/d(sigma_x, sigma_y, xi): for
+    xi > 0 from the closed form, dc = -c (1-c) d log D; for xi <= 0 the
+    derivative of D at the grid argmin, the point that sets the minimum;
+    zero where c is a constant.
     """
+    def const(c):
+        return (c, np.zeros(3)) if grad else c
+
     if xi > 0.0:
         if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
-            return 1.0
+            return const(1.0)
         log_d = math.log(sig_x / sig_y) / xi
         if log_d > 700.0:
-            return 0.0
-        return 1.0 / (1.0 + math.exp(log_d))
+            return const(0.0)
+        c = 1.0 / (1.0 + math.exp(log_d))
+        if not grad:
+            return c
+        return c, -c * (1.0 - c) * np.array([1.0 / sig_x, -1.0 / sig_y,
+                                             -log_d]) / xi
     span = max(data_hi - data_lo, 1e-6)
     offsets = np.logspace(math.log10(span * 1e-6), math.log10(11.0 * span),
                           n_grid)
@@ -327,19 +345,28 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
             max(sig_x, sig_y) / xi
         grid = grid[grid > lo_cap]
         if grid.size == 0:
-            return 1.0
+            return const(1.0)
     bx = 1.0 - xi * (grid[None, :] - mu_x[:, None]) / sig_x
     by = 1.0 - xi * (grid[None, :] - mu_y[:, None]) / sig_y
     ok = (bx > 0.0) & (by > 0.0)
     if not np.any(ok):
-        return 1.0
+        return const(1.0)
     with np.errstate(all="ignore"):
         if abs(xi) < 1e-8:
             d = np.exp((grid[None, :] - mu_x[:, None]) / sig_x
                        - (grid[None, :] - mu_y[:, None]) / sig_y)
         else:
             d = (by / bx) ** (1.0 / xi)
-    return 1.0 / (1.0 + float(np.min(np.where(ok, d, np.inf))))
+    d = np.where(ok, d, np.inf)
+    if not grad:
+        return 1.0 / (1.0 + float(np.min(d)))
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    c = 1.0 / (1.0 + float(d[i, j]))
+    # log D = log e_x - log e_y at the argmin
+    dx_sig, dx_xi = log_exp_scale_grad(grid[j], mu_x[i], sig_x, xi)
+    dy_sig, dy_xi = log_exp_scale_grad(grid[j], mu_y[i], sig_y, xi)
+    return c, -c * (1.0 - c) * np.array([float(dx_sig), -float(dy_sig),
+                                         float(dx_xi - dy_xi)])
 
 
 def _y_fraction(log_ex, log_ey):
@@ -354,6 +381,11 @@ class _RestrictedLikelihood:
     boundary by `margin`: for 1 < s < 2 the density diverges as the
     boundary approaches the smallest fraction, so an unconstrained
     optimiser would race the boundary onto the data minimum.
+
+    terms, penalized, infeasibility and boundary take grad=True to return
+    (value, gradient), the gradient taken with respect to the scalar
+    parameters (s, sigma_x, sigma_y, xi) at fixed trends (for boundary,
+    (sigma_x, sigma_y, xi)).
     """
 
     def __init__(self, series: BivariateSeries, lam_x, lam_y):
@@ -364,15 +396,23 @@ class _RestrictedLikelihood:
         self.data_lo = float(min(np.min(self.x), np.min(self.y)))
         self.data_hi = float(max(np.max(self.x), np.max(self.y)))
 
-    def terms(self, g_x, g_y, sig_x, sig_y, xi, s):
-        """Per-observation log density; -inf entries flag zero-mass points."""
+    def terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
+        """Per-observation log density; -inf entries flag zero-mass points.
+
+        grad=True also returns the gradient of their sum (None when a
+        term is -inf).
+        """
         bad = np.full(len(self.x), -np.inf)
+        if grad:
+            bad = (bad, None)
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
             return bad
         log_ex, log_ey = self.log_scales(g_x, g_y, sig_x, sig_y, xi)
         if not (np.all(np.isfinite(log_ex)) and np.all(np.isfinite(log_ey))):
             return bad
-        c = self.boundary(g_x, g_y, sig_x, sig_y, xi)
+        c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
+        if grad:
+            c, dc = c
         if c >= 0.5:
             return bad
         if np.any(_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN):
@@ -386,42 +426,93 @@ class _RestrictedLikelihood:
             dens = vx * vy - vxy
             if np.any(~np.isfinite(dens)) or np.any(dens <= 0.0):
                 return bad
-            return (-v + np.log(dens) + (1.0 + xi) * (log_ex + log_ey)
-                    - math.log(sig_x) - math.log(sig_y))
+            t = (-v + np.log(dens) + (1.0 + xi) * (log_ex + log_ey)
+                 - math.log(sig_x) - math.log(sig_y))
+            if not grad:
+                return t
+            if not np.all(np.isfinite(t)):
+                return t, None
+            # chain rule: the density's (x, y, c, s) partials, the margins'
+            # (sigma, xi) partials and the boundary's dc
+            f_x, f_y, f_c, f_s = _log_density_grad(ex, ey, c, s)
+            dx_sig, dx_xi = log_exp_scale_grad(self.x, g_x, sig_x, xi)
+            dy_sig, dy_xi = log_exp_scale_grad(self.y, g_y, sig_y, xi)
+            # d t / d log e_x and d log e_y
+            wx = f_x * ex + (1.0 + xi)
+            wy = f_y * ey + (1.0 + xi)
+            n = len(self.x)
+            return t, np.array([
+                np.sum(f_s),
+                np.sum(wx * dx_sig) - n / sig_x,
+                np.sum(wy * dy_sig) - n / sig_y,
+                np.sum(wx * dx_xi + wy * dy_xi + log_ex + log_ey),
+            ]) + np.sum(f_c) * np.concatenate(([0.0], dc))
 
     def penalty(self, g_x, g_y):
         return self.lam_x * roughness(g_x) + self.lam_y * roughness(g_y)
 
-    def penalized(self, g_x, g_y, sig_x, sig_y, xi, s):
-        t = self.terms(g_x, g_y, sig_x, sig_y, xi, s)
+    def penalized(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
+        t = self.terms(g_x, g_y, sig_x, sig_y, xi, s, grad=grad)
+        if grad:
+            t, dt = t
         total = float(np.sum(t))
         if not np.isfinite(total):
-            return -np.inf
-        return total - self.penalty(g_x, g_y)
+            return (-np.inf, None) if grad else -np.inf
+        total -= self.penalty(g_x, g_y)
+        return (total, dt) if grad else total
 
-    def infeasibility(self, g_x, g_y, sig_x, sig_y, xi, s):
+    def infeasibility(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
         """Graded distance from the feasible region (0 when feasible).
 
         Gives the scalar optimiser a slope back toward feasibility
         instead of a flat wall when a trial crosses a support or
-        ordering constraint.
+        ordering constraint.  It is piecewise linear in the support
+        margins b_x, b_y, the boundary c and the y-fractions, and so is
+        its gradient.
         """
         if sig_x <= 0 or sig_y <= 0 or s <= 1.0:
-            return 1e6
+            return (1e6, np.zeros(4)) if grad else 1e6
         bx = 1.0 - xi * (self.x - g_x) / sig_x
         by = 1.0 - xi * (self.y - g_y) / sig_y
         score = float(np.sum(np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)))
         if score > 0:
-            return 1.0 + score
-        c = self.boundary(g_x, g_y, sig_x, sig_y, xi)
+            if not grad:
+                return 1.0 + score
+            # -b = xi u - 1 with u = (z - g) / sigma, over the violations
+            ux = np.sum(np.where(bx < 0.0, (self.x - g_x) / sig_x, 0.0))
+            uy = np.sum(np.where(by < 0.0, (self.y - g_y) / sig_y, 0.0))
+            return 1.0 + score, np.array([0.0, -xi * ux / sig_x,
+                                          -xi * uy / sig_y, ux + uy])
+        c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
+        if grad:
+            c, dc = c
         if c >= 0.5:
-            return 1.0 + 10.0 * (c - 0.499)
+            value = 1.0 + 10.0 * (c - 0.499)
+            return (value, np.concatenate(([0.0], 10.0 * dc))) if grad \
+                else value
         frac = _y_fraction(*self.log_scales(g_x, g_y, sig_x, sig_y, xi))
-        return 100.0 * float(np.sum(np.maximum(c + BOUNDARY_MARGIN - frac, 0.0)))
+        gap = c + BOUNDARY_MARGIN - frac
+        value = 100.0 * float(np.sum(np.maximum(gap, 0.0)))
+        if not grad:
+            return value
+        # d frac = -frac (1 - frac) d(log e_x - log e_y)
+        active = gap > 0.0
+        slope = (frac * (1.0 - frac))[active]
+        dx_sig, dx_xi = log_exp_scale_grad(self.x[active], g_x[active],
+                                           sig_x, xi)
+        dy_sig, dy_xi = log_exp_scale_grad(self.y[active], g_y[active],
+                                           sig_y, xi)
+        m = np.count_nonzero(active)
+        return value, 100.0 * np.array([
+            0.0,
+            m * dc[0] + np.sum(slope * dx_sig),
+            m * dc[1] - np.sum(slope * dy_sig),
+            m * dc[2] + np.sum(slope * (dx_xi - dy_xi)),
+        ])
 
-    def boundary(self, g_x, g_y, sig_x, sig_y, xi):
-        return _trial_boundary(g_x, g_y, sig_x, sig_y, xi,
-                               self.data_lo, self.data_hi, BOUNDARY_GRID)
+    def boundary(self, g_x, g_y, sig_x, sig_y, xi, grad=False):
+        return _trial_boundary(g_x, g_y, sig_x, sig_y, xi, self.data_lo,
+                               self.data_hi, BOUNDARY_GRID, grad=grad)
 
     def log_scales(self, g_x, g_y, sig_x, sig_y, xi):
         """log of the data on the trial exponential scales (nan or inf
@@ -481,6 +572,27 @@ def _initial_state(series, lam_x, lam_y, lik, start):
     raise NumericError("could not find a feasible starting point for the fit")
 
 
+def _scalar_objective(phi, lik, g_x, g_y):
+    """Scalar-stage objective at fixed trends and its exact gradient.
+
+    phi = (log(s-1), log sigma_x, log sigma_y, xi).  The value is the
+    negative penalized log-likelihood; off the feasible region it is a
+    steep wall 1e12 (1 + infeasibility), graded so the optimiser keeps a
+    slope back toward feasibility.
+    """
+    sx, sy = math.exp(phi[1]), math.exp(phi[2])
+    strength_m1 = math.exp(phi[0])
+    strength = 1.0 + strength_m1
+    # d/d phi = (s - 1, sigma_x, sigma_y, 1) * d/d(s, sigma_x, sigma_y, xi)
+    scale = np.array([strength_m1, sx, sy, 1.0])
+    val, grad = lik.penalized(g_x, g_y, sx, sy, phi[3], strength, grad=True)
+    if np.isfinite(val):
+        return -val, -grad * scale
+    wall, grad = lik.infeasibility(g_x, g_y, sx, sy, phi[3], strength,
+                                   grad=True)
+    return 1e12 * (1.0 + wall), 1e12 * grad * scale
+
+
 def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                    config: FitConfig | None = None) -> FitResult:
     """Fit the restricted model with penalized location trends.
@@ -507,15 +619,6 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     g_x, g_y = st["g_x"], st["g_y"]
     sig_x, sig_y, xi, s = st["sigma_x"], st["sigma_y"], st["xi"], st["s"]
 
-    def scalar_neg(phi):
-        sx, sy = math.exp(phi[1]), math.exp(phi[2])
-        strength = 1.0 + math.exp(phi[0])
-        val = lik.penalized(g_x, g_y, sx, sy, phi[3], strength)
-        if np.isfinite(val):
-            return -val
-        return 1e12 * (1.0 + lik.infeasibility(g_x, g_y, sx, sy, phi[3],
-                                               strength))
-
     bounds = [(math.log(1e-6), math.log(60.0)),
               (math.log(1e-8), math.log(1e8)),
               (math.log(1e-8), math.log(1e8)),
@@ -536,10 +639,10 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         starts = [phi0]
         if multi_start:
             starts += [np.clip(phi0 + off, lo, hi) for off in scalar_offsets]
-        best_phi, best_val = phi0, scalar_neg(phi0)
+        best_phi, best_val = phi0, _scalar_objective(phi0, lik, g_x, g_y)[0]
         for start in starts:
-            res = minimize(scalar_neg, start, method="L-BFGS-B",
-                           bounds=bounds,
+            res = minimize(_scalar_objective, start, args=(lik, g_x, g_y),
+                           method="L-BFGS-B", jac=True, bounds=bounds,
                            options={"maxiter": SCALAR_MAX_ITER,
                                     "ftol": 1e-11, "gtol": 1e-9})
             if np.isfinite(res.fun) and res.fun < best_val:

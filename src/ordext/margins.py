@@ -124,6 +124,38 @@ def log_exp_scale(z, mu, sigma, xi):
     return -np.log1p(-xi * (z - mu) / sigma) / xi
 
 
+# |q| = |xi (z - mu) / sigma| below which d log_exp_scale / d xi is summed as
+# a series: its closed form cancels to a relative error of about 2 eps / |q|
+_XI_SERIES_TOL = 1e-3
+# (k - 1) / k for k = 6, ..., 2: the series coefficients, highest power first
+_XI_SERIES = np.array([5.0 / 6.0, 4.0 / 5.0, 3.0 / 4.0, 2.0 / 3.0, 0.5])
+
+
+def log_exp_scale_grad(z, mu, sigma, xi):
+    """(d/d sigma, d/d xi) of log_exp_scale, branch by branch.
+
+    With u = (z - mu) / sigma and q = xi u:
+    d/d sigma = -u / (sigma (1 - q)), and
+    d/d xi = (q / (1 - q) + log1p(-q)) / xi**2
+           = u**2 (1/2 + 2q/3 + 3q**2/4 + ...),
+    the series taken for |q| < _XI_SERIES_TOL (truncation below 2e-15).
+    Below XI_ZERO_TOL the Gumbel branch (z - mu) / sigma does not depend
+    on xi.
+    """
+    u = (np.asarray(z, dtype=float) - mu) / sigma
+    if abs(xi) < XI_ZERO_TOL:
+        return -u / sigma, np.zeros_like(u)
+    q = xi * u
+    b = 1.0 - q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_sigma = -u / (sigma * b)
+        d_xi = np.array((q / b + np.log1p(-q)) / (xi * xi))
+    small = np.abs(q) < _XI_SERIES_TOL
+    if np.any(small):
+        d_xi[small] = u[small] ** 2 * np.polyval(_XI_SERIES, q[small])
+    return d_sigma, d_xi
+
+
 def gevm_survival(z, p: GevmParams):
     """Survival Pr(Z > z).
 

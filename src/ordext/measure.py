@@ -89,6 +89,63 @@ def _v_partials(x, y, c, s):
     return vx, vy, vxy
 
 
+def _log_density_grad(x, y, c, s):
+    """Partials (d/dx, d/dy, d/dc, d/ds) of -V + log(V_x V_y - V_xy), the
+    restricted log density on exponential margins.
+
+    Valid where the density is positive: y/(x+y) > c, c < 1/2, s > 1.
+    With L = (R^s + (Kx)^s)^(1/s), a = R/L and b = Kx/L (u = a^s and
+    v = b^s sum to 1), the closed forms above read V = (L + cx)/(1-c),
+    V_x = (c + K b^(s-1) - c a^(s-1))/(1-c), V_y = a^(s-1) and
+    -V_xy = (s-1) W0 with W0 = (1-c) K b^(s-1) a^(s-2) y / L^2.  Along x,
+    y or c, d log a = v D and d log b = -u D with D = d log R - d log Kx,
+    so each partial is alpha D plus the terms where x, y or c appear
+    outside R and Kx; the s partial adds the explicit exponents.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    K = 1.0 - 2.0 * c
+    R = (1.0 - c) * y - c * x
+    kx = K * x
+    r_s, kx_s = R ** s, kx ** s
+    P = r_s + kx_s
+    L = P ** (1.0 / s)
+    u, v = r_s / P, kx_s / P
+    a, b = R / L, kx / L
+    ea, eb = u / a, v / b                   # a^(s-1) = V_y and b^(s-1)
+    big_v = (L + c * x) / (1.0 - c)
+    vx = (c + K * eb - c * ea) / (1.0 - c)
+    w0 = (1.0 - c) * K * eb * (ea / a) * (y / L) / L
+    w = (s - 1.0) * w0
+    dens = vx * ea + w
+    ea_c = ea / (1.0 - c)
+
+    # coefficient of D: V_x V_y moves through a and b, -V_xy through
+    # a^(s-2) b^(s-1) L^-2, V through L
+    alpha = ((s - 1.0) * ea * (vx * v - (K * eb * u + c * ea * v) / (1.0 - c))
+             + w * ((s - 2.0) * v - (s + 1.0) * u)) / dens \
+        - L * u / (1.0 - c)
+    f_x = alpha * (-c / R - 1.0 / x) - 2.0 * w / (x * dens) \
+        - (L / x + c) / (1.0 - c)
+    f_y = alpha * ((1.0 - c) / R) + w / (y * dens)
+    f_c = alpha * (2.0 / K - (x + y) / R) \
+        + (w * (2.0 / K - 1.0 / (1.0 - c))
+           + (1.0 - ea - 2.0 * eb + vx) * ea_c) / dens \
+        + (2.0 * L / K - x - big_v) / (1.0 - c)
+
+    # along s: d log L = m and d log a = d log b = -m; a^(s-1), b^(s-1)
+    # and -V_xy also carry s in their exponents
+    la, lb = np.log(a), np.log(b)
+    m = (u * la + v * lb) / s
+    d_log_ea = la - (s - 1.0) * m
+    d_eb = eb * (lb - (s - 1.0) * m)
+    d_vx = K * d_eb - c * ea * d_log_ea
+    f_s = (d_vx * ea_c + vx * ea * d_log_ea
+           + w * (la + lb - (2.0 * s - 1.0) * m) + w0) / dens \
+        - L * m / (1.0 - c)
+    return f_x, f_y, f_c, f_s
+
+
 def v_closed(p: ExpPair, c, s):
     """Closed-form restricted measure V at one exponential-scale point."""
     RestrictedLogisticParams(c, s)

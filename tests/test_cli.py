@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ordext import InputError
+from ordext import InputError, NumericError, cli
 from ordext.cli import main, parse_and_validate, read_series_csv
 
 
@@ -276,3 +276,48 @@ def test_diagnose_reads_back_fit_of_unsorted_rows(tmp_path, capsys):
                            "--fit-dir", str(fit_dir),
                            "--out-dir", str(tmp_path / "diag"))
     assert code == 0, err
+
+
+def flaky_fit(monkeypatch, failing):
+    """Make cli.fit_restricted raise NumericError on the listed calls."""
+    fit = cli.fit_restricted
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 in failing:
+            raise NumericError("trend Newton step is not finite")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_restricted", flaky)
+
+
+@pytest.mark.filterwarnings("ignore:fit stopped at the iteration cap")
+@pytest.mark.parametrize("bad", [0, 1])
+def test_study_keeps_going_when_one_fit_fails(tmp_path, monkeypatch, bad):
+    flaky_fit(monkeypatch, {bad})
+    with pytest.warns(RuntimeWarning, match=f"replicate {bad}: fit failed"):
+        fits, _, _ = cli.run_study_pipeline(seed=1, out_dir=str(tmp_path),
+                                            reps=3, n_times=40, max_outer=5)
+    rows = np.loadtxt(tmp_path / "replicate_fits.csv", delimiter=",",
+                      skiprows=1)
+    assert np.all(np.isnan(rows[bad, 1:8])) and rows[bad, 8] == 0.0
+    good = [i for i in range(3) if i != bad]
+    assert np.all(np.isfinite(rows[good, 1:8]))
+    assert np.isnan(fits[bad].s) and not fits[bad].converged
+    with open(tmp_path / "summary.csv") as fh:
+        median = next(line for line in fh if line.startswith("median,"))
+    s_median = float(median.split(",")[1])
+    assert s_median == float(np.median([fits[i].s for i in good]))
+    fig5 = np.loadtxt(tmp_path / "fig5_series.csv", delimiter=",",
+                      skiprows=1)
+    assert np.array_equal(fig5[:, 3], fits[good[0]].g_x)
+
+
+def test_study_fails_when_every_fit_fails(tmp_path, monkeypatch, capsys):
+    flaky_fit(monkeypatch, {0, 1})
+    with pytest.warns(RuntimeWarning):
+        code, _, err = run_cli(capsys, "study", "--paper-defaults",
+                               "--reps", "2", "--n-times", "40",
+                               "--out-dir", str(tmp_path))
+    assert code == 2 and "all 2 replicate fits failed" in err

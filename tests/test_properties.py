@@ -1,8 +1,11 @@
-"""Property tests of the restricted / upper / interval family.
+"""Property tests of the restricted / upper / interval family, its
+sampler, and the fit files.
 
-All three are one class on (c1, c2, s); the properties below are those of
-any dependence function, checked over random parameters.
+All three families are one class on (c1, c2, s); the properties below are
+those of any dependence function, checked over random parameters.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,8 +14,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from ordext import (ExpPair, make_model, v_closed, v_from_a,  # noqa: E402
+from ordext import (BivariateSeries, ExpPair, FitResult,  # noqa: E402
+                    make_model, sample_pairs, v_closed, v_from_a,
                     validate_dependence)
+from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -95,3 +100,40 @@ def test_v_from_a_matches_closed_form_on_criterion_3_grid():
                     pair = ExpPair(float(x), float(y))
                     closed = v_closed(pair, c, s)
                     assert abs(v_from_a(pair, model) - closed) <= 1e-12 * closed
+
+
+@given(families, st.integers(0, 2 ** 32 - 1))
+def test_samples_lie_above_the_ordering_floor(model, seed):
+    # c for restricted, c1 for interval, 0 for upper
+    xe, ye = sample_pairs(model, 300, np.random.default_rng(seed))
+    assert np.all(ye / (xe + ye) > model.ordering_floor())
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fit_results(draw):
+    n = draw(st.integers(3, 30))
+    times = np.array(sorted(draw(st.sets(finite, min_size=n, max_size=n))))
+    trend = st.lists(finite, min_size=n, max_size=n).map(np.array)
+    return FitResult(
+        s=draw(st.floats(1.0, 60.0)), sigma_x=draw(st.floats(1e-8, 1e8)),
+        sigma_y=draw(st.floats(1e-8, 1e8)), xi=draw(st.floats(-0.45, 0.95)),
+        g_x=draw(trend), g_y=draw(trend), c_hat=draw(st.floats(0.0, 0.49)),
+        c_hat_pickands=draw(st.floats(0.0, 1.0)), times=times, trace=[],
+        loglik=draw(finite), converged=draw(st.booleans()))
+
+
+@given(fit_results())
+def test_fit_files_round_trip(fit):
+    series = BivariateSeries(fit.times, np.zeros(len(fit.times)),
+                             np.ones(len(fit.times)))
+    with tempfile.TemporaryDirectory() as out:
+        _fit_to_files(fit, out)
+        back = _fit_from_files(out, series)
+    for name in ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
+                 "loglik", "converged"):
+        assert getattr(back, name) == getattr(fit, name), name
+    for name in ("g_x", "g_y", "times"):
+        assert np.array_equal(getattr(back, name), getattr(fit, name)), name
