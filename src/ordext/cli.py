@@ -417,10 +417,16 @@ def _failed_fit(series: BivariateSeries, exc):
                      message=f"fit failed: {exc}")
 
 
+def _fitted(fits):
+    """Indices of the fits that did not fail (a failed fit has NaN
+    parameters)."""
+    return [i for i, f in enumerate(fits) if math.isfinite(f.s)]
+
+
 def _medians(fits, keys):
     """Medians of the named FitResult fields over the fits that did not
-    fail (a failed fit has NaN parameters)."""
-    done = [f for f in fits if math.isfinite(f.s)]
+    fail."""
+    done = [fits[i] for i in _fitted(fits)]
     return {k: float(np.median([getattr(f, k) for f in done])) for k in keys}
 
 
@@ -462,7 +468,7 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
             warnings.warn(f"replicate {i}: fit failed ({exc}); its row "
                           "is NaN", RuntimeWarning, stacklevel=2)
             fits.append(_failed_fit(series, exc))
-    fitted = [i for i, f in enumerate(fits) if math.isfinite(f.s)]
+    fitted = _fitted(fits)
     if not fitted:
         raise NumericError(f"all {len(fits)} replicate fits failed")
 
@@ -540,7 +546,7 @@ def _cmd_study(cfg):
         n_times=cfg["n_times"], lambda_x=cfg["lambda_x"],
         lambda_y=cfg["lambda_y"], max_outer=cfg["max_outer"])
     med = _medians(fits, ("s", "sigma_x", "sigma_y", "xi", "c_hat_pickands"))
-    failed = sum(not math.isfinite(f.s) for f in fits)
+    failed = len(fits) - len(_fitted(fits))
     if failed:
         print(f"{failed} of {len(fits)} replicate fits failed")
     print(f"parametric c at true margins: {c_true:.6g}")

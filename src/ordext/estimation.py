@@ -325,10 +325,13 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
     def const(c):
         return (c, np.zeros(3)) if grad else c
 
+    # a subnormal xi overflows sigma / xi to +-inf; the tests below still
+    # read right there (crossing iff sigma_x > sigma_y, else c = 1)
     if xi > 0.0:
-        if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
-            return const(1.0)
-        log_d = math.log(sig_x / sig_y) / xi
+        with np.errstate(over="ignore"):
+            if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
+                return const(1.0)
+            log_d = math.log(sig_x / sig_y) / xi
         if log_d > 700.0:
             return const(0.0)
         c = 1.0 / (1.0 + math.exp(log_d))
@@ -341,8 +344,9 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
                           n_grid)
     grid = data_hi - offsets
     if xi < 0.0:
-        lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
-            max(sig_x, sig_y) / xi
+        with np.errstate(over="ignore"):
+            lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
+                max(sig_x, sig_y) / xi
         grid = grid[grid > lo_cap]
         if grid.size == 0:
             return const(1.0)
@@ -382,10 +386,10 @@ class _RestrictedLikelihood:
     boundary approaches the smallest fraction, so an unconstrained
     optimiser would race the boundary onto the data minimum.
 
-    terms, penalized, infeasibility and boundary take grad=True to return
-    (value, gradient), the gradient taken with respect to the scalar
-    parameters (s, sigma_x, sigma_y, xi) at fixed trends (for boundary,
-    (sigma_x, sigma_y, xi)).
+    terms, penalized and boundary take grad=True to return (value,
+    gradient), and infeasibility always returns both; the gradient is
+    taken with respect to the scalar parameters (s, sigma_x, sigma_y, xi)
+    at fixed trends (for boundary, (sigma_x, sigma_y, xi)).
     """
 
     def __init__(self, series: BivariateSeries, lam_x, lam_y):
@@ -461,8 +465,9 @@ class _RestrictedLikelihood:
         total -= self.penalty(g_x, g_y)
         return (total, dt) if grad else total
 
-    def infeasibility(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
-        """Graded distance from the feasible region (0 when feasible).
+    def infeasibility(self, g_x, g_y, sig_x, sig_y, xi, s):
+        """Graded distance from the feasible region (0 when feasible) and
+        its gradient.
 
         Gives the scalar optimiser a slope back toward feasibility
         instead of a flat wall when a trial crosses a support or
@@ -471,30 +476,23 @@ class _RestrictedLikelihood:
         its gradient.
         """
         if sig_x <= 0 or sig_y <= 0 or s <= 1.0:
-            return (1e6, np.zeros(4)) if grad else 1e6
+            return 1e6, np.zeros(4)
         bx = 1.0 - xi * (self.x - g_x) / sig_x
         by = 1.0 - xi * (self.y - g_y) / sig_y
         score = float(np.sum(np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)))
         if score > 0:
-            if not grad:
-                return 1.0 + score
             # -b = xi u - 1 with u = (z - g) / sigma, over the violations
             ux = np.sum(np.where(bx < 0.0, (self.x - g_x) / sig_x, 0.0))
             uy = np.sum(np.where(by < 0.0, (self.y - g_y) / sig_y, 0.0))
             return 1.0 + score, np.array([0.0, -xi * ux / sig_x,
                                           -xi * uy / sig_y, ux + uy])
-        c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
-        if grad:
-            c, dc = c
+        c, dc = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=True)
         if c >= 0.5:
-            value = 1.0 + 10.0 * (c - 0.499)
-            return (value, np.concatenate(([0.0], 10.0 * dc))) if grad \
-                else value
+            return 1.0 + 10.0 * (c - 0.499), \
+                np.concatenate(([0.0], 10.0 * dc))
         frac = _y_fraction(*self.log_scales(g_x, g_y, sig_x, sig_y, xi))
         gap = c + BOUNDARY_MARGIN - frac
         value = 100.0 * float(np.sum(np.maximum(gap, 0.0)))
-        if not grad:
-            return value
         # d frac = -frac (1 - frac) d(log e_x - log e_y)
         active = gap > 0.0
         slope = (frac * (1.0 - frac))[active]
@@ -588,8 +586,7 @@ def _scalar_objective(phi, lik, g_x, g_y):
     val, grad = lik.penalized(g_x, g_y, sx, sy, phi[3], strength, grad=True)
     if np.isfinite(val):
         return -val, -grad * scale
-    wall, grad = lik.infeasibility(g_x, g_y, sx, sy, phi[3], strength,
-                                   grad=True)
+    wall, grad = lik.infeasibility(g_x, g_y, sx, sy, phi[3], strength)
     return 1e12 * (1.0 + wall), 1e12 * grad * scale
 
 

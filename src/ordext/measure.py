@@ -107,15 +107,23 @@ def _log_density_grad(x, y, c, s):
     K = 1.0 - 2.0 * c
     R = (1.0 - c) * y - c * x
     kx = K * x
-    r_s, kx_s = R ** s, kx ** s
-    P = r_s + kx_s
-    L = P ** (1.0 / s)
-    u, v = r_s / P, kx_s / P
+    # logs of a and b through log1p, relative to the larger of R and Kx:
+    # powers of R and Kx themselves underflow at large s on small data
+    # long before a^(s-2) does, and 1 - a^(s-1) in V_x cancels near a = 1
+    top = np.maximum(R, kx)
+    low = np.log(np.minimum(R, kx) / top)
+    log_p = np.log1p(np.exp(s * low)) / s
+    L = top * np.exp(log_p)
+    la = np.where(R < kx, low, 0.0) - log_p
+    lb = np.where(R < kx, 0.0, low) - log_p
     a, b = R / L, kx / L
-    ea, eb = u / a, v / b                   # a^(s-1) = V_y and b^(s-1)
+    ea2 = np.exp((s - 2.0) * la)
+    ea, eb = ea2 * a, np.exp((s - 1.0) * lb)   # a^(s-1) = V_y and b^(s-1)
+    u, v = ea * a, eb * b
+    one_ea = -np.expm1((s - 1.0) * la)
     big_v = (L + c * x) / (1.0 - c)
-    vx = (c + K * eb - c * ea) / (1.0 - c)
-    w0 = (1.0 - c) * K * eb * (ea / a) * (y / L) / L
+    vx = (c * one_ea + K * eb) / (1.0 - c)
+    w0 = (1.0 - c) * K * eb * ea2 * (y / L) / L
     w = (s - 1.0) * w0
     dens = vx * ea + w
     ea_c = ea / (1.0 - c)
@@ -130,12 +138,11 @@ def _log_density_grad(x, y, c, s):
     f_y = alpha * ((1.0 - c) / R) + w / (y * dens)
     f_c = alpha * (2.0 / K - (x + y) / R) \
         + (w * (2.0 / K - 1.0 / (1.0 - c))
-           + (1.0 - ea - 2.0 * eb + vx) * ea_c) / dens \
+           + (one_ea - 2.0 * eb + vx) * ea_c) / dens \
         + (2.0 * L / K - x - big_v) / (1.0 - c)
 
     # along s: d log L = m and d log a = d log b = -m; a^(s-1), b^(s-1)
     # and -V_xy also carry s in their exponents
-    la, lb = np.log(a), np.log(b)
     m = (u * la + v * lb) / s
     d_log_ea = la - (s - 1.0) * m
     d_eb = eb * (lb - (s - 1.0) * m)

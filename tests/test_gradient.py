@@ -75,7 +75,8 @@ def feasible_phi(log_s1, sig_x, ratio, xi):
     return phi
 
 
-log_strength = st.floats(-2.5, 1.5)
+# up to the optimiser's bound on log(s - 1)
+log_strength = st.floats(-2.5, math.log(60.0))
 STEPS = (1e-4, 1e-4, 1e-4, 1e-4)
 
 
@@ -101,13 +102,39 @@ def test_gradient_gumbel_band(log_s1, sig_x, ratio, xi):
                    STEPS[:3] + (h_xi,))
 
 
-@given(st.floats(-3.0, 3.0), st.floats(-1.0, 3.0), st.floats(-1.0, 3.0),
-       st.floats(-0.45, 0.95))
-def test_gradient_infeasible(log_s1, log_sx, log_sy, xi):
-    assume(abs(xi) > 1e-4)
-    phi = np.array([log_s1, log_sx, log_sy, xi])
+def check_infeasible(phi, steps):
     assume(objective(phi)[0] >= 1e12)
-    check_gradient(phi, (1e-6, 1e-6, 1e-6, 1e-6))
+    check_gradient(phi, steps)
+
+
+@given(st.floats(-3.0, math.log(60.0)), st.floats(-1.0, 3.0),
+       st.floats(-1.0, 3.0), st.floats(-0.45, 0.95))
+def test_gradient_infeasible(log_s1, log_sx, log_sy, xi):
+    # the xi stencil stays on one side of xi = 0, where the boundary
+    # switches from the grid search to the closed form and the wall
+    # jumps, and of the Gumbel band's edges
+    edges = np.array([-XI_ZERO_TOL, 0.0, XI_ZERO_TOL])
+    h_xi = min(1e-6, float(np.min(np.abs(xi - edges))) / 2.5)
+    assume(h_xi > 1e-12)
+    check_infeasible(np.array([log_s1, log_sx, log_sy, xi]),
+                     (1e-6, 1e-6, 1e-6, h_xi))
+
+
+@given(st.floats(-3.0, 3.0), st.floats(-1.0, 3.0), st.floats(-1.0, 3.0),
+       st.floats(-0.8 * XI_ZERO_TOL, -0.2 * XI_ZERO_TOL))
+def test_gradient_infeasible_gumbel_band(log_s1, log_sx, log_sy, xi):
+    h_xi = min(-xi, XI_ZERO_TOL + xi) / 2.5
+    check_infeasible(np.array([log_s1, log_sx, log_sy, xi]),
+                     (1e-6, 1e-6, 1e-6, h_xi))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("xi", [5e-324, -5e-324, 1e-310, -1e-310])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_subnormal_shape_is_silent(xi, ratio):
+    # sigma / xi overflows inside the boundary search
+    value, grad = objective([0.0, math.log(4.0), math.log(4.0 * ratio), xi])
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
 
 
 @pytest.mark.parametrize("xi", [2e-8, -1e-7, 1e-6, -1e-4, 0.2, -0.3])
