@@ -76,7 +76,7 @@ COMMAND_OPTIONS = {
         "data": (_STR, None, "input CSV (required)"),
         "lambda_x": (_FLOAT, 1000.0, "smoothing weight for the X trend"),
         "lambda_y": (_FLOAT, 1000.0, "smoothing weight for the Y trend"),
-        "max_outer": (_INT, 60, "outer iteration cap"),
+        "max_outer": (_INT, 60, "outer map cap"),
         "out_dir": (_STR, None, "output directory (required)"),
     },
     "depfn": {
@@ -104,7 +104,7 @@ COMMAND_OPTIONS = {
         "n_times": (_INT, None, "observations per replicate"),
         "lambda_x": (_FLOAT, None, "smoothing weight for the X trend"),
         "lambda_y": (_FLOAT, None, "smoothing weight for the Y trend"),
-        "max_outer": (_INT, 60, "outer iteration cap per fit"),
+        "max_outer": (_INT, 60, "outer map cap per fit"),
         "out_dir": (_STR, None, "output directory (required)"),
     },
 }

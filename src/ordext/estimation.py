@@ -29,16 +29,24 @@ The trend penalty lam * g'D'Dg (D the second-difference operator) is the
 Whittaker smoother's.  D'D is pentadiagonal, so the trend stage and the
 starting trends use only its band and np.diff: O(n) per step and no BLAS
 matrix product, which keeps fits identical at any BLAS thread count.
-An outer iteration that does not clear the stall bar is rolled back, so
-the returned state is the last accepted one and a fit restarted from its
-own result returns it unchanged.
+One outer map F runs the two trend stages and the scalar stage.  Such
+block-coordinate ascent converges linearly, so F is driven by SQUAREM
+(Varadhan & Roland, Scand. J. Stat. 2008): from theta, F(theta) and
+F(F(theta)) it tries theta - 2 alpha r + alpha^2 v, with r and v the first
+and second differences of that path and alpha = min(-|r|/|v|, -1), and
+applies F once more.  That state is kept only if it beats F(F(theta));
+otherwise alpha moves halfway toward -1, and after SQUAREM_TRIES tries
+F(F(theta)) stands, so the penalized log-likelihood never falls.
+FitConfig.max_outer counts maps.  A plain map that does not clear the
+stall bar is rolled back, so the returned state is the last accepted one
+and a fit restarted from its own result returns it unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -55,6 +63,7 @@ BOUNDARY_GRID = 128             # grid points of the xi <= 0 boundary search
 BOUNDARY_MARGIN = 1e-3          # least gap between y-fractions and c
 TREND_MAX_ITER = 50             # Newton steps per trend stage
 SCALAR_MAX_ITER = 60            # L-BFGS-B iterations per scalar start
+SQUAREM_TRIES = 3               # SQUAREM step lengths tried per cycle
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +311,8 @@ class FitResult:
     loglik: float
     converged: bool
     message: str = ""
+    # maps, extrapolations_tried, extrapolations_accepted, rescued
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
@@ -594,13 +605,15 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                    config: FitConfig | None = None) -> FitResult:
     """Fit the restricted model with penalized location trends.
 
-    Requires strictly ordered observations (x_i < y_i).  Alternates a
-    penalized trend update for each margin with a bounded quasi-Newton
-    pass over (s, sigma_x, sigma_y, xi) until the penalized log-
-    likelihood stalls.  The trace records the parameter path for
+    Requires strictly ordered observations (x_i < y_i).  One outer map
+    runs a penalized trend update for each margin and then a bounded
+    quasi-Newton pass over (s, sigma_x, sigma_y, xi); SQUAREM extrapolates
+    along the path of every two maps, and the fit stops when a map no
+    longer raises the penalized log-likelihood.  config.max_outer caps the
+    number of maps.  The trace records the accepted states for
     convergence plots; the result carries both boundary estimates
     (parametric, and the non-parametric minimum y-fraction of the data on
-    the fitted exponential scale).
+    the fitted exponential scale) and counts of the work done.
     """
     config = config or FitConfig()
     if lam_x < 0 or lam_y < 0:
@@ -611,10 +624,12 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     if len(series) < 3:
         raise InputError("need at least 3 observations")
 
+    n = len(series)
     lik = _RestrictedLikelihood(series, lam_x, lam_y)
-    st = _initial_state(series, lam_x, lam_y, lik, config.start)
-    g_x, g_y = st["g_x"], st["g_y"]
-    sig_x, sig_y, xi, s = st["sigma_x"], st["sigma_y"], st["xi"], st["s"]
+    init = _initial_state(series, lam_x, lam_y, lik, config.start)
+    # a state is (g_x, g_y, sigma_x, sigma_y, xi, s), lik's argument order
+    state = tuple(init[k] for k in ("g_x", "g_y", "sigma_x", "sigma_y", "xi",
+                                    "s"))
 
     bounds = [(math.log(1e-6), math.log(60.0)),
               (math.log(1e-8), math.log(1e8)),
@@ -629,10 +644,22 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         [0.0, 0.3, -0.1, 0.1], [0.0, -0.3, 0.1, -0.1],
     ])
 
-    def scalar_stage(multi_start):
-        nonlocal s, sig_x, sig_y, xi
-        phi0 = np.array([math.log(s - 1.0), math.log(sig_x),
-                         math.log(sig_y), xi])
+    # the scalars as L-BFGS-B sees them: log(s-1), log sigma_x, log sigma_y, xi
+    def phi(st):
+        _g_x, _g_y, sig_x, sig_y, xi, s = st
+        return np.array([math.log(s - 1.0), math.log(sig_x), math.log(sig_y),
+                         xi])
+
+    def theta(st):
+        return np.concatenate((st[0], st[1], phi(st)))
+
+    def with_scalars(g_x, g_y, p):     # inverse of phi
+        return (g_x, g_y, math.exp(p[1]), math.exp(p[2]), float(p[3]),
+                1.0 + math.exp(p[0]))
+
+    def scalar_stage(st, multi_start):
+        g_x, g_y = st[:2]
+        phi0 = phi(st)
         starts = [phi0]
         if multi_start:
             starts += [np.clip(phi0 + off, lo, hi) for off in scalar_offsets]
@@ -644,62 +671,104 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                                     "ftol": 1e-11, "gtol": 1e-9})
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_phi, best_val = res.x, res.fun
-        s = 1.0 + math.exp(best_phi[0])
-        sig_x = math.exp(best_phi[1])
-        sig_y = math.exp(best_phi[2])
-        xi = float(best_phi[3])
+        return with_scalars(g_x, g_y, best_phi)
+
+    def outer_map(st, multi_start=False):
+        g_x, g_y, *scalars = st
+        g_x = trend_penalized(lambda g: lik.terms(g, g_y, *scalars),
+                              lam_x, series.t, g_x, max_iter=TREND_MAX_ITER)
+        g_y = trend_penalized(lambda g: lik.terms(g_x, g, *scalars),
+                              lam_y, series.t, g_y, max_iter=TREND_MAX_ITER)
+        return scalar_stage((g_x, g_y, *scalars), multi_start)
 
     explore = config.start is None
-    current = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
+    current = lik.penalized(*state)
     trace = []
+    diagnostics = {"maps": 0, "extrapolations_tried": 0,
+                   "extrapolations_accepted": 0, "rescued": False}
 
-    def record(iteration):
-        # the trace holds accepted states only; trace[-1] is the result
-        trace.append({"iteration": iteration, "s": s, "sigma_x": sig_x,
-                      "sigma_y": sig_y, "xi": xi, "penalized_loglik": current})
+    def accept(st, value):
+        # the trace holds accepted states only, each at the map count that
+        # produced it; trace[-1] is the result
+        nonlocal state, current
+        state, current = st, value
+        _g_x, _g_y, sig_x, sig_y, xi, s = st
+        trace.append({"iteration": diagnostics["maps"], "s": s,
+                      "sigma_x": sig_x, "sigma_y": sig_y, "xi": xi,
+                      "penalized_loglik": value})
 
-    record(0)
-    converged = False
-    rescued = False
-    for it in range(1, config.max_outer + 1):
-        before = (g_x, g_y, s, sig_x, sig_y, xi)
-        g_x = trend_penalized(
-            lambda g: lik.terms(g, g_y, sig_x, sig_y, xi, s),
-            lam_x, series.t, g_x, max_iter=TREND_MAX_ITER)
-        g_y = trend_penalized(
-            lambda g: lik.terms(g_x, g, sig_x, sig_y, xi, s),
-            lam_y, series.t, g_y, max_iter=TREND_MAX_ITER)
-        scalar_stage(multi_start=(it == 1 and explore))
-        new = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
+    def plain_map():
+        # one map from the accepted state; False when it stalls, and then
+        # the state stays as it was
+        first = diagnostics["maps"] == 0
+        diagnostics["maps"] += 1
+        new_state = outer_map(state, multi_start=first and explore)
+        new = lik.penalized(*new_state)
         stall = config.outer_tol * (1.0 + abs(current))
-        if new - current <= stall and explore and not rescued:
-            # one multi-start rescue from the state before the stalled
-            # iteration, kept only if it genuinely clears the stall bar
-            rescued = True
-            g_x, g_y, s, sig_x, sig_y, xi = before
-            scalar_stage(multi_start=True)
-            new = lik.penalized(g_x, g_y, sig_x, sig_y, xi, s)
+        if new - current <= stall and explore and not diagnostics["rescued"]:
+            # one multi-start rescue from the accepted state, kept only if
+            # it genuinely clears the stall bar
+            diagnostics["rescued"] = True
+            new_state = scalar_stage(state, multi_start=True)
+            new = lik.penalized(*new_state)
         if new - current <= stall:
-            # a stalled iteration is rolled back, so a fit restarted from
-            # its own result returns that result unchanged
-            g_x, g_y, s, sig_x, sig_y, xi = before
+            return False
+        accept(new_state, new)
+        return True
+
+    def extrapolate(theta0, theta1, theta2):
+        """SQUAREM step from three accepted states one map apart, as the
+        module docstring describes."""
+        r = theta1 - theta0
+        v = theta2 - 2.0 * theta1 + theta0
+        norm_v = math.sqrt(float(np.sum(v * v)))
+        alpha = min(-math.sqrt(float(np.sum(r * r))) / norm_v, -1.0) \
+            if norm_v > 0.0 else -1.0
+        for _ in range(SQUAREM_TRIES):
+            if alpha == -1.0 or diagnostics["maps"] >= config.max_outer:
+                return      # alpha = -1 gives theta2 itself
+            diagnostics["extrapolations_tried"] += 1
+            trial = theta0 - 2.0 * alpha * r + alpha * alpha * v
+            trial = with_scalars(trial[:n], trial[n:2 * n],
+                                 np.clip(trial[2 * n:], lo, hi))
+            if np.isfinite(lik.penalized(*trial)):
+                diagnostics["maps"] += 1
+                try:
+                    trial = outer_map(trial)
+                except NumericError:    # a trend stage failed from the trial
+                    pass
+                else:
+                    new = lik.penalized(*trial)
+                    if new > current:
+                        diagnostics["extrapolations_accepted"] += 1
+                        accept(trial, new)
+                        return
+            alpha = 0.5 * (alpha - 1.0)
+
+    accept(state, current)
+    path = [theta(state)]
+    converged = False
+    while diagnostics["maps"] < config.max_outer:
+        if not plain_map():
             converged = True
             break
-        current = new
-        record(it)
+        path.append(theta(state))
+        if len(path) == 3:
+            extrapolate(*path)
+            path = [theta(state)]
 
     message = "" if converged else "iteration cap reached before stall"
     if not converged:
         warnings.warn("fit stopped at the iteration cap; treat estimates "
                       "with care", RuntimeWarning, stacklevel=2)
 
-    c_hat = lik.boundary(g_x, g_y, sig_x, sig_y, xi)
+    g_x, g_y, sig_x, sig_y, xi, s = state
+    c_hat = lik.boundary(*state[:5])
     # smallest y-fraction of the data on the fitted exponential scale
-    c_pick = float(np.min(_y_fraction(*lik.log_scales(g_x, g_y, sig_x,
-                                                       sig_y, xi))))
+    c_pick = float(np.min(_y_fraction(*lik.log_scales(*state[:5]))))
 
     return FitResult(s=s, sigma_x=sig_x, sigma_y=sig_y, xi=xi,
                      g_x=g_x, g_y=g_y, c_hat=c_hat, c_hat_pickands=c_pick,
                      times=series.t, trace=trace,
                      loglik=float(current), converged=converged,
-                     message=message)
+                     message=message, diagnostics=diagnostics)

@@ -147,9 +147,10 @@ def test_fit_and_diagnose_pipeline(tmp_path, capsys):
                          "--slope-x", "-40", "--slope-y", "-40")
     assert code == 0
     fit_dir = tmp_path / "fit"
-    code, out, _ = run_cli(capsys, "fit", "--data", str(data),
-                           "--lambda-x", "100", "--lambda-y", "100",
-                           "--max-outer", "12", "--out-dir", str(fit_dir))
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        code, out, _ = run_cli(capsys, "fit", "--data", str(data),
+                               "--lambda-x", "100", "--lambda-y", "100",
+                               "--max-outer", "12", "--out-dir", str(fit_dir))
     assert code == 0
     for name in ("params.csv", "trends.csv", "trace.csv"):
         assert (fit_dir / name).exists()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ordext
 from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
@@ -179,18 +180,26 @@ def test_series_rejects_non_finite_values(column, value):
         BivariateSeries(cols["t"], cols["x"], cols["y"])
 
 
-def test_fit_is_invariant_to_row_order():
-    series = make_series(40, seed=3)
-    rev = slice(None, None, -1)
-    reversed_rows = BivariateSeries(series.t[rev], series.x[rev],
-                                    series.y[rev])
-    config = FitConfig(max_outer=10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fit = fit_restricted(series, 10.0, 10.0, config)
-        refit = fit_restricted(reversed_rows, 10.0, 10.0, config)
+@st.composite
+def row_orders(draw):
+    n = draw(st.integers(20, 60))
+    return n, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=15)
+@given(row_orders())
+@example((40, list(range(39, -1, -1))))      # reversed rows
+@pytest.mark.filterwarnings("ignore:fit stopped at the iteration cap")
+def test_fit_is_invariant_to_row_order(rows):
+    n, order = rows
+    series = make_series(n, seed=3)
+    shuffled = BivariateSeries(series.t[order], series.x[order],
+                               series.y[order])
+    config = FitConfig(max_outer=4)
+    fit = fit_restricted(series, 10.0, 10.0, config)
+    refit = fit_restricted(shuffled, 10.0, 10.0, config)
     for name in ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
-                 "loglik"):
+                 "loglik", "converged", "trace", "diagnostics"):
         assert getattr(refit, name) == getattr(fit, name), name
     for name in ("g_x", "g_y", "times"):
         assert np.array_equal(getattr(refit, name), getattr(fit, name)), name
@@ -280,9 +289,28 @@ def test_fit_does_not_depend_on_blas_threads():
         assert np.array_equal(getattr(two, name), getattr(one, name)), name
 
 
+@pytest.mark.filterwarnings("error:fit stopped at the iteration cap")
 def test_fit_large_lambda_gives_straight_trends():
     series = make_series(80, seed=13)
     fit = fit_restricted(series, 1e8, 1e8, FitConfig(max_outer=15))
+    assert fit.converged
     scale = float(np.ptp(series.x))
     assert roughness(fit.g_x) ** 0.5 <= 1e-3 * scale
     assert roughness(fit.g_y) ** 0.5 <= 1e-3 * scale
+
+
+@pytest.mark.filterwarnings("ignore:fit stopped at the iteration cap")
+@pytest.mark.parametrize("max_outer", [1, 2, 3, 4, 5])
+def test_fit_counts_maps_within_the_cap(max_outer):
+    fit = fit_restricted(make_series(40, seed=3), 10.0, 10.0,
+                         FitConfig(max_outer=max_outer))
+    diag = fit.diagnostics
+    assert diag["maps"] <= max_outer
+    assert diag["extrapolations_accepted"] <= diag["extrapolations_tried"]
+    steps = [r["iteration"] for r in fit.trace]
+    assert steps[0] == 0 and steps[-1] <= diag["maps"]
+    assert all(a < b for a, b in zip(steps, steps[1:]))
+    last = fit.trace[-1]
+    assert (last["s"], last["sigma_x"], last["sigma_y"], last["xi"],
+            last["penalized_loglik"]) == \
+        (fit.s, fit.sigma_x, fit.sigma_y, fit.xi, fit.loglik)
