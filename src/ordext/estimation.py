@@ -658,20 +658,19 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                 1.0 + math.exp(p[0]))
 
     def scalar_stage(st, multi_start):
-        g_x, g_y = st[:2]
         phi0 = phi(st)
         starts = [phi0]
         if multi_start:
             starts += [np.clip(phi0 + off, lo, hi) for off in scalar_offsets]
-        best_phi, best_val = phi0, _scalar_objective(phi0, lik, g_x, g_y)[0]
+        best_phi, best_val = phi0, _scalar_objective(phi0, lik, *st[:2])[0]
         for start in starts:
-            res = minimize(_scalar_objective, start, args=(lik, g_x, g_y),
+            res = minimize(_scalar_objective, start, args=(lik, *st[:2]),
                            method="L-BFGS-B", jac=True, bounds=bounds,
                            options={"maxiter": SCALAR_MAX_ITER,
                                     "ftol": 1e-11, "gtol": 1e-9})
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_phi, best_val = res.x, res.fun
-        return with_scalars(g_x, g_y, best_phi)
+        return with_scalars(*st[:2], best_phi)
 
     def outer_map(st, multi_start=False):
         g_x, g_y, *scalars = st
@@ -700,9 +699,8 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     def plain_map():
         # one map from the accepted state; False when it stalls, and then
         # the state stays as it was
-        first = diagnostics["maps"] == 0
         diagnostics["maps"] += 1
-        new_state = outer_map(state, multi_start=first and explore)
+        new_state = outer_map(state, explore and diagnostics["maps"] == 1)
         new = lik.penalized(*new_state)
         stall = config.outer_tol * (1.0 + abs(current))
         if new - current <= stall and explore and not diagnostics["rescued"]:
@@ -717,13 +715,20 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         return True
 
     def extrapolate(theta0, theta1, theta2):
-        """SQUAREM step from three accepted states one map apart, as the
-        module docstring describes."""
+        # SQUAREM step from three accepted states one map apart, as the
+        # module docstring describes
+        nonlocal step_max
         r = theta1 - theta0
         v = theta2 - 2.0 * theta1 + theta0
-        norm_v = math.sqrt(float(np.sum(v * v)))
-        alpha = min(-math.sqrt(float(np.sum(r * r))) / norm_v, -1.0) \
-            if norm_v > 0.0 else -1.0
+        vv = float(np.sum(v * v))
+        ratio = math.sqrt(float(np.sum(r * r)) / vv) if vv > 0.0 else 1.0
+        if ratio >= step_max:
+            # cap the step length, and let the cap grow 4-fold each time it
+            # binds (the SQUAREM package's defaults): early in a fit the
+            # path is far from its linear rate, and an uncapped step can
+            # land on the ordering constraint, where the maps jam
+            ratio, step_max = step_max, 4.0 * step_max
+        alpha = -max(ratio, 1.0)
         for _ in range(SQUAREM_TRIES):
             if alpha == -1.0 or diagnostics["maps"] >= config.max_outer:
                 return      # alpha = -1 gives theta2 itself
@@ -746,6 +751,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
             alpha = 0.5 * (alpha - 1.0)
 
     accept(state, current)
+    step_max = 1.0
     path = [theta(state)]
     converged = False
     while diagnostics["maps"] < config.max_outer:
