@@ -32,14 +32,14 @@ matrix product, which keeps fits identical at any BLAS thread count.
 One outer map F runs the two trend stages and the scalar stage.  Such
 block-coordinate ascent converges linearly, so F is driven by SQUAREM
 (Varadhan & Roland, Scand. J. Stat. 2008): from theta, F(theta) and
-F(F(theta)) it tries theta - 2 alpha r + alpha^2 v, with r and v the first
-and second differences of that path and alpha = min(-|r|/|v|, -1), and
-applies F once more.  That state is kept only if it beats F(F(theta));
-otherwise alpha moves halfway toward -1, and after SQUAREM_TRIES tries
-F(F(theta)) stands, so the penalized log-likelihood never falls.
-FitConfig.max_outer counts maps.  A plain map that does not clear the
-stall bar is rolled back, so the returned state is the last accepted one
-and a fit restarted from its own result returns it unchanged.
+F(F(theta)) it tries theta - 2 alpha r + alpha^2 v (r, v the first and
+second differences of that path, -alpha = |r|/|v| clipped to [1, cap],
+the cap growing 4-fold each time it binds) and applies F once more.  The
+result is kept only if it beats F(F(theta)); otherwise alpha moves halfway
+toward -1, and after SQUAREM_TRIES tries F(F(theta)) stands: the fit is
+monotone.  FitConfig.max_outer counts maps.  A plain map that does not
+clear the stall bar is rolled back, so the returned state is the last
+accepted one and a fit restarted from its own result returns it unchanged.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@ import os
 import pickle
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
