@@ -97,12 +97,23 @@ def _check_sample(xe, ye):
     return xe, ye
 
 
+_POOLED_BLOCK = 1 << 20
+
+
 def _pooled_minimum_mean(xe, ye, w):
+    # omega rows go in blocks of about 2^20 elements, so a large sample
+    # never holds the whole omega x n array; each row's mean is the same
+    # reduction as in one block, so the result does not depend on the size
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    with np.errstate(divide="ignore"):
-        tx = xe[None, :] / (1.0 - w[:, None])
-        ty = ye[None, :] / w[:, None]
-    return np.mean(np.minimum(tx, ty), axis=1)
+    rows = max(1, _POOLED_BLOCK // xe.size)
+    out = np.empty(w.size)
+    for i in range(0, w.size, rows):
+        wb = w[i:i + rows, None]
+        with np.errstate(divide="ignore"):
+            tx = xe[None, :] / (1.0 - wb)
+            ty = ye[None, :] / wb
+        out[i:i + rows] = np.mean(np.minimum(tx, ty, out=tx), axis=1)
+    return out
 
 
 def pickands_raw(xe, ye, w):

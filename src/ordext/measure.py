@@ -11,6 +11,11 @@ logistic family it has the two-branch closed form
 and factorises as (x+y) A(y/(x+y)) for any family.  The first branch is
 the zero-density region: under the ordering constraint no probability
 mass has y-fraction at or below c.
+
+The quadrature oracle v_numeric integrates max[w x, (1-w) y] against the
+spectral measure by parts, through the measure function H alone, so it
+checks each family's H against v_closed; the density h is checked against
+A by dependence.a_numeric_oracle.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from .dependence import DependenceModel, RestrictedLogisticParams
-from .errors import BoundaryError, DomainError, NumericError
+from .dependence import (DependenceModel, RestrictedLogisticParams,
+                         _integrate_dH)
+from .errors import BoundaryError, DomainError
 from .margins import (GevmParams, exp_scale, exp_scale_log_jacobian,
                       log_exp_scale)
 
@@ -160,32 +165,25 @@ def v_closed(p: ExpPair, c, s):
 
 
 def v_numeric(p: ExpPair, model: DependenceModel, tol=V_QUAD_TOL):
-    """Quadrature oracle for V: integrate max[w x, (1-w) y] against H.
+    """Quadrature oracle for V = int max[w x, (1-w) y] dH(w).
 
-    Splits at the max kink w = y/(x+y) and the family's support
-    breakpoints, then adds atom contributions.  Independent of every
-    closed form, so it cross-checks v_closed and v_from_a.
+    By parts against the bounded measure function H, with k = y/(x+y),
+
+        V = x H(1) + y int_0^k H(w) dw - x int_k^1 H(w) dw,
+
+    on a tanh-sinh rule split at k and the family's breakpoints.  H counts
+    the atoms, and it stays bounded where the density h is singular
+    (s < 2).  Independent of every closed form, so it cross-checks
+    v_closed and v_from_a.  ``tol`` bounds the estimated relative error;
+    NumericError is raised when the rule cannot reach it or H is not
+    finite.
     """
     x, y = p.x_e, p.y_e
     kink = y / (x + y)
-    lo, hi = model.support()
-    value = 0.0
-    err = 0.0
-    if hi > lo:
-        pts = sorted({q for q in model.breakpoints() + [kink] if lo < q < hi})
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            value, err = quad(
-                lambda w: max(w * x, (1.0 - w) * y) * model.h_scalar(w),
-                lo, hi, points=pts or None, epsabs=tol, epsrel=1e-9, limit=400,
-            )
-    # endpoint singularities (s < 2) leave the error estimate at the
-    # roundoff floor; accept anything far below the oracle's use tolerance
-    if err > max(1e3 * tol, 1e-8 * abs(value)):
-        raise NumericError("measure quadrature did not converge", achieved_tol=err)
-    for q, m in model.point_masses():
-        value += m * max(q * x, (1.0 - q) * y)
-    return value
+    edges = sorted({0.0, kink, 1.0, *model.breakpoints()})
+    slopes = np.where(np.asarray(edges[:-1]) < kink, -y, x)
+    # V >= max(x, y), so an absolute error of tol max(x, y) is relative tol
+    return _integrate_dH(model, edges, slopes, x, tol * max(x, y))
 
 
 def v_from_a(p: ExpPair, a):

@@ -169,7 +169,7 @@ def test_a_numeric_oracle_reports_nonconvergence():
     from ordext import NumericError
     rough = RestrictedLogisticModel(RestrictedLogisticParams(0.45, 1.2))
     with pytest.raises(NumericError) as exc:
-        a_numeric_oracle(0.5, rough.h_scalar, tol=1e-18,
+        a_numeric_oracle(0.5, rough.h, tol=1e-18,
                          breakpoints=rough.breakpoints())
     assert exc.value.achieved_tol is not None
     assert exc.value.achieved_tol > 0.0

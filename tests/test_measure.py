@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
-                    GevmParams, PointMassModel, c_from_margins,
+                    GevmParams, NumericError, PointMassModel, c_from_margins,
                     joint_log_density_gevm, joint_survival_gevm, make_model,
                     v_closed, v_frechet, v_from_a, v_numeric, v_partials)
 from ordext.margins import exp_scale, exp_scale_inverse
@@ -59,6 +59,14 @@ def test_v_numeric_degenerate_models():
     for x, y in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.2)]:
         assert v_numeric(ExpPair(x, y), m) == \
             pytest.approx(v_closed(ExpPair(x, y), 0.25, 1.0), rel=1e-12)
+
+
+def test_v_numeric_reports_nonconvergence():
+    rough = make_model("restricted", c=0.45, s=1.2)
+    with pytest.raises(NumericError) as exc:
+        v_numeric(ExpPair(1.0, 1.0), rough, tol=1e-18)
+    assert exc.value.achieved_tol is not None
+    assert exc.value.achieved_tol > 0.0
 
 
 def test_v_from_a():

@@ -1,5 +1,5 @@
 """Property tests of the restricted / upper / interval family, its
-sampler, and the fit files.
+sampler, the quadrature oracle for V, and the fit files.
 
 All three families are one class on (c1, c2, s); the properties below are
 those of any dependence function, checked over random parameters.
@@ -12,12 +12,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from ordext import (BivariateSeries, ExpPair, FitResult,  # noqa: E402
-                    make_model, sample_pairs, v_closed, v_from_a,
+from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
+                    ExpPair, FitResult, NumericError, make_model,
+                    sample_pairs, v_closed, v_from_a, v_numeric,
                     validate_dependence)
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
+from ordext.measure import V_QUAD_TOL  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -100,6 +102,72 @@ def test_v_from_a_matches_closed_form_on_criterion_3_grid():
                     pair = ExpPair(float(x), float(y))
                     closed = v_closed(pair, c, s)
                     assert abs(v_from_a(pair, model) - closed) <= 1e-12 * closed
+
+
+def _v_restricted_mp(x, y, c, s):
+    """Restricted closed form at 40 digits, from the exact float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, y, c, s = (mpmath.mpf(v) for v in (x, y, c, s))
+        if y / (x + y) <= c:
+            return float(x)
+        r = (1 - c) * y - c * x
+        return float(((r ** s + ((1 - 2 * c) * x) ** s) ** (1 / s) + c * x)
+                     / (1 - c))
+
+
+log_uniform = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def restricted_points(draw):
+    """(c, s, x, y): x and y log-uniform, or the y-fraction just above c."""
+    c = draw(st.one_of(st.floats(0.0, 0.49), st.just(0.4999999)))
+    s = draw(st.floats(1.0, 61.0, exclude_min=True))
+    x = draw(log_uniform)
+    if draw(st.booleans()):
+        y = draw(log_uniform)
+    else:
+        frac = c + draw(st.floats(-12.0, -1.0).map(lambda e: 10.0 ** e))
+        y = x * frac / (1.0 - frac)
+    return c, s, x, y
+
+
+@given(restricted_points())
+@example((0.4999999, 3.71195, 0.93244, 0.93244))
+def test_v_numeric_matches_mpmath_or_raises(point):
+    c, s, x, y = point
+    try:
+        value = v_numeric(ExpPair(x, y), make_model("restricted", c=c, s=s))
+    except NumericError:
+        return
+    exact = _v_restricted_mp(x, y, c, s)
+    # a NaN fails this comparison too
+    assert abs(value - exact) <= 1e-9 * exact
+
+
+asymmetric = st.builds(
+    lambda t1, t2, s: make_model("asymmetric", theta1=t1, theta2=t2, s=s),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 8.0))
+
+
+@given(st.one_of(families, asymmetric), log_uniform, log_uniform)
+def test_v_numeric_matches_v_from_a(model, x, y):
+    # an asymmetric weight below 1e-2 puts the logistic part's turnover,
+    # theta2 / (theta1 + theta2), near an end of [0, 1], where the rule's
+    # half-step error estimate stays large: there v_numeric is held to its
+    # own tolerance or raises
+    pair = ExpPair(x, y)
+    expected = v_from_a(pair, model)
+    params = model.params
+    steep = (isinstance(params, AsymLogisticParams)
+             and 0.0 < min(params.theta1, params.theta2) < 1e-2)
+    try:
+        value = v_numeric(pair, model)
+    except NumericError:
+        assert steep
+        return
+    assert abs(value - expected) <= (2 * V_QUAD_TOL if steep else 1e-12) * expected
 
 
 @given(families, st.integers(0, 2 ** 32 - 1))
