@@ -225,11 +225,12 @@ def _integrate_dH(model, edges, slopes, f_one, tol):
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
     slopes = np.asarray(slopes, dtype=float)
-    budget = tol / (edges[-1] - edges[0])
     value = spent = 0.0
     end = [edges[-1]]       # H(1) rides on the first round's call
     for _ in range(_TS_ROUNDS):
         d = hi - lo
+        # H is right-continuous, so an upper node that rounds onto the
+        # segment end would pick up an atom sitting there
         nodes = np.concatenate(
             [lo[:, None] + d[:, None] * _TS_GAP_LO,
              np.minimum(hi[:, None] - d[:, None] * _TS_GAP_HI,
@@ -245,7 +246,7 @@ def _integrate_dH(model, edges, slopes, f_one, tol):
         hv = hv.reshape(nodes.shape)
         full = d * (hv @ _TS_W)
         err = np.abs(slopes * (full - d * (hv @ _TS_W_HALF)))
-        ok = err <= budget * d
+        ok = err <= tol * d        # the segment's width-share of tol
         value -= float(np.sum(slopes[ok] * full[ok]))
         spent += float(np.sum(err[ok]))
         if ok.all():

@@ -87,6 +87,20 @@ def test_pickands_consistency_on_model_sample():
     assert float(np.max(np.abs(est - model.a(grid)))) <= 0.05
 
 
+def test_pickands_blocks_match_one_array(monkeypatch):
+    # the pooled minimum over the whole omega x n array is the reference
+    rng = np.random.default_rng(12)
+    xe, ye = sample_pairs(make_model("restricted", c=0.25, s=2.0), 700, rng)
+    grid = np.linspace(0.0, 1.0, 201)
+    with np.errstate(divide="ignore"):
+        whole = np.mean(np.minimum(xe[None, :] / (1.0 - grid[:, None]),
+                                   ye[None, :] / grid[:, None]), axis=1)
+    one_block = pickands_modified(xe, ye, grid)
+    monkeypatch.setattr(ordext.estimation, "_POOLED_BLOCK", 3 * 700 + 5)
+    assert np.array_equal(pickands_raw(xe, ye, grid), 1.0 / whole)
+    assert np.array_equal(pickands_modified(xe, ye, grid), one_block)
+
+
 def test_pickands_empty_sample():
     with pytest.raises(InputError):
         pickands_raw(np.array([]), np.array([]), 0.5)
