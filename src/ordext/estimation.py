@@ -13,7 +13,7 @@ quasi-Newton step (L-BFGS-B, the one scalar optimiser) on (s, sigma_x,
 sigma_y, xi), reparametrised as (log(s-1), log sigma_x, log sigma_y, xi)
 so the constraints s > 1 and sigma > 0 hold by construction.  L-BFGS-B
 gets the exact gradient of its objective, by the chain rule through
-measure._log_density_grad (the density in x, y, c, s),
+measure._log_density (the log density and its x, y, c, s partials),
 margins.log_exp_scale_grad (the transform in sigma, xi) and
 _trial_boundary's dc; the infeasible wall is piecewise linear and has
 its exact gradient too, so no finite difference is taken.  The first
@@ -54,7 +54,9 @@ from scipy.optimize import minimize
 
 from .errors import InputError, NumericError, ParameterError
 from .margins import log_exp_scale, log_exp_scale_grad
-from .measure import _log_density_grad, _v_closed, _v_partials
+# _v_closed and _v_partials are not used here; they are imported because
+# benchmarks/tracer.py patches them on this module
+from .measure import _log_density, _v_closed, _v_partials  # noqa: F401
 from .series import BivariateSeries
 
 # fixed settings of fit_restricted
@@ -330,19 +332,19 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
                     grad=False):
     """Boundary constant for trial margins: 1/(1 + inf D(x, x)).
 
-    For shared shape xi > 0 the infimum is exact without any search:
-    D(x, x) is a Moebius function of x raised to 1/xi, so it is monotone
-    between its endpoint limits; the lower tail gives (sigma_x/sigma_y)^
-    (1/xi), and a crossing of upper support endpoints sends D to zero
-    (ordering impossible, returned as 1).  For xi <= 0 the infimum is
-    taken over a log-spaced grid spanning the data range extended toward
-    the lower tail.  Kept apart from measure.c_from_margins, which takes
-    one scalar location per margin rather than a trend vector.
+    With a shared shape, D(x, x) = (b_y/b_x)^(1/xi) for each row is a
+    Moebius function of x raised to 1/xi, monotone where both margins are
+    defined.  So for xi > 0 the infimum is exact: the lower tail gives
+    (sigma_x/sigma_y)^(1/xi), and a crossing of upper support endpoints
+    sends D to zero (ordering impossible, returned as 1).  For xi <= 0 it
+    is the minimum over a log-spaced grid spanning the data range extended
+    toward the lower tail, taken at the two ends of each row's valid part
+    of the grid: O(n).  Kept apart from measure.c_from_margins, which
+    takes one scalar location per margin rather than a trend vector.
 
     grad=True returns (c, dc) with dc = dc/d(sigma_x, sigma_y, xi): for
     xi > 0 from the closed form, dc = -c (1-c) d log D; for xi <= 0 the
-    derivative of D at the grid argmin, the point that sets the minimum;
-    zero where c is a constant.
+    derivative of D at the argmin; zero where c is a constant.
     """
     def const(c):
         return (c, np.zeros(3)) if grad else c
@@ -364,30 +366,48 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
     span = max(data_hi - data_lo, 1e-6)
     offsets = np.logspace(math.log10(span * 1e-6), math.log10(11.0 * span),
                           n_grid)
-    grid = data_hi - offsets
+    # falling, so -grid is sorted; the two nan columns past its end (also
+    # columns -2 and -1) hold no valid point
+    grid = np.append(data_hi - offsets, [np.nan, np.nan])
+    lo_cap = floor = -np.inf
     if xi < 0.0:
         with np.errstate(over="ignore"):
             lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
                 max(sig_x, sig_y) / xi
-        grid = grid[grid > lo_cap]
-        if grid.size == 0:
-            return const(1.0)
-    bx = 1.0 - xi * (grid[None, :] - mu_x[:, None]) / sig_x
-    by = 1.0 - xi * (grid[None, :] - mu_y[:, None]) / sig_y
-    ok = (bx > 0.0) & (by > 0.0)
+            # both of row i's margins are defined above floor[i]
+            floor = np.maximum(mu_x + sig_x / xi, mu_y + sig_y / xi)
+
+    def at(cols):
+        # D at grid[cols[..., i]] for each row i, inf where the point is
+        # not valid (below lo_cap or off a margin's support); and validity
+        g = grid[cols]
+        bx = 1.0 - xi * (g - mu_x) / sig_x
+        by = 1.0 - xi * (g - mu_y) / sig_y
+        ok = (bx > 0.0) & (by > 0.0) & (g > lo_cap)
+        with np.errstate(all="ignore"):
+            if abs(xi) < 1e-8:
+                d = np.exp((g - mu_x) / sig_x - (g - mu_y) / sig_y)
+            else:
+                d = (by / bx) ** (1.0 / xi)
+        return np.where(ok, d, np.inf), ok
+
+    # b_x and b_y fall along the grid in floating point too, so each row's
+    # valid points are a prefix of it.  Count them from the row's
+    # threshold; rounding may admit one more point or drop the last one.
+    count = np.searchsorted(-grid, -np.maximum(floor, lo_cap))
+    count = count + at(count)[1]
+    last = count - 1 - ~at(count - 1)[1]
+    # D is monotone along a row, so its minimum over the row's defined
+    # points sits at one of their two ends
+    d, ok = at(np.stack([np.zeros_like(last), last]))
     if not np.any(ok):
         return const(1.0)
-    with np.errstate(all="ignore"):
-        if abs(xi) < 1e-8:
-            d = np.exp((grid[None, :] - mu_x[:, None]) / sig_x
-                       - (grid[None, :] - mu_y[:, None]) / sig_y)
-        else:
-            d = (by / bx) ** (1.0 / xi)
-    d = np.where(ok, d, np.inf)
     if not grad:
         return 1.0 / (1.0 + float(np.min(d)))
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    c = 1.0 / (1.0 + float(d[i, j]))
+    # row by row, first end first: the grid's own argmin order
+    i, end = np.unravel_index(np.argmin(d.T), d.T.shape)
+    j = last[i] if end else 0
+    c = 1.0 / (1.0 + float(d[end, i]))
     # log D = log e_x - log e_y at the argmin
     dx_sig, dx_xi = log_exp_scale_grad(grid[j], mu_x[i], sig_x, xi)
     dy_sig, dy_xi = log_exp_scale_grad(grid[j], mu_y[i], sig_y, xi)
@@ -443,36 +463,31 @@ class _RestrictedLikelihood:
             return bad
         if np.any(_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN):
             return bad
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             ex, ey = np.exp(log_ex), np.exp(log_ey)
-            if not (np.all(np.isfinite(ex)) and np.all(np.isfinite(ey))):
-                return bad
-            v = _v_closed(ex, ey, c, s)
-            vx, vy, vxy = _v_partials(ex, ey, c, s)
-            dens = vx * vy - vxy
-            if np.any(~np.isfinite(dens)) or np.any(dens <= 0.0):
-                return bad
-            t = (-v + np.log(dens) + (1.0 + xi) * (log_ex + log_ey)
-                 - math.log(sig_x) - math.log(sig_y))
-            if not grad:
-                return t
-            if not np.all(np.isfinite(t)):
-                return t, None
-            # chain rule: the density's (x, y, c, s) partials, the margins'
-            # (sigma, xi) partials and the boundary's dc
-            f_x, f_y, f_c, f_s = _log_density_grad(ex, ey, c, s)
-            dx_sig, dx_xi = log_exp_scale_grad(self.x, g_x, sig_x, xi)
-            dy_sig, dy_xi = log_exp_scale_grad(self.y, g_y, sig_y, xi)
-            # d t / d log e_x and d log e_y
-            wx = f_x * ex + (1.0 + xi)
-            wy = f_y * ey + (1.0 + xi)
-            n = len(self.x)
-            return t, np.array([
-                np.sum(f_s),
-                np.sum(wx * dx_sig) - n / sig_x,
-                np.sum(wy * dy_sig) - n / sig_y,
-                np.sum(wx * dx_xi + wy * dy_xi + log_ex + log_ey),
-            ]) + np.sum(f_c) * np.concatenate(([0.0], dc))
+            dens = _log_density(ex, ey, c, s, grad=grad)
+        if grad:
+            dens, (f_x, f_y, f_c, f_s) = dens
+        if not np.all(np.isfinite(dens)):
+            return bad
+        t = (dens + (1.0 + xi) * (log_ex + log_ey)
+             - math.log(sig_x) - math.log(sig_y))
+        if not grad:
+            return t
+        # chain rule: the density's (x, y, c, s) partials, the margins'
+        # (sigma, xi) partials and the boundary's dc
+        dx_sig, dx_xi = log_exp_scale_grad(self.x, g_x, sig_x, xi)
+        dy_sig, dy_xi = log_exp_scale_grad(self.y, g_y, sig_y, xi)
+        # d t / d log e_x and d log e_y
+        wx = f_x * ex + (1.0 + xi)
+        wy = f_y * ey + (1.0 + xi)
+        n = len(self.x)
+        return t, np.array([
+            np.sum(f_s),
+            np.sum(wx * dx_sig) - n / sig_x,
+            np.sum(wy * dy_sig) - n / sig_y,
+            np.sum(wx * dx_xi + wy * dy_xi + log_ex + log_ey),
+        ]) + np.sum(f_c) * np.concatenate(([0.0], dc))
 
     def penalty(self, g_x, g_y):
         return self.lam_x * roughness(g_x) + self.lam_y * roughness(g_y)

@@ -94,56 +94,55 @@ def _v_partials(x, y, c, s):
     return vx, vy, vxy
 
 
-def _log_density_grad(x, y, c, s):
-    """Partials (d/dx, d/dy, d/dc, d/ds) of -V + log(V_x V_y - V_xy), the
-    restricted log density on exponential margins.
+def _log_density(x, y, c, s, grad=False):
+    """-V + log(V_x V_y - V_xy), the restricted log density on exponential
+    margins, and with grad=True also its partials (d/dx, d/dy, d/dc, d/ds).
 
     Valid where the density is positive: y/(x+y) > c, c < 1/2, s > 1.
     With L = (R^s + (Kx)^s)^(1/s), a = R/L and b = Kx/L (u = a^s and
     v = b^s sum to 1), the closed forms above read V = (L + cx)/(1-c),
     V_x = (c + K b^(s-1) - c a^(s-1))/(1-c), V_y = a^(s-1) and
-    -V_xy = (s-1) W0 with W0 = (1-c) K b^(s-1) a^(s-2) y / L^2.  Along x,
-    y or c, d log a = v D and d log b = -u D with D = d log R - d log Kx,
-    so each partial is alpha D plus the terms where x, y or c appear
-    outside R and Kx; the s partial adds the explicit exponents.
+    -V_xy = a^(s-1) q with q = (s-1)(1-c) K b^(s-1) y / (R L), so the log
+    density is -V + (s-1) log a + log(V_x + q).  Along x, y or c,
+    d log a = v D and d log b = -u D with D = d log R - d log Kx, so each
+    partial is alpha D plus the terms where x, y or c appear outside R and
+    Kx; the s partial adds the explicit exponents.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     K = 1.0 - 2.0 * c
     R = (1.0 - c) * y - c * x
     kx = K * x
     # logs of a and b through log1p, relative to the larger of R and Kx:
     # powers of R and Kx themselves underflow at large s on small data
-    # long before a^(s-2) does, and 1 - a^(s-1) in V_x cancels near a = 1
+    # long before a^(s-1) does, and 1 - a^(s-1) in V_x cancels near a = 1
     top = np.maximum(R, kx)
     low = np.log(np.minimum(R, kx) / top)
     log_p = np.log1p(np.exp(s * low)) / s
     L = top * np.exp(log_p)
     la = np.where(R < kx, low, 0.0) - log_p
     lb = np.where(R < kx, 0.0, low) - log_p
-    a, b = R / L, kx / L
-    ea2 = np.exp((s - 2.0) * la)
-    ea, eb = ea2 * a, np.exp((s - 1.0) * lb)   # a^(s-1) = V_y and b^(s-1)
-    u, v = ea * a, eb * b
-    one_ea = -np.expm1((s - 1.0) * la)
+    eb = np.exp((s - 1.0) * lb)                 # b^(s-1)
+    one_ea = -np.expm1((s - 1.0) * la)          # 1 - a^(s-1)
     big_v = (L + c * x) / (1.0 - c)
     vx = (c * one_ea + K * eb) / (1.0 - c)
-    w0 = (1.0 - c) * K * eb * ea2 * (y / L) / L
-    w = (s - 1.0) * w0
-    dens = vx * ea + w
-    ea_c = ea / (1.0 - c)
+    q = (s - 1.0) * (1.0 - c) * K * eb * (y / R) / L
+    dens = vx + q                               # the density over a^(s-1)
+    value = -big_v + (s - 1.0) * la + np.log(dens)
+    if not grad:
+        return value
 
+    ea = np.exp((s - 1.0) * la)                 # a^(s-1) = V_y
+    u, v = np.exp(s * la), np.exp(s * lb)
     # coefficient of D: V_x V_y moves through a and b, -V_xy through
     # a^(s-2) b^(s-1) L^-2, V through L
-    alpha = ((s - 1.0) * ea * (vx * v - (K * eb * u + c * ea * v) / (1.0 - c))
-             + w * ((s - 2.0) * v - (s + 1.0) * u)) / dens \
+    alpha = ((s - 1.0) * (vx * v - (K * eb * u + c * ea * v) / (1.0 - c))
+             + q * ((s - 2.0) * v - (s + 1.0) * u)) / dens \
         - L * u / (1.0 - c)
-    f_x = alpha * (-c / R - 1.0 / x) - 2.0 * w / (x * dens) \
+    f_x = alpha * (-c / R - 1.0 / x) - 2.0 * q / (x * dens) \
         - (L / x + c) / (1.0 - c)
-    f_y = alpha * ((1.0 - c) / R) + w / (y * dens)
+    f_y = alpha * ((1.0 - c) / R) + q / (y * dens)
     f_c = alpha * (2.0 / K - (x + y) / R) \
-        + (w * (2.0 / K - 1.0 / (1.0 - c))
-           + (one_ea - 2.0 * eb + vx) * ea_c) / dens \
+        + (q * (2.0 / K - 1.0 / (1.0 - c))
+           + (one_ea - 2.0 * eb + vx) / (1.0 - c)) / dens \
         + (2.0 * L / K - x - big_v) / (1.0 - c)
 
     # along s: d log L = m and d log a = d log b = -m; a^(s-1), b^(s-1)
@@ -152,10 +151,10 @@ def _log_density_grad(x, y, c, s):
     d_log_ea = la - (s - 1.0) * m
     d_eb = eb * (lb - (s - 1.0) * m)
     d_vx = K * d_eb - c * ea * d_log_ea
-    f_s = (d_vx * ea_c + vx * ea * d_log_ea
-           + w * (la + lb - (2.0 * s - 1.0) * m) + w0) / dens \
+    f_s = (d_vx / (1.0 - c) + vx * d_log_ea
+           + q * (la + lb - (2.0 * s - 1.0) * m) + q / (s - 1.0)) / dens \
         - L * m / (1.0 - c)
-    return f_x, f_y, f_c, f_s
+    return value, (f_x, f_y, f_c, f_s)
 
 
 def v_closed(p: ExpPair, c, s):
