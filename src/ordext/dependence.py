@@ -162,10 +162,18 @@ def _alog_a(w, t1, t2, s):
     return (1 - t1) * w + (1 - t2) * (1 - w) + ((t1 * w) ** s + (t2 * (1 - w)) ** s) ** (1 / s)
 
 
+def _alog_slope(w, t1, t2, s):
+    # slope of the logistic part, (t1 p^(s-1) - t2 q^(s-1)) (p^s + q^s)^(1/s-1)
+    # with p = t1 w, q = t2 (1-w): order 0 in (p, q), so both are divided
+    # by the larger one first, and no power underflows where p^s or q^s would
+    p, q = t1 * w, t2 * (1 - w)
+    top = np.maximum(p, q)
+    p, q = p / top, q / top
+    return (t1 * p ** (s - 1) - t2 * q ** (s - 1)) * (p ** s + q ** s) ** (1 / s - 1)
+
+
 def _alog_a_prime(w, t1, t2, s):
-    u = (t1 * w) ** s + (t2 * (1 - w)) ** s
-    pw = t1 ** s * w ** (s - 1) - t2 ** s * (1 - w) ** (s - 1)
-    return (1 - t1) - (1 - t2) + pw * u ** (1 / s - 1)
+    return t2 - t1 + _alog_slope(w, t1, t2, s)
 
 
 def _alog_h(w, t1, t2, s):
@@ -176,9 +184,7 @@ def _alog_h(w, t1, t2, s):
 
 
 def _alog_H(w, t1, t2, s):
-    u = t1 ** s * w ** s + t2 ** s * (1 - w) ** s
-    pw = t1 ** s * w ** (s - 1) - t2 ** s * (1 - w) ** (s - 1)
-    return 1 - t1 + t2 + pw * u ** (1 / s - 1)
+    return 1 - t1 + t2 + _alog_slope(w, t1, t2, s)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,10 @@ BOUNDARY_MARGIN = 1e-3          # least gap between y-fractions and c
 TREND_MAX_ITER = 50             # Newton steps per trend stage
 SCALAR_MAX_ITER = 60            # L-BFGS-B iterations per scalar start
 SQUAREM_TRIES = 3               # SQUAREM step lengths tried per cycle
+# why a likelihood evaluation is -inf: bad scalars or an observation off
+# a margin's support; c >= 1/2; a y-fraction within BOUNDARY_MARGIN of c;
+# a log density that is not finite
+INFEASIBLE_REASONS = ("support", "boundary", "ordering", "density")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,9 @@ class FitResult:
     loglik: float
     converged: bool
     message: str = ""
-    # maps, extrapolations_tried, extrapolations_accepted, rescued
+    # maps, extrapolations_tried, extrapolations_accepted, rescued;
+    # evaluations (likelihood calls) and infeasible (the -inf ones, by
+    # reason, see INFEASIBLE_REASONS)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -397,7 +403,7 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
     count = np.searchsorted(-grid, -np.maximum(floor, lo_cap))
     count = count + at(count)[1]
     last = count - 1 - ~at(count - 1)[1]
-    # D is monotone along a row, so its minimum over the row's defined
+    # D is monotone along a row, so its minimum over the row's valid
     # points sits at one of their two ends
     d, ok = at(np.stack([np.zeros_like(last), last]))
     if not np.any(ok):
@@ -441,35 +447,37 @@ class _RestrictedLikelihood:
         self.lam_y = lam_y
         self.data_lo = float(min(np.min(self.x), np.min(self.y)))
         self.data_hi = float(max(np.max(self.x), np.max(self.y)))
+        # terms calls, and their -inf returns by reason
+        self.evaluations = 0
+        self.infeasible = dict.fromkeys(INFEASIBLE_REASONS, 0)
 
     def terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
         """Per-observation log density; -inf entries flag zero-mass points.
 
         grad=True also returns the gradient of their sum (None when a
-        term is -inf).
+        term is -inf).  Each call is counted, and each -inf return under
+        its reason in INFEASIBLE_REASONS.
         """
-        bad = np.full(len(self.x), -np.inf)
-        if grad:
-            bad = (bad, None)
+        self.evaluations += 1
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
-            return bad
+            return self._infeasible("support", grad)
         log_ex, log_ey = self.log_scales(g_x, g_y, sig_x, sig_y, xi)
         if not (np.all(np.isfinite(log_ex)) and np.all(np.isfinite(log_ey))):
-            return bad
+            return self._infeasible("support", grad)
         c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
         if grad:
             c, dc = c
         if c >= 0.5:
-            return bad
+            return self._infeasible("boundary", grad)
         if np.any(_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN):
-            return bad
+            return self._infeasible("ordering", grad)
         with np.errstate(all="ignore"):
             ex, ey = np.exp(log_ex), np.exp(log_ey)
             dens = _log_density(ex, ey, c, s, grad=grad)
         if grad:
             dens, (f_x, f_y, f_c, f_s) = dens
         if not np.all(np.isfinite(dens)):
-            return bad
+            return self._infeasible("density", grad)
         t = (dens + (1.0 + xi) * (log_ex + log_ey)
              - math.log(sig_x) - math.log(sig_y))
         if not grad:
@@ -488,6 +496,11 @@ class _RestrictedLikelihood:
             np.sum(wy * dy_sig) - n / sig_y,
             np.sum(wx * dx_xi + wy * dy_xi + log_ex + log_ey),
         ]) + np.sum(f_c) * np.concatenate(([0.0], dc))
+
+    def _infeasible(self, reason, grad):
+        self.infeasible[reason] += 1
+        bad = np.full(len(self.x), -np.inf)
+        return (bad, None) if grad else bad
 
     def penalty(self, g_x, g_y):
         return self.lam_x * roughness(g_x) + self.lam_y * roughness(g_y)
@@ -795,6 +808,8 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                       "with care", RuntimeWarning, stacklevel=2)
 
     g_x, g_y, sig_x, sig_y, xi, s = state
+    diagnostics["evaluations"] = lik.evaluations
+    diagnostics["infeasible"] = dict(lik.infeasible)
     c_hat = lik.boundary(*state[:5])
     # smallest y-fraction of the data on the fitted exponential scale
     c_pick = float(np.min(_y_fraction(*lik.log_scales(*state[:5]))))

@@ -222,6 +222,20 @@ def test_measure_function_equals_slope_plus_one():
                 (type(m).__name__, m.params, w)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [48.0, 60.0])
+def test_measure_function_finite_where_powers_underflow(s):
+    # c within 1e-7 of 1/2: (1 - 2c)^s underflows at these s
+    c = 0.4999999
+    m = make_model("restricted", c=c, s=s)
+    w = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201),
+                                  c + np.logspace(-12, -6, 25), [c]]))
+    values = m.H(w)
+    assert np.all(np.isfinite(values))
+    assert np.all(np.diff(values) >= 0.0)
+    assert m.H(1.0) == 2.0
+
+
 def test_density_is_second_derivative():
     for m in ALL_FAMILY_CASES:
         if m.params.s == 1.0:

@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -14,7 +15,9 @@ from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
                     fit_restricted, make_model, pickands_curve,
                     pickands_modified, pickands_raw, run_study, sample_pairs,
                     trend_penalized)
-from ordext.estimation import ridge_trend, roughness
+from ordext.estimation import (BOUNDARY_GRID, INFEASIBLE_REASONS,
+                               _trial_boundary, ridge_trend, roughness)
+from ordext.margins import log_exp_scale_grad
 
 
 def test_pickands_raw_basics():
@@ -218,6 +221,100 @@ def test_fit_is_invariant_to_row_order(rows):
         assert np.array_equal(getattr(refit, name), getattr(fit, name)), name
 
 
+def boundary_grid_d(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
+    """The xi <= 0 search of _trial_boundary as an n x n_grid broadcast:
+    the grid, D at every (row, grid point), where both margins are defined
+    there, and dc at a point (i, j).  grid is None when no point is left
+    above the lower cap."""
+    span = max(data_hi - data_lo, 1e-6)
+    offsets = np.logspace(math.log10(span * 1e-6), math.log10(11.0 * span),
+                          n_grid)
+    grid = data_hi - offsets
+    if xi < 0.0:
+        with np.errstate(over="ignore"):
+            lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
+                max(sig_x, sig_y) / xi
+        grid = grid[grid > lo_cap]
+        if grid.size == 0:
+            return None, None, None, None
+    bx = 1.0 - xi * (grid[None, :] - mu_x[:, None]) / sig_x
+    by = 1.0 - xi * (grid[None, :] - mu_y[:, None]) / sig_y
+    ok = (bx > 0.0) & (by > 0.0)
+    with np.errstate(all="ignore"):
+        if abs(xi) < 1e-8:
+            d = np.exp((grid[None, :] - mu_x[:, None]) / sig_x
+                       - (grid[None, :] - mu_y[:, None]) / sig_y)
+        else:
+            d = (by / bx) ** (1.0 / xi)
+
+    def dc_at(i, j):
+        c = 1.0 / (1.0 + float(d[i, j]))
+        dx_sig, dx_xi = log_exp_scale_grad(grid[j], mu_x[i], sig_x, xi)
+        dy_sig, dy_xi = log_exp_scale_grad(grid[j], mu_y[i], sig_y, xi)
+        return -c * (1.0 - c) * np.array([float(dx_sig), -float(dy_sig),
+                                          float(dx_xi - dy_xi)])
+
+    return grid, np.where(ok, d, np.inf), ok, dc_at
+
+
+@st.composite
+def boundary_inputs(draw):
+    """Trend rows, scales, a shape xi <= 0 and a data range; rows far
+    above the data have no valid grid point."""
+    n = draw(st.integers(1, 12))
+    rows = st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)
+    mu_x = np.array(draw(rows))
+    mu_y = mu_x + np.array(draw(st.lists(st.floats(-2.0, 10.0), min_size=n,
+                                         max_size=n)))
+    xi = draw(st.one_of(st.floats(-0.45, 0.0), st.floats(-1e-8, 0.0)))
+    lo = draw(st.floats(-30.0, 30.0))
+    return (mu_x, mu_y, draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)),
+            xi, lo, lo + draw(st.floats(0.0, 40.0)))
+
+
+@settings(max_examples=300)
+@given(boundary_inputs())
+@example((np.array([25.0, 30.0]), np.array([26.0, 31.0]), 1.0, 1.0, -0.4,
+          -5.0, 5.0))                                   # no valid row: c = 1
+@example((np.array([0.0, 25.0]), np.array([1.0, 26.0]), 2.0, 1.0, -0.3,
+          -5.0, 5.0))                                   # one row without
+@example((np.array([0.0, 1.0]), np.array([2.0, 2.5]), 2.0, 1.0, 0.0,
+          -5.0, 5.0))                                   # xi = 0
+# the x threshold falls on grid point 112 (105), yet rounding leaves b_x
+# positive (zero) there: one point more (less) than the threshold gives
+@example((np.array([-2.874767572742715]), np.array([-1.874767572742715]),
+          1.0, 2.0, -0.3, 0.0, 10.0))
+@example((np.array([13.368315241542923]), np.array([14.368315241542923]),
+          1.0, 2.0, -0.1, 0.0, 10.0))
+def test_boundary_row_ends_match_grid(inputs):
+    c, dc = _trial_boundary(*inputs, BOUNDARY_GRID, grad=True)
+    assert _trial_boundary(*inputs, BOUNDARY_GRID) == c
+    grid, d, ok, dc_at = boundary_grid_d(*inputs, BOUNDARY_GRID)
+    if grid is None or not np.any(ok):
+        assert c == 1.0 and np.array_equal(dc, np.zeros(3))
+        return
+    # each row's valid points are a prefix of the grid, in floating point
+    count = np.sum(ok, axis=1)
+    assert np.array_equal(ok, np.arange(grid.size) < count[:, None])
+    # c and dc come from the least D over the ends of those prefixes,
+    # first row first and first end first, as the grid's argmin orders
+    rows = np.flatnonzero(count)
+    ends = np.stack([np.zeros_like(rows), count[rows] - 1], axis=1)
+    k = int(np.argmin(d[rows[:, None], ends]))
+    i, j = rows[k // 2], ends.flat[k]
+    assert c == 1.0 / (1.0 + float(d[i, j]))
+    assert np.array_equal(dc, dc_at(i, j))
+    # so c is never above the full grid's; they agree bit for bit when D
+    # is monotone along every row in floating point, not only in exact
+    # arithmetic, which the rounding of a nearly flat row can break
+    c_grid = 1.0 / (1.0 + float(np.min(d)))
+    assert c <= c_grid
+    with np.errstate(invalid="ignore"):     # inf - inf where D overflows
+        steps = [np.diff(d[r, :count[r]]) for r in rows]
+    if all(np.all(step >= 0.0) or np.all(step <= 0.0) for step in steps):
+        assert c == c_grid
+
+
 DEEP = FitConfig(max_outer=200, outer_tol=1e-13)
 
 
@@ -320,6 +417,8 @@ def test_fit_counts_maps_within_the_cap(max_outer):
     diag = fit.diagnostics
     assert diag["maps"] <= max_outer
     assert diag["extrapolations_accepted"] <= diag["extrapolations_tried"]
+    assert set(diag["infeasible"]) == set(INFEASIBLE_REASONS)
+    assert 0 < sum(diag["infeasible"].values()) <= diag["evaluations"]
     steps = [r["iteration"] for r in fit.trace]
     assert steps[0] == 0 and steps[-1] <= diag["maps"]
     assert all(a < b for a, b in zip(steps, steps[1:]))

@@ -9,7 +9,7 @@ from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
                     joint_log_density_gevm, joint_survival_gevm, make_model,
                     v_closed, v_frechet, v_from_a, v_numeric, v_partials)
 from ordext.margins import exp_scale, exp_scale_inverse
-from ordext.measure import _diag_ratio
+from ordext.measure import _diag_ratio, _log_density, _v_closed, _v_partials
 
 # (sqrt(0.5) + 0.25) / 0.75, the closed form at c = 0.25, s = 2, x = y = 1
 V_UNIT_POINT = 1.2761423749153967
@@ -260,3 +260,62 @@ def test_c_from_margins_empty_domain():
     with pytest.raises(DomainError):
         c_from_margins(GevmParams(0.0, 1.0, 0.2), GevmParams(0.0, 1.0, 0.2),
                        x_lo=100.0, x_hi=90.0)
+
+
+def _log_density_mp(x, y, c, s):
+    """-V + log(V_x V_y - V_xy) by the plain-power closed forms, in mpmath;
+    at 400 digits their cancellation (V_x loses about as many digits as
+    b^s has) costs nothing."""
+    mpmath = pytest.importorskip("mpmath")
+    k = 1 - 2 * c
+    r = (1 - c) * y - c * x
+    big_l = (r ** s + (k * x) ** s) ** (1 / s)
+    v = (big_l + c * x) / (1 - c)
+    vx = (c + (k ** s * x ** (s - 1) - c * r ** (s - 1)) * big_l ** (1 - s)) \
+        / (1 - c)
+    vy = r ** (s - 1) * big_l ** (1 - s)
+    vxy = -(s - 1) * (1 - c) * k ** s * x ** (s - 1) * y * r ** (s - 2) \
+        * big_l ** (1 - 2 * s)
+    return -v + mpmath.log(vx * vy - vxy)
+
+
+# where the plain-power path (_v_closed, _v_partials) is not finite
+POWER_PATH_FAILS = [
+    (0.0006925221718046942, 0.0007133784731799096, 0.20742995999656208,
+     51.151063177159095),
+    (0.1818665532400105, 1.0194479071169782, 0.09969306793131331,
+     44.31109287555179),
+    (0.0025524507603163545, 0.013307396142552072, 0.4190612174006644,
+     15.359978541579505),
+]
+
+
+def test_log_density_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    points = list(POWER_PATH_FAILS)
+    while len(points) < 60:
+        c = rng.uniform(0.0, 0.49)
+        s = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(59.0))
+        total = 10.0 ** rng.uniform(-3.0, 1.0)
+        frac = c + 1e-3 + (1.0 - c - 1e-3) * rng.uniform() ** 2
+        points.append((total * (1.0 - frac), total * frac, c, s))
+    x, y, c, s = (np.array(col) for col in zip(*points))
+    for point in POWER_PATH_FAILS:
+        with np.errstate(all="ignore"):
+            vx, vy, vxy = _v_partials(*point)
+            assert not np.isfinite(-_v_closed(*point) + np.log(vx * vy - vxy))
+    value, partials = _log_density(x, y, c, s, grad=True)
+    assert np.array_equal(_log_density(x, y, c, s), value)
+    step = mpmath.mpf(10) ** -150
+    with mpmath.workdps(400):
+        for k, point in enumerate(points):
+            args = [mpmath.mpf(v) for v in point]
+            want = _log_density_mp(*args)
+            assert abs(value[k] - want) <= 1e-12 * abs(want), point
+            for m, got in enumerate(partials):
+                up, dn = list(args), list(args)
+                up[m] += step
+                dn[m] -= step
+                want = (_log_density_mp(*up) - _log_density_mp(*dn)) / (2 * step)
+                assert abs(got[k] - want) <= 1e-12 * abs(want), (point, m)

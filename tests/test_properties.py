@@ -1,8 +1,10 @@
-"""Property tests of the restricted / upper / interval family, its
-sampler, the quadrature oracle for V, and the fit files.
+"""Property tests of the restricted / upper / interval family and the
+asymmetric logistic, the sampler, the quadrature oracle for V, and the
+fit files.
 
-All three families are one class on (c1, c2, s); the properties below are
-those of any dependence function, checked over random parameters.
+The first three families are one class on (c1, c2, s); the properties
+below are those of any dependence function, checked over random
+parameters.
 """
 
 import tempfile
@@ -39,9 +41,12 @@ def family_models(strength):
 
 
 families = family_models(st.floats(1.0, 8.0))
+asymmetric = st.builds(
+    lambda t1, t2, s: make_model("asymmetric", theta1=t1, theta2=t2, s=s),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 8.0))
 
 
-@given(families)
+@given(st.one_of(families, asymmetric))
 def test_endpoints_and_envelope(model):
     a = model.a(GRID)
     assert abs(a[0] - 1.0) <= 1e-12 and abs(a[-1] - 1.0) <= 1e-12
@@ -49,13 +54,13 @@ def test_endpoints_and_envelope(model):
     assert np.all(a <= 1.0 + 1e-12)
 
 
-@given(families)
+@given(st.one_of(families, asymmetric))
 def test_discrete_convexity(model):
     a = model.a(GRID)
     assert np.min(a[:-2] + a[2:] - 2.0 * a[1:-1]) >= -1e-12
 
 
-@given(families)
+@given(st.one_of(families, asymmetric))
 def test_measure_function_is_slope_plus_one(model):
     kinks = np.array(sorted({q for q, _ in model.point_masses()}
                             | set(model.support())))
@@ -67,6 +72,9 @@ def test_measure_function_is_slope_plus_one(model):
 
 @given(families)
 def test_validator_passes(model):
+    # restricted, upper and interval only: for the asymmetric family the
+    # validator's quadrature raises where a weight below ~1e-4 puts the
+    # logistic part's turnover at an end of [0, 1] (CHANGES.md FOUND line)
     report = validate_dependence(model)
     assert report.passed, report.lines()
 
@@ -144,11 +152,6 @@ def test_v_numeric_matches_mpmath_or_raises(point):
     exact = _v_restricted_mp(x, y, c, s)
     # a NaN fails this comparison too
     assert abs(value - exact) <= 1e-9 * exact
-
-
-asymmetric = st.builds(
-    lambda t1, t2, s: make_model("asymmetric", theta1=t1, theta2=t2, s=s),
-    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 8.0))
 
 
 @given(st.one_of(families, asymmetric), log_uniform, log_uniform)
