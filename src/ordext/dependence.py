@@ -169,7 +169,8 @@ def _alog_slope(w, t1, t2, s):
     p, q = t1 * w, t2 * (1 - w)
     top = np.maximum(p, q)
     p, q = p / top, q / top
-    return (t1 * p ** (s - 1) - t2 * q ** (s - 1)) * (p ** s + q ** s) ** (1 / s - 1)
+    ps, qs = p ** (s - 1), q ** (s - 1)
+    return (t1 * ps - t2 * qs) * (ps * p + qs * q) ** (1 / s - 1)
 
 
 def _alog_a_prime(w, t1, t2, s):

@@ -61,6 +61,9 @@ def test_discrete_convexity(model):
 
 
 @given(st.one_of(families, asymmetric))
+# (t1 w)^s and (t2 (1-w))^s underflow here, and A' and H must not be NaN
+@example(make_model("asymmetric", theta1=4.572722852828314e-135,
+                    theta2=3.2379672326296473e-195, s=3.0))
 def test_measure_function_is_slope_plus_one(model):
     kinks = np.array(sorted({q for q, _ in model.point_masses()}
                             | set(model.support())))
