@@ -280,8 +280,10 @@ def boundary_inputs(draw):
           -5.0, 5.0))                                   # one row without
 @example((np.array([0.0, 1.0]), np.array([2.0, 2.5]), 2.0, 1.0, 0.0,
           -5.0, 5.0))                                   # xi = 0
-# the x threshold falls on grid point 112 (105), yet rounding leaves b_x
-# positive (zero) there: one point more (less) than the threshold gives
+# rounding against the threshold: in the first, grid point 112 equals the
+# x threshold, yet b_x rounds positive there (one valid point more than
+# the threshold gives); in the second, grid point 105 lies just above it,
+# yet b_x rounds to zero (one point less)
 @example((np.array([-2.874767572742715]), np.array([-1.874767572742715]),
           1.0, 2.0, -0.3, 0.0, 10.0))
 @example((np.array([13.368315241542923]), np.array([14.368315241542923]),
