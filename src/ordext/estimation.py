@@ -14,8 +14,9 @@ sigma_y, xi), reparametrised as (log(s-1), log sigma_x, log sigma_y, xi)
 so the constraints s > 1 and sigma > 0 hold by construction.  L-BFGS-B
 gets the exact gradient of its objective, by the chain rule through
 measure._log_density (the log density and its x, y, c, s partials),
-margins.log_exp_scale_grad (the transform in sigma, xi) and
-_trial_boundary's dc; the infeasible wall is piecewise linear and has
+margins.log_exp_scale_grad (the transform in sigma, xi) and the
+boundary constant's dc (measure.boundary_constant, over the window
+_trial_boundary picks); the infeasible wall is piecewise linear and has
 its exact gradient too, so no finite difference is taken.  The first
 scalar stage also tries six jittered starts, and a stall triggers one
 more multi-start pass before the fit is declared converged; both pay for
@@ -56,12 +57,12 @@ from .errors import InputError, NumericError, ParameterError
 from .margins import log_exp_scale, log_exp_scale_grad
 # _v_closed and _v_partials are not used here; they are imported because
 # benchmarks/tracer.py patches them on this module
-from .measure import _log_density, _v_closed, _v_partials  # noqa: F401
+from .measure import (_log_density, _v_closed, _v_partials,  # noqa: F401
+                      boundary_constant)
 from .series import BivariateSeries
 
 # fixed settings of fit_restricted
 XI_BOUNDS = (-0.45, 0.95)       # box for the shared shape xi
-BOUNDARY_GRID = 128             # grid points of the xi <= 0 boundary search
 BOUNDARY_MARGIN = 1e-3          # least gap between y-fractions and c
 TREND_MAX_ITER = 50             # Newton steps per trend stage
 SCALAR_MAX_ITER = 60            # L-BFGS-B iterations per scalar start
@@ -334,91 +335,18 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid,
+def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi,
                     grad=False):
-    """Boundary constant for trial margins: 1/(1 + inf D(x, x)).
-
-    With a shared shape, D(x, x) = (b_y/b_x)^(1/xi) for each row is a
-    Moebius function of x raised to 1/xi, monotone where both margins are
-    defined.  So for xi > 0 the infimum is exact: the lower tail gives
-    (sigma_x/sigma_y)^(1/xi), and a crossing of upper support endpoints
-    sends D to zero (ordering impossible, returned as 1).  For xi <= 0 it
-    is the minimum over a log-spaced grid spanning the data range extended
-    toward the lower tail, taken at the two ends of each row's valid part
-    of the grid: O(n).  Kept apart from measure.c_from_margins, which
-    takes one scalar location per margin rather than a trend vector.
-
-    grad=True returns (c, dc) with dc = dc/d(sigma_x, sigma_y, xi): for
-    xi > 0 from the closed form, dc = -c (1-c) d log D; for xi <= 0 the
-    derivative of D at the argmin; zero where c is a constant.
+    """measure.boundary_constant over the whole line for xi > 0, and for
+    xi <= 0 over [data_hi - 11 span, data_hi - 1e-6 span]: there the
+    whole support mostly gives c >= 1/2, as D falls to 0 at X's lower
+    endpoint when that lies above Y's, and otherwise toward its x -> inf
+    limit (sigma_x/sigma_y)^(1/xi), below 1 whenever sigma_x > sigma_y.
     """
-    def const(c):
-        return (c, np.zeros(3)) if grad else c
-
-    # a subnormal xi overflows sigma / xi to +-inf; the tests below still
-    # read right there (crossing iff sigma_x > sigma_y, else c = 1)
-    if xi > 0.0:
-        with np.errstate(over="ignore"):
-            if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
-                return const(1.0)
-            log_d = math.log(sig_x / sig_y) / xi
-        if log_d > 700.0:
-            return const(0.0)
-        c = 1.0 / (1.0 + math.exp(log_d))
-        if not grad:
-            return c
-        return c, -c * (1.0 - c) * np.array([1.0 / sig_x, -1.0 / sig_y,
-                                             -log_d]) / xi
     span = max(data_hi - data_lo, 1e-6)
-    offsets = np.logspace(math.log10(span * 1e-6), math.log10(11.0 * span),
-                          n_grid)
-    # falling, so -grid is sorted; the two nan columns past its end (also
-    # columns -2 and -1) hold no valid point
-    grid = np.append(data_hi - offsets, [np.nan, np.nan])
-    lo_cap = floor = -np.inf
-    if xi < 0.0:
-        with np.errstate(over="ignore"):
-            lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
-                max(sig_x, sig_y) / xi
-            # both of row i's margins are defined above floor[i]
-            floor = np.maximum(mu_x + sig_x / xi, mu_y + sig_y / xi)
-
-    def at(cols):
-        # D at grid[cols[..., i]] for each row i, inf where the point is
-        # not valid (below lo_cap or off a margin's support); and validity
-        g = grid[cols]
-        bx = 1.0 - xi * (g - mu_x) / sig_x
-        by = 1.0 - xi * (g - mu_y) / sig_y
-        ok = (bx > 0.0) & (by > 0.0) & (g > lo_cap)
-        with np.errstate(all="ignore"):
-            if abs(xi) < 1e-8:
-                d = np.exp((g - mu_x) / sig_x - (g - mu_y) / sig_y)
-            else:
-                d = (by / bx) ** (1.0 / xi)
-        return np.where(ok, d, np.inf), ok
-
-    # b_x and b_y fall along the grid in floating point too, so each row's
-    # valid points are a prefix of it.  Count them from the row's
-    # threshold; rounding may admit one more point or drop the last one.
-    count = np.searchsorted(-grid, -np.maximum(floor, lo_cap))
-    count = count + at(count)[1]
-    last = count - 1 - ~at(count - 1)[1]
-    # D is monotone along a row, so its minimum over the row's valid
-    # points sits at one of their two ends
-    d, ok = at(np.stack([np.zeros_like(last), last]))
-    if not np.any(ok):
-        return const(1.0)
-    if not grad:
-        return 1.0 / (1.0 + float(np.min(d)))
-    # row by row, first end first: the grid's own argmin order
-    i, end = np.unravel_index(np.argmin(d.T), d.T.shape)
-    j = last[i] if end else 0
-    c = 1.0 / (1.0 + float(d[end, i]))
-    # log D = log e_x - log e_y at the argmin
-    dx_sig, dx_xi = log_exp_scale_grad(grid[j], mu_x[i], sig_x, xi)
-    dy_sig, dy_xi = log_exp_scale_grad(grid[j], mu_y[i], sig_y, xi)
-    return c, -c * (1.0 - c) * np.array([float(dx_sig), -float(dy_sig),
-                                         float(dx_xi - dy_xi)])
+    lo, hi = (-math.inf, math.inf) if xi > 0.0 else \
+        (data_hi - 11.0 * span, data_hi - 1e-6 * span)
+    return boundary_constant(mu_x, mu_y, sig_x, sig_y, xi, lo, hi, grad)
 
 
 def _y_fraction(log_ex, log_ey):
@@ -560,7 +488,7 @@ class _RestrictedLikelihood:
 
     def boundary(self, g_x, g_y, sig_x, sig_y, xi, grad=False):
         return _trial_boundary(g_x, g_y, sig_x, sig_y, xi, self.data_lo,
-                               self.data_hi, BOUNDARY_GRID, grad=grad)
+                               self.data_hi, grad=grad)
 
     def log_scales(self, g_x, g_y, sig_x, sig_y, xi):
         """log of the data on the trial exponential scales (nan or inf

@@ -31,7 +31,7 @@ from .dependence import (DependenceModel, RestrictedLogisticParams,
                          _integrate_dH)
 from .errors import BoundaryError, DomainError
 from .margins import (GevmParams, exp_scale, exp_scale_log_jacobian,
-                      log_exp_scale)
+                      log_exp_scale, log_exp_scale_grad)
 
 V_QUAD_TOL = 1e-10
 
@@ -64,56 +64,19 @@ class FrechetPair:
 # restricted-family closed forms (array-friendly internals + scalar API)
 # ---------------------------------------------------------------------------
 
-def _v_closed(x, y, c, s):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    frac = y / (x + y)
-    K = 1.0 - 2.0 * c
-    R = np.maximum((1.0 - c) * y - c * x, 0.0)
-    branch2 = ((R ** s + K ** s * x ** s) ** (1.0 / s) + c * x) / (1.0 - c)
-    return np.where(frac <= c, x, branch2)
-
-
-def _v_partials(x, y, c, s):
-    """(dV/dx, dV/dy, d2V/dxdy) for the restricted family, branch-aware."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    frac = y / (x + y)
-    K = 1.0 - 2.0 * c
-    R = np.maximum((1.0 - c) * y - c * x, 0.0)
-    with np.errstate(all="ignore"):
-        L = (R ** s + K ** s * x ** s) ** (1.0 / s)
-        vx2 = (c + (K ** s * x ** (s - 1.0) - c * R ** (s - 1.0)) * L ** (1.0 - s)) / (1.0 - c)
-        vy2 = R ** (s - 1.0) * L ** (1.0 - s)
-        vxy2 = -(s - 1.0) * (1.0 - c) * K ** s * x ** (s - 1.0) * y \
-            * R ** (s - 2.0) * L ** (1.0 - 2.0 * s)
-    in1 = frac <= c
-    vx = np.where(in1, 1.0, vx2)
-    vy = np.where(in1, 0.0, vy2)
-    vxy = np.where(in1, 0.0, vxy2)
-    return vx, vy, vxy
-
-
-def _log_density(x, y, c, s, grad=False):
-    """-V + log(V_x V_y - V_xy), the restricted log density on exponential
-    margins, and with grad=True also its partials (d/dx, d/dy, d/dc, d/ds).
-
-    Valid where the density is positive: y/(x+y) > c, c < 1/2, s > 1.
-    With L = (R^s + (Kx)^s)^(1/s), a = R/L and b = Kx/L (u = a^s and
-    v = b^s sum to 1), the closed forms above read V = (L + cx)/(1-c),
-    V_x = (c + K b^(s-1) - c a^(s-1))/(1-c), V_y = a^(s-1) and
-    -V_xy = a^(s-1) q with q = (s-1)(1-c) K b^(s-1) y / (R L), so the log
-    density is -V + (s-1) log a + log(V_x + q).  Along x, y or c,
-    d log a = v D and d log b = -u D with D = d log R - d log Kx, so each
-    partial is alpha D plus the terms where x, y or c appear outside R and
-    Kx; the s partial adds the explicit exponents.
+def _closed_form_parts(x, y, c, s):
+    """(L, log a, V_x, q, K, R, log b, b^(s-1), 1 - a^(s-1)) at y/(x+y) > c,
+    the second branch of the closed form in log form, for V, its partials
+    and the log density: with L = (R^s + (Kx)^s)^(1/s), a = R/L, b = Kx/L,
+    V = (L + cx)/(1-c), V_y = a^(s-1) and -V_xy = a^(s-1) q.
     """
     K = 1.0 - 2.0 * c
-    R = (1.0 - c) * y - c * x
+    # clamped at 0 for a point that rounds onto the boundary, where V = x
+    R = np.maximum((1.0 - c) * y - c * x, 0.0)
     kx = K * x
     # logs of a and b through log1p, relative to the larger of R and Kx:
-    # powers of R and Kx themselves underflow at large s on small data
-    # long before a^(s-1) does, and 1 - a^(s-1) in V_x cancels near a = 1
+    # powers of R, Kx and L themselves under- or overflow at large s long
+    # before a^(s-1) and b^(s-1) do
     top = np.maximum(R, kx)
     low = np.log(np.minimum(R, kx) / top)
     log_p = np.log1p(np.exp(s * low)) / s
@@ -122,9 +85,40 @@ def _log_density(x, y, c, s, grad=False):
     lb = np.where(R < kx, 0.0, low) - log_p
     eb = np.exp((s - 1.0) * lb)                 # b^(s-1)
     one_ea = -np.expm1((s - 1.0) * la)          # 1 - a^(s-1)
-    big_v = (L + c * x) / (1.0 - c)
     vx = (c * one_ea + K * eb) / (1.0 - c)
     q = (s - 1.0) * (1.0 - c) * K * eb * (y / R) / L
+    return L, la, vx, q, K, R, lb, eb, one_ea
+
+
+def _v_closed(x, y, c, s):
+    with np.errstate(all="ignore"):
+        L = _closed_form_parts(x, y, c, s)[0]
+    return np.where(y / (x + y) <= c, x, (L + c * x) / (1.0 - c))
+
+
+def _v_partials(x, y, c, s):
+    """(dV/dx, dV/dy, d2V/dxdy) for the restricted family, branch-aware."""
+    in1 = y / (x + y) <= c
+    with np.errstate(all="ignore"):
+        _L, la, vx, q = _closed_form_parts(x, y, c, s)[:4]
+        vy = np.exp((s - 1.0) * la)             # a^(s-1)
+        return (np.where(in1, 1.0, vx), np.where(in1, 0.0, vy),
+                np.where(in1, 0.0, -vy * q))
+
+
+def _log_density(x, y, c, s, grad=False):
+    """-V + log(V_x V_y - V_xy), the restricted log density on exponential
+    margins, and with grad=True also its partials (d/dx, d/dy, d/dc, d/ds).
+
+    Valid where the density is positive: y/(x+y) > c, c < 1/2, s > 1.
+    From the intermediates of _closed_form_parts the log density is
+    -V + (s-1) log a + log(V_x + q).  Along x, y or c, d log a = v D and
+    d log b = -u D with u = a^s, v = b^s and D = d log R - d log Kx, so
+    each partial is alpha D plus the terms where x, y or c appear outside
+    R and Kx; the s partial adds the explicit exponents.
+    """
+    L, la, vx, q, K, R, lb, eb, one_ea = _closed_form_parts(x, y, c, s)
+    big_v = (L + c * x) / (1.0 - c)
     dens = vx + q                               # the density over a^(s-1)
     value = -big_v + (s - 1.0) * la + np.log(dens)
     if not grad:
@@ -283,33 +277,118 @@ def _diag_ratio(x, mx: GevmParams, my: GevmParams):
     return np.where(np.isfinite(d), d, np.inf)
 
 
-def shared_shape_tail_limit(mx: GevmParams, my: GevmParams):
-    """Limit of D(x, x) as x -> -inf when both shapes are equal and > 0."""
-    if mx.xi == my.xi and mx.xi > 0.0:
-        return (mx.sigma / my.sigma) ** (1.0 / mx.xi)
-    return None
+def boundary_constant(mu_x, mu_y, sig_x, sig_y, xi, lo, hi, grad=False):
+    """c = 1/(1 + inf D(x, x)), D = e_x / e_y, for margins sharing the
+    shape xi, over [lo, hi] cut for each row of mu_x, mu_y to where both
+    of its margins are defined; grad=True adds dc/d(sigma_x, sigma_y, xi).
+
+    log D is monotone along a row, so it is taken only at the ends of each
+    row's interval: by log_exp_scale, or by its limit at an infinite end,
+    log(sigma_x/sigma_y)/xi (linear in x at xi = 0, where grad needs a
+    finite window), and at a support threshold, +-inf.  No row left gives
+    c = 1, log D > 700 c = 0.
+    """
+    def const(c):
+        return (c, np.zeros(3)) if grad else c
+
+    def at(x, rows):
+        # (least log D, its row, x) at the window end x over the mask rows
+        # (None: all rows); rows that x rounds off their support end at
+        # their threshold instead
+        if math.isinf(x):       # only at xi = 0, where log D is linear
+            slope = 1.0 / sig_x - 1.0 / sig_y
+            d = mu_y / sig_y - mu_x / sig_x + (x * slope if slope else 0.0)
+        else:
+            d = (log_exp_scale(x, mu_x, sig_x, xi)
+                 - log_exp_scale(x, mu_y, sig_y, xi))
+        if rows is not None:
+            off[rows & np.isnan(d)] = True
+            d = np.where(rows & ~off, d, np.inf)
+        i = int(np.argmin(d))
+        return float(d[i]), i, x
+
+    mu_x, mu_y = np.atleast_1d(mu_x), np.atleast_1d(mu_y)
+    with np.errstate(all="ignore"):
+        if xi == 0.0:
+            found = [at(lo, None), at(hi, None)]
+        else:
+            tail = math.log(sig_x / sig_y) / xi
+            # rows whose interval is not empty, and rows whose interval
+            # ends at their threshold t, above for xi > 0 and below for
+            # xi < 0; None for all rows, as an infinite window end has
+            # every t inside
+            live = cut = None
+            if math.isfinite(lo) or math.isfinite(hi):
+                t = (np.minimum if xi > 0.0 else np.maximum)(
+                    mu_x + sig_x / xi, mu_y + sig_y / xi)
+                live, cut = (t > lo, t <= hi) if xi > 0.0 else \
+                    (t < hi, t >= lo)
+                if not np.any(live):
+                    return const(1.0)
+                off = np.zeros(mu_x.shape, dtype=bool)
+            free, edge = (lo, hi) if xi > 0.0 else (hi, lo)
+            found = [(tail, 0, free) if math.isinf(free) else at(free, live)]
+            if math.isfinite(edge):
+                found.append(at(edge, live & ~cut))
+            # at t, D -> inf where X's threshold lies below Y's and D -> 0
+            # where above; where they coincide D is constant along the row.
+            # dt is their difference, signed right even where a subnormal
+            # xi sends sigma / xi to +-inf
+            dt = (mu_x - mu_y) + (sig_x - sig_y) / xi
+            at_t = dt if cut is None else dt[live & (cut | off)]
+            top = at_t.max() if at_t.size else -math.inf
+            found.append((-math.inf if top > 0.0 else tail if top == 0.0
+                          else math.inf, 0, None))
+    value, i, x = min(found, key=lambda f: f[0])
+    if not -math.inf < value <= 700.0:  # D = 0, or too large for exp
+        return const(1.0 if value < 0.0 else 0.0)
+    c = 1.0 / (1.0 + math.exp(value))
+    if not grad:
+        return c
+    if x is None or math.isinf(x):
+        # the infinite end's limit, or a row where it holds throughout
+        return c, -c * (1.0 - c) * np.array([1.0 / sig_x, -1.0 / sig_y,
+                                             -value]) / xi
+    dx_sig, dx_xi = log_exp_scale_grad(x, mu_x[i], sig_x, xi)
+    dy_sig, dy_xi = log_exp_scale_grad(x, mu_y[i], sig_y, xi)
+    return c, -c * (1.0 - c) * np.array([float(dx_sig), -float(dy_sig),
+                                         float(dx_xi - dy_xi)])
 
 
-def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=None, x_hi=None,
-                   n_grid=512):
-    """Ordering boundary c = 1/(1 + d), d = min of D(x, x) over the domain.
-
-    Searches a log-spaced grid running from just below the joint upper
-    support down through a range extended far into the lower tail, then
-    refines the best point by bounded scalar minimisation.  When both
-    shapes are equal and positive, the analytic x -> -inf limit
-    (sigma_x / sigma_y)^(1/xi) joins the candidate set; for the reference
-    study design it is the minimiser.
+def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=-math.inf,
+                   x_hi=math.inf):
+    """Ordering boundary c = 1/(1 + inf D(x, x)) over the part of
+    [x_lo, x_hi] where both margins are defined: boundary_constant for
+    equal shapes (1/33 for the reference design), a grid search otherwise.
 
     A result at or above 1/2 means the margins cannot support the
     ordering X < Y; it is returned with a warning.
     """
     hi_cap = min(mx.upper_endpoint(), my.upper_endpoint())
     lo_cap = max(mx.lower_endpoint(), my.lower_endpoint())
-    if x_hi is None:
+    if not max(x_lo, lo_cap) < min(x_hi, hi_cap):
+        raise DomainError("empty feasible search domain for the boundary "
+                          "constant")
+    if mx.xi == my.xi:
+        c = boundary_constant(mx.mu, my.mu, mx.sigma, my.sigma, mx.xi, x_lo,
+                              x_hi)
+    else:
+        c = 1.0 / (1.0 + _grid_min_ratio(mx, my, x_lo, x_hi, lo_cap, hi_cap))
+    if c >= 0.5:
+        warnings.warn(
+            "boundary constant at or above 1/2: margins do not support the "
+            "ordering X < Y", RuntimeWarning, stacklevel=2)
+    return c
+
+
+def _grid_min_ratio(mx, my, x_lo, x_hi, lo_cap, hi_cap):
+    """Least D(x, x) for unequal shapes, where it need not be monotone: on
+    a log-spaced grid from just below the joint upper support (x_hi if
+    finite) far into the lower tail (x_lo if finite), then refined."""
+    if not math.isfinite(x_hi):
         x_hi = hi_cap - 1e-9 * (1.0 + abs(hi_cap)) if math.isfinite(hi_cap) \
             else max(mx.mu, my.mu) + 40.0 * max(mx.sigma, my.sigma)
-    if x_lo is None:
+    if not math.isfinite(x_lo):
         base = min(mx.mu, my.mu) - 40.0 * max(mx.sigma, my.sigma)
         x_lo = base - 10.0 * (x_hi - base)
     x_lo = max(x_lo, lo_cap + 1e-9 * (1.0 + abs(lo_cap))) if math.isfinite(lo_cap) else x_lo
@@ -318,7 +397,7 @@ def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=None, x_hi=None,
 
     # log-spaced offsets below x_hi reach far into the lower tail
     span = x_hi - x_lo
-    offsets = np.logspace(math.log10(span * 1e-9), math.log10(span), n_grid)
+    offsets = np.logspace(math.log10(span * 1e-9), math.log10(span), 512)
     grid = x_hi - offsets
     dvals = _diag_ratio(grid, mx, my)
     finite = np.isfinite(dvals)
@@ -334,17 +413,4 @@ def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=None, x_hi=None,
                               options={"xatol": 1e-10 * (1.0 + abs(hi_b))})
         if res.fun < d_best:
             d_best = float(res.fun)
-
-    # the analytic limit is only a candidate when it implies a usable
-    # ordering boundary; at tail <= 1 the infimum is never attained and
-    # the finite search domain governs
-    tail = shared_shape_tail_limit(mx, my)
-    if tail is not None and tail > 1.0:
-        d_best = min(d_best, tail)
-
-    c = 1.0 / (1.0 + d_best)
-    if c >= 0.5:
-        warnings.warn(
-            "boundary constant at or above 1/2: margins do not support the "
-            "ordering X < Y", RuntimeWarning, stacklevel=2)
-    return c
+    return d_best

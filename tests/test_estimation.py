@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ordext
 from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
@@ -15,9 +15,9 @@ from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
                     fit_restricted, make_model, pickands_curve,
                     pickands_modified, pickands_raw, run_study, sample_pairs,
                     trend_penalized)
-from ordext.estimation import (BOUNDARY_GRID, INFEASIBLE_REASONS,
-                               _trial_boundary, ridge_trend, roughness)
-from ordext.margins import log_exp_scale_grad
+from ordext.estimation import (INFEASIBLE_REASONS, _trial_boundary,
+                               ridge_trend, roughness)
+from ordext.margins import log_exp_scale
 
 
 def test_pickands_raw_basics():
@@ -221,40 +221,19 @@ def test_fit_is_invariant_to_row_order(rows):
         assert np.array_equal(getattr(refit, name), getattr(fit, name)), name
 
 
-def boundary_grid_d(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi, n_grid):
-    """The xi <= 0 search of _trial_boundary as an n x n_grid broadcast:
-    the grid, D at every (row, grid point), where both margins are defined
-    there, and dc at a point (i, j).  grid is None when no point is left
-    above the lower cap."""
+def boundary_grid_d(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi):
+    """D(x, x) of every row at every point of a 128-point log-spaced grid
+    over the fit's xi <= 0 window, as an n x 128 broadcast: the grid, and
+    D where both of the row's margins are defined there, inf elsewhere."""
     span = max(data_hi - data_lo, 1e-6)
     offsets = np.logspace(math.log10(span * 1e-6), math.log10(11.0 * span),
-                          n_grid)
+                          128)
     grid = data_hi - offsets
-    if xi < 0.0:
-        with np.errstate(over="ignore"):
-            lo_cap = max(float(np.max(mu_x)), float(np.max(mu_y))) + \
-                max(sig_x, sig_y) / xi
-        grid = grid[grid > lo_cap]
-        if grid.size == 0:
-            return None, None, None, None
-    bx = 1.0 - xi * (grid[None, :] - mu_x[:, None]) / sig_x
-    by = 1.0 - xi * (grid[None, :] - mu_y[:, None]) / sig_y
-    ok = (bx > 0.0) & (by > 0.0)
+    # log1p keeps D accurate at small xi, where (b_y/b_x)^(1/xi) is not
     with np.errstate(all="ignore"):
-        if abs(xi) < 1e-8:
-            d = np.exp((grid[None, :] - mu_x[:, None]) / sig_x
-                       - (grid[None, :] - mu_y[:, None]) / sig_y)
-        else:
-            d = (by / bx) ** (1.0 / xi)
-
-    def dc_at(i, j):
-        c = 1.0 / (1.0 + float(d[i, j]))
-        dx_sig, dx_xi = log_exp_scale_grad(grid[j], mu_x[i], sig_x, xi)
-        dy_sig, dy_xi = log_exp_scale_grad(grid[j], mu_y[i], sig_y, xi)
-        return -c * (1.0 - c) * np.array([float(dx_sig), -float(dy_sig),
-                                          float(dx_xi - dy_xi)])
-
-    return grid, np.where(ok, d, np.inf), ok, dc_at
+        log_d = (log_exp_scale(grid[None, :], mu_x[:, None], sig_x, xi)
+                 - log_exp_scale(grid[None, :], mu_y[:, None], sig_y, xi))
+        return grid, np.where(np.isnan(log_d), np.inf, np.exp(log_d))
 
 
 @st.composite
@@ -280,41 +259,85 @@ def boundary_inputs(draw):
           -5.0, 5.0))                                   # one row without
 @example((np.array([0.0, 1.0]), np.array([2.0, 2.5]), 2.0, 1.0, 0.0,
           -5.0, 5.0))                                   # xi = 0
-# rounding against the threshold: in the first, grid point 112 equals the
-# x threshold, yet b_x rounds positive there (one valid point more than
-# the threshold gives); in the second, grid point 105 lies just above it,
-# yet b_x rounds to zero (one point less)
+# X's lower threshold -10/3 lies in the window, above Y's (-9): D -> 0
+@example((np.array([0.0]), np.array([1.0]), 1.0, 3.0, -0.3, -5.0, 5.0))
+# thresholds on, or within rounding of, a grid point of the oracle
 @example((np.array([-2.874767572742715]), np.array([-1.874767572742715]),
           1.0, 2.0, -0.3, 0.0, 10.0))
 @example((np.array([13.368315241542923]), np.array([14.368315241542923]),
           1.0, 2.0, -0.1, 0.0, 10.0))
+# X's threshold -105.23 just below the window's lower end -105: D > 0
+@example((np.array([-101.9]), np.array([-100.9]), 1.0, 2.0, -0.3, -5.0, 5.0))
+# X's threshold of the first row rounds just below lo = -13.85, and lo
+# rounds off X's support: D -> 0 all the same
+@example((np.array([-5.688983050847457, -10.0]),
+          np.array([-4.688983050847457, -9.0]), 0.963, 2.889, -0.118, 0.0,
+          1.385))
 def test_boundary_row_ends_match_grid(inputs):
-    c, dc = _trial_boundary(*inputs, BOUNDARY_GRID, grad=True)
-    assert _trial_boundary(*inputs, BOUNDARY_GRID) == c
-    grid, d, ok, dc_at = boundary_grid_d(*inputs, BOUNDARY_GRID)
-    if grid is None or not np.any(ok):
-        assert c == 1.0 and np.array_equal(dc, np.zeros(3))
+    mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi = inputs
+    c, dc = _trial_boundary(*inputs, grad=True)
+    assert _trial_boundary(*inputs) == c
+    if c in (0.0, 1.0):
+        assert np.array_equal(dc, np.zeros(3))
+    span = max(data_hi - data_lo, 1e-6)
+    lo, hi = data_hi - 11.0 * span, data_hi - 1e-6 * span
+    # a row whose part of the window ends at X's lower threshold, above
+    # Y's (in exact arithmetic), or at a lo that rounds off X's support,
+    # has D -> 0 there
+    x_end = False
+    if xi < 0.0:
+        t_x = mu_x + sig_x / xi
+        above = (mu_x - mu_y) + (sig_x - sig_y) / xi > 0.0
+        with np.errstate(invalid="ignore"):
+            off = np.isnan(log_exp_scale(lo, mu_x, sig_x, xi))
+        x_end = np.any(above & (t_x < hi) & ((t_x >= lo) | off))
+        if x_end:
+            assert c == 1.0
+    grid, d = boundary_grid_d(*inputs)
+    if not np.any(np.isfinite(d)):
         return
-    # each row's valid points are a prefix of the grid, in floating point
-    count = np.sum(ok, axis=1)
-    assert np.array_equal(ok, np.arange(grid.size) < count[:, None])
-    # c and dc come from the least D over the ends of those prefixes,
-    # first row first and first end first, as the grid's argmin orders
-    rows = np.flatnonzero(count)
-    ends = np.stack([np.zeros_like(rows), count[rows] - 1], axis=1)
-    k = int(np.argmin(d[rows[:, None], ends]))
-    i, j = rows[k // 2], ends.flat[k]
-    assert c == 1.0 / (1.0 + float(d[i, j]))
-    assert np.array_equal(dc, dc_at(i, j))
-    # so c is never above the full grid's; they agree bit for bit when D
-    # is monotone along every row in floating point, not only in exact
-    # arithmetic, which the rounding of a nearly flat row can break
+    # the exact infimum is never above the grid's minimum; and otherwise
+    # each row's least D is at lo or hi, the grid's last or first point
+    # (D -> inf at Y's threshold)
     c_grid = 1.0 / (1.0 + float(np.min(d)))
-    assert c <= c_grid
-    with np.errstate(invalid="ignore"):     # inf - inf where D overflows
-        steps = [np.diff(d[r, :count[r]]) for r in rows]
-    if all(np.all(step >= 0.0) or np.all(step <= 0.0) for step in steps):
-        assert c == c_grid
+    assert c >= c_grid * (1.0 - 1e-12)
+    if not x_end:
+        assert c <= c_grid + 1e-9
+
+
+def closed_form_boundary(mu_x, mu_y, sig_x, sig_y, xi):
+    """The xi > 0 branch of _trial_boundary as it was before the window
+    and the row ends served every shape: (c, dc)."""
+    with np.errstate(over="ignore"):
+        if np.any(mu_x + sig_x / xi >= mu_y + sig_y / xi):
+            return 1.0, np.zeros(3)
+        log_d = math.log(sig_x / sig_y) / xi
+    if log_d > 700.0:
+        return 0.0, np.zeros(3)
+    c = 1.0 / (1.0 + math.exp(log_d))
+    return c, -c * (1.0 - c) * np.array([1.0 / sig_x, -1.0 / sig_y,
+                                         -log_d]) / xi
+
+
+@settings(max_examples=300)
+@given(boundary_inputs(), st.one_of(st.floats(0.0, 0.95, exclude_min=True),
+                                    st.floats(0.0, 1e-8, exclude_min=True)))
+def test_boundary_positive_shape_matches_closed_form(inputs, xi):
+    mu_x, mu_y, sig_x, sig_y, _xi, data_lo, data_hi = inputs
+    with np.errstate(over="ignore"):
+        # the closed form compares the rounded upper endpoints (both inf
+        # where sigma / xi overflows) and returns c = 1 where they
+        # coincide; the row ends take the sign of their difference, and
+        # where that is 0, D is constant along the row
+        gap = (mu_x - mu_y) + (sig_x - sig_y) / xi
+        assume(np.array_equal(mu_x + sig_x / xi >= mu_y + sig_y / xi,
+                              gap >= 0.0) and np.all(gap != 0.0))
+    c, dc = _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi,
+                            grad=True)
+    assert _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo,
+                           data_hi) == c
+    c_old, dc_old = closed_form_boundary(mu_x, mu_y, sig_x, sig_y, xi)
+    assert c == c_old and np.array_equal(dc, dc_old)
 
 
 DEEP = FitConfig(max_outer=200, outer_tol=1e-13)

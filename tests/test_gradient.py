@@ -4,11 +4,11 @@ fit_restricted's L-BFGS-B stage minimises estimation._scalar_objective
 over phi = (log(s-1), log sigma_x, log sigma_y, xi) with jac=True.  These
 properties compare its gradient with five-point central differences of
 the same objective: at feasible states with xi > 0, with xi < 0 (where
-the boundary is a grid minimum) and inside the Gumbel band |xi| < 1e-8,
-and at infeasible trial points, where the objective is the graded wall.
-A stencil that straddles a kink of the objective (a switch of the grid
-argmin, a constraint that turns on) shows up as two step sizes that
-disagree, and such draws are discarded.
+the boundary is D at an end of the data window) and inside the Gumbel
+band |xi| < 1e-8, and at infeasible trial points, where the objective is
+the graded wall.  A stencil that straddles a kink of the objective (a
+switch of the row end where D is least, a constraint that turns on)
+shows up as two step sizes that disagree, and such draws are discarded.
 """
 
 import math
@@ -110,8 +110,8 @@ def check_infeasible(phi, steps):
 @given(st.floats(-3.0, math.log(60.0)), st.floats(-1.0, 3.0),
        st.floats(-1.0, 3.0), st.floats(-0.45, 0.95))
 def test_gradient_infeasible(log_s1, log_sx, log_sy, xi):
-    # the xi stencil stays on one side of xi = 0, where the boundary
-    # switches from the grid search to the closed form and the wall
+    # the xi stencil stays on one side of xi = 0, where the boundary's
+    # window switches from the data's to the whole line and the wall
     # jumps, and of the Gumbel band's edges
     edges = np.array([-XI_ZERO_TOL, 0.0, XI_ZERO_TOL])
     h_xi = min(1e-6, float(np.min(np.abs(xi - edges))) / 2.5)

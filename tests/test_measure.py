@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
                     GevmParams, NumericError, PointMassModel, c_from_margins,
@@ -245,15 +246,47 @@ def test_c_from_margins_degenerate_and_grid_cases():
     assert c == pytest.approx(0.5, abs=1e-12)
     assert any("ordering" in str(w.message) for w in caught)
 
-    # equal scales with a location gap: minimum found by the grid search
-    mx, my = GevmParams(100.0, 2.0, 0.2), GevmParams(150.0, 2.0, 0.2)
-    c = c_from_margins(mx, my, x_lo=-5000.0, x_hi=109.9)
-    assert c < 0.5
-    # grid oracle: c must match the 1/(1 + min D) of a brute-force scan
-    # over the same domain
-    grid = np.linspace(-5000.0, 109.9, 200001)
-    d_brute = float(np.min(_diag_ratio(grid, mx, my)))
-    assert c == pytest.approx(1.0 / (1.0 + d_brute), abs=1e-6)
+    # equal scales with a location gap: the minimum at an end of the
+    # window; unequal shapes: found by the grid search.  Either must match
+    # the 1/(1 + min D) of a brute-force scan over the same domain
+    for mx, my in [(GevmParams(100.0, 2.0, 0.2), GevmParams(150.0, 2.0, 0.2)),
+                   (GevmParams(100.0, 2.0, 0.2), GevmParams(150.0, 2.0, 0.15))]:
+        c = c_from_margins(mx, my, x_lo=-5000.0, x_hi=109.9)
+        assert c < 0.5
+        grid = np.linspace(-5000.0, 109.9, 200001)
+        d_brute = float(np.min(_diag_ratio(grid, mx, my)))
+        assert c == pytest.approx(1.0 / (1.0 + d_brute), abs=1e-6)
+
+    # Gumbel margins over the whole line: log D is linear in x, constant
+    # at equal scales and unbounded below otherwise
+    c = c_from_margins(GevmParams(0.0, 2.0, 0.0), GevmParams(1.0, 2.0, 0.0))
+    assert c == pytest.approx(1.0 / (1.0 + math.exp(0.5)), rel=1e-15)
+    with pytest.warns(RuntimeWarning, match="ordering"):
+        assert c_from_margins(GevmParams(0.0, 2.0, 0.0),
+                              GevmParams(1.0, 1.0, 0.0)) == 1.0
+
+
+@settings(max_examples=300)
+@given(st.floats(-20.0, 20.0), st.floats(-2.0, 10.0), st.floats(0.1, 10.0),
+       st.floats(0.1, 10.0),
+       st.one_of(st.floats(-0.45, 0.95), st.floats(-1e-8, 1e-8)),
+       st.floats(-60.0, 60.0), st.floats(1e-3, 80.0))
+def test_shared_shape_boundary_matches_dense_scan(mu_x, gap, sig_x, sig_y, xi,
+                                                  x_lo, width):
+    mx, my = GevmParams(mu_x, sig_x, xi), GevmParams(mu_x + gap, sig_y, xi)
+    x_hi = x_lo + width
+    # the window cut to the joint support
+    lo = max(x_lo, mx.lower_endpoint(), my.lower_endpoint())
+    hi = min(x_hi, mx.upper_endpoint(), my.upper_endpoint())
+    assume(lo < hi)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "boundary constant at or above")
+        c = c_from_margins(mx, my, x_lo, x_hi)
+    # log-spaced from each end of the cut window to the other
+    offsets = (hi - lo) * np.logspace(-14.0, 0.0, 2001)
+    d = _diag_ratio(np.concatenate([lo + offsets, hi - offsets]), mx, my)
+    c_scan = 1.0 / (1.0 + float(np.min(d)))
+    assert c_scan * (1.0 - 1e-12) <= c <= c_scan + 1e-9
 
 
 def test_c_from_margins_empty_domain():
@@ -262,11 +295,10 @@ def test_c_from_margins_empty_domain():
                        x_lo=100.0, x_hi=90.0)
 
 
-def _log_density_mp(x, y, c, s):
-    """-V + log(V_x V_y - V_xy) by the plain-power closed forms, in mpmath;
-    at 400 digits their cancellation (V_x loses about as many digits as
-    b^s has) costs nothing."""
-    mpmath = pytest.importorskip("mpmath")
+def _closed_form_mp(x, y, c, s):
+    """(V, V_x, V_y, V_xy) by the plain-power closed forms, in mpmath; at
+    400 digits their cancellation (V_x loses about as many digits as b^s
+    has) costs nothing."""
     k = 1 - 2 * c
     r = (1 - c) * y - c * x
     big_l = (r ** s + (k * x) ** s) ** (1 / s)
@@ -276,10 +308,17 @@ def _log_density_mp(x, y, c, s):
     vy = r ** (s - 1) * big_l ** (1 - s)
     vxy = -(s - 1) * (1 - c) * k ** s * x ** (s - 1) * y * r ** (s - 2) \
         * big_l ** (1 - 2 * s)
+    return v, vx, vy, vxy
+
+
+def _log_density_mp(x, y, c, s):
+    """-V + log(V_x V_y - V_xy) from _closed_form_mp."""
+    mpmath = pytest.importorskip("mpmath")
+    v, vx, vy, vxy = _closed_form_mp(x, y, c, s)
     return -v + mpmath.log(vx * vy - vxy)
 
 
-# where the plain-power path (_v_closed, _v_partials) is not finite
+# where the plain-power closed forms were not finite
 POWER_PATH_FAILS = [
     (0.0006925221718046942, 0.0007133784731799096, 0.20742995999656208,
      51.151063177159095),
@@ -301,16 +340,16 @@ def test_log_density_matches_high_precision():
         frac = c + 1e-3 + (1.0 - c - 1e-3) * rng.uniform() ** 2
         points.append((total * (1.0 - frac), total * frac, c, s))
     x, y, c, s = (np.array(col) for col in zip(*points))
-    for point in POWER_PATH_FAILS:
-        with np.errstate(all="ignore"):
-            vx, vy, vxy = _v_partials(*point)
-            assert not np.isfinite(-_v_closed(*point) + np.log(vx * vy - vxy))
     value, partials = _log_density(x, y, c, s, grad=True)
     assert np.array_equal(_log_density(x, y, c, s), value)
+    # the closed form's V and partials come from the same intermediates
+    closed = (_v_closed(x, y, c, s), *_v_partials(x, y, c, s))
     step = mpmath.mpf(10) ** -150
     with mpmath.workdps(400):
         for k, point in enumerate(points):
             args = [mpmath.mpf(v) for v in point]
+            for got, want in zip(closed, _closed_form_mp(*args)):
+                assert abs(got[k] - want) <= 1e-12 * abs(want), point
             want = _log_density_mp(*args)
             assert abs(value[k] - want) <= 1e-12 * abs(want), point
             for m, got in enumerate(partials):
@@ -319,3 +358,18 @@ def test_log_density_matches_high_precision():
                 dn[m] -= step
                 want = (_log_density_mp(*up) - _log_density_mp(*dn)) / (2 * step)
                 assert abs(got[k] - want) <= 1e-12 * abs(want), (point, m)
+
+
+# the plain-power closed forms gave V = 1.11e-7 and inf at these points,
+# and NaN partials at both
+@pytest.mark.parametrize("x, y, c, s", [(1e-6, 2e-6, 0.1, 60.0),
+                                        (1e8, 3e8, 0.25, 40.0)])
+def test_closed_form_at_extreme_scales(x, y, c, s):
+    mpmath = pytest.importorskip("mpmath")
+    pair = ExpPair(x, y)
+    want = v_numeric(pair, make_model("restricted", c=c, s=s))
+    assert v_closed(pair, c, s) == pytest.approx(want, rel=1e-10)
+    with mpmath.workdps(400):
+        wants = _closed_form_mp(*(mpmath.mpf(v) for v in (x, y, c, s)))[1:]
+        for got, want in zip(v_partials(pair, c, s), wants):
+            assert abs(got - want) <= 1e-12 * abs(want)
