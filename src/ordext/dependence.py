@@ -16,7 +16,8 @@ Ordering X < Y forces h(w) = 0 on [0, c] for a boundary constant c, which
 is what the restricted family encodes.
 
 Conventions: A'(w) at a kink is the right derivative (so that H stays the
-right-continuous measure function of [0, w]); H(1) is the total mass 2.
+right-continuous measure function of [0, w]); H(1) is the total mass 2,
+so A'(1) = 1.
 """
 
 from __future__ import annotations
@@ -135,14 +136,14 @@ class DependenceEval:
 
 
 def _array_method(f):
-    """Accept scalars or arrays; return float for scalar input."""
+    """Accept scalars or arrays; return floats for scalar input."""
 
     @functools.wraps(f)
     def wrapper(self, w):
         arr = np.asarray(w, dtype=float)
         scalar = arr.ndim == 0
         out = f(self, np.atleast_1d(arr))
-        return float(out[0]) if scalar else out
+        return np.asarray(out)[..., 0].tolist() if scalar else out
 
     return wrapper
 
@@ -154,38 +155,38 @@ def _check_unit_interval(w):
 
 
 # ---------------------------------------------------------------------------
-# internal: asymmetric-logistic building blocks (the affine family reuses
-# the measure function in transformed coordinates)
+# internal: the logistic kernel.  Every logistic family is an affine image
+# of the asymmetric logistic, A = (1-t1) w + (1-t2)(1-w) + L with
+# L = (p^s + q^s)^(1/s), p = t1 w, q = t2 (1-w).  L is of order 1 in
+# (p, q), its slope of order 0 and its second derivative of order -3, so
+# all of A, A', h and H are taken from p and q divided by the larger one:
+# no power underflows where p^s or q^s would (weights near 1e-135, or c
+# within 1e-7 of 1/2 at large s).
 # ---------------------------------------------------------------------------
 
-def _alog_a(w, t1, t2, s):
-    return (1 - t1) * w + (1 - t2) * (1 - w) + ((t1 * w) ** s + (t2 * (1 - w)) ** s) ** (1 / s)
+def _logistic(u, v, t1, t2, s, density=False):
+    """L = (p^s + q^s)^(1/s) at p = t1 u, q = t2 v, and its slope
+    t1 L_p - t2 L_q along u - v, both from the same three powers.
 
-
-def _alog_slope(w, t1, t2, s):
-    # slope of the logistic part, (t1 p^(s-1) - t2 q^(s-1)) (p^s + q^s)^(1/s-1)
-    # with p = t1 w, q = t2 (1-w): order 0 in (p, q), so both are divided
-    # by the larger one first, and no power underflows where p^s or q^s would
-    p, q = t1 * w, t2 * (1 - w)
+    density=True returns instead (s-1) (t1 t2)^2 (pq)^(s-2) (p^s + q^s)^(1/s-2),
+    for u, v > 0: the second derivative along u - v where u + v = 1.  L is
+    of order 1 in (u, v), the slope of order 0 and the density of order -3.
+    """
+    p, q = t1 * u, t2 * v
     top = np.maximum(p, q)
     p, q = p / top, q / top
-    ps, qs = p ** (s - 1), q ** (s - 1)
-    return (t1 * ps - t2 * qs) * (ps * p + qs * q) ** (1 / s - 1)
-
-
-def _alog_a_prime(w, t1, t2, s):
-    return t2 - t1 + _alog_slope(w, t1, t2, s)
-
-
-def _alog_h(w, t1, t2, s):
-    return (
-        (s - 1) * (t1 * t2) ** s * (w * (1 - w)) ** (s - 2)
-        * ((t1 * w) ** s + (t2 * (1 - w)) ** s) ** (1 / s - 2)
-    )
-
-
-def _alog_H(w, t1, t2, s):
-    return 1 - t1 + t2 + _alog_slope(w, t1, t2, s)
+    ps, qs = p ** (s - 1.0), q ** (s - 1.0)
+    tot = ps * p + qs * q
+    # the sampler calls this over all its pairs at every bisection step;
+    # freeing p and q here and reusing top for L lower the peak memory of
+    # each call, which is most of its cost there (~6 % at 1e5 pairs)
+    del p, q
+    r = tot ** (1.0 / s)
+    if density:
+        return ((s - 1.0) * (t1 / top) * (t2 / top) * top
+                * (ps / u) * (qs / v) * r / (tot * tot))
+    top *= r
+    return top, (t1 * ps - t2 * qs) * r / tot
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +280,10 @@ class DependenceModel:
     def a_prime(self, w):
         raise NotImplementedError
 
+    def a_and_a_prime(self, w):
+        """A(w) and A'(w) as a pair, for callers that need both."""
+        return self.a(w), self.a_prime(w)
+
     def h(self, w):
         raise NotImplementedError
 
@@ -326,7 +331,23 @@ class DependenceModel:
         )
 
 
-class AsymLogisticModel(DependenceModel):
+class _LogisticModel(DependenceModel):
+    """A family whose A and A' come from one kernel evaluation, _views."""
+
+    @_array_method
+    def a(self, w):
+        return self._views(w)[0]
+
+    @_array_method
+    def a_prime(self, w):
+        return self._views(w)[1]
+
+    @_array_method
+    def a_and_a_prime(self, w):
+        return self._views(w)
+
+
+class AsymLogisticModel(_LogisticModel):
     """Asymmetric logistic dependence.
 
     At s = 1, or when either weight vanishes, the continuous part
@@ -340,31 +361,26 @@ class AsymLogisticModel(DependenceModel):
         self.params = params
         self._degenerate = params.s == 1.0 or params.theta1 == 0.0 or params.theta2 == 0.0
 
-    @_array_method
-    def a(self, w):
+    def _views(self, w):
         p = self.params
         if self._degenerate:
-            return np.ones_like(w)
-        out = _alog_a(w, p.theta1, p.theta2, p.s)
-        out[w == 0.0] = 1.0
-        out[w == 1.0] = 1.0
-        return out
-
-    @_array_method
-    def a_prime(self, w):
-        p = self.params
-        if self._degenerate:
-            return np.zeros_like(w)
-        return _alog_a_prime(w, p.theta1, p.theta2, p.s)
+            a, ap = np.ones_like(w), np.zeros_like(w)
+        else:
+            part, slope = _logistic(w, 1.0 - w, p.theta1, p.theta2, p.s)
+            a = (1.0 - p.theta1) * w + (1.0 - p.theta2) * (1.0 - w) + part
+            a[(w == 0.0) | (w == 1.0)] = 1.0
+            ap = p.theta2 - p.theta1 + slope
+        ap[w == 1.0] = 1.0      # H(1) = 2 counts the atom at 1
+        return a, ap
 
     @_array_method
     def h(self, w):
         p = self.params
-        if self._degenerate:
-            return np.zeros_like(w)
         out = np.zeros_like(w)
-        inner = (w > 0.0) & (w < 1.0)
-        out[inner] = _alog_h(w[inner], p.theta1, p.theta2, p.s)
+        if not self._degenerate:
+            inner = (w > 0.0) & (w < 1.0)
+            out[inner] = _logistic(w[inner], 1.0 - w[inner], p.theta1,
+                                   p.theta2, p.s, density=True)
         return out
 
     @_array_method
@@ -373,7 +389,8 @@ class AsymLogisticModel(DependenceModel):
         if self._degenerate:
             out = np.ones_like(w)
         else:
-            out = _alog_H(w, p.theta1, p.theta2, p.s)
+            slope = _logistic(w, 1.0 - w, p.theta1, p.theta2, p.s)[1]
+            out = p.theta2 - p.theta1 + slope + 1.0
         out[w >= 1.0] = 2.0
         return out
 
@@ -392,77 +409,58 @@ class AsymLogisticModel(DependenceModel):
         return masses
 
 
-class AffineLogisticModel(DependenceModel):
+class AffineLogisticModel(_LogisticModel):
     """Logistic spectral density confined to (c1, c2), c1 < 1/2 < c2.
 
     The asymmetric logistic with theta1 = 2 c2 - 1, theta2 = 1 - 2 c1,
-    mapped onto (c1, c2) by w = (omega - c1)/(c2 - c1); densities pick up
-    the Jacobian 1/(c2 - c1) per application of the map.  Outside the
-    interval A follows its linear tails 1 - w and w.  c2 = 1 is the
-    restricted family, c1 = 0 the upper one.  Build it through one of
-    those three subclasses, whose parameter records check (c1, c2, s).
+    mapped onto (c1, c2) by u = (w - c1)/(c2 - c1).  The logistic kernel
+    is homogeneous, so it is evaluated at the distances w - c1 and c2 - w
+    themselves: A, A' and H pick up one factor 1/(c2 - c1), and h the
+    factor c2 - c1.  Outside the interval A follows its linear tails 1 - w
+    and w.  c2 = 1 is the restricted family, c1 = 0 the upper one.  Build
+    it through one of those three subclasses, whose parameter records
+    check (c1, c2, s).
     """
 
     def __init__(self, c1, c2, s):
         self.c1, self.c2, self.s = c1, c2, s
         self.al, self.be = 2.0 * c2 - 1.0, 1.0 - 2.0 * c1
 
-    @_array_method
-    def a(self, w):
-        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
-        out = np.empty_like(w)
-        lo = w <= c1            # exactly 1 - w up to and at the boundary
-        hi = w > c2
+    def _views(self, w):
+        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
+        a, ap = np.empty_like(w), np.empty_like(w)
+        # the linear tails: A = 1 - w up to and at c1, w from c2 on
+        lo, hi = w <= c1, w >= c2
+        a[lo], ap[lo] = 1.0 - w[lo], -1.0
+        a[hi], ap[hi] = w[hi], 1.0
         mid = ~(lo | hi)
-        out[lo] = 1.0 - w[lo]
-        out[hi] = w[hi]
-        wm = w[mid]
-        bracket = (al ** s * (wm - c1) ** s + be ** s * (c2 - wm) ** s) ** (1.0 / s)
-        out[mid] = ((1.0 - c2) * (wm - c1) + c1 * (c2 - wm) + bracket) / (c2 - c1)
-        return out
+        u, v = w[mid] - c1, c2 - w[mid]
+        part, slope = _logistic(u, v, self.al, self.be, self.s)
+        a[mid] = ((1.0 - c2) * u + c1 * v + part) / span
+        ap[mid] = (1.0 - c2 - c1 + slope) / span
+        if self.s == 1.0:   # right derivative at c1: the atomic case's slope
+            ap[w == c1] = (1.0 - c2 - c1 + self.al - self.be) / span
+        return a, ap
 
-    @_array_method
-    def a_prime(self, w):
-        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
-        out = np.empty_like(w)
-        # right derivative at c1: the slope of the atomic s = 1 case
-        lo = w < c1 if s == 1.0 else w <= c1
-        hi = w >= c2
-        mid = ~(lo | hi)
-        out[lo] = -1.0
-        out[hi] = 1.0
-        wm = w[mid]
-        u = al ** s * (wm - c1) ** s + be ** s * (c2 - wm) ** s
-        pw = al ** s * (wm - c1) ** (s - 1.0) - be ** s * (c2 - wm) ** (s - 1.0)
-        out[mid] = ((1.0 - c2) - c1 + pw * u ** (1.0 / s - 1.0)) / (c2 - c1)
-        return out
-
+    # at s = 1 the kernel's powers are all 1: H is constant on [c1, c2)
+    # (the atom at c1), and h vanishes
     @_array_method
     def h(self, w):
-        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
+        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
         out = np.zeros_like(w)
-        if s == 1.0:
-            return out
-        inner = (w > c1) & (w < c2)
-        wi = w[inner]
-        with np.errstate(divide="ignore"):
-            out[inner] = (
-                (s - 1.0) * (c2 - c1) * (al * be) ** s
-                * ((wi - c1) * (c2 - wi)) ** (s - 2.0)
-                * (al ** s * (wi - c1) ** s + be ** s * (c2 - wi) ** s) ** (1.0 / s - 2.0)
-            )
+        inner = (w > c1) & (w < c2) & (self.s > 1.0)
+        out[inner] = span * _logistic(w[inner] - c1, c2 - w[inner], self.al,
+                                      self.be, self.s, density=True)
         return out
 
     @_array_method
     def H(self, w):
-        c1, c2, s, al, be = self.c1, self.c2, self.s, self.al, self.be
-        span = c2 - c1
+        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
         out = np.zeros_like(w)
-        if s == 1.0:
-            out[w >= c1] = (2.0 * c2 - 1.0) / span
-        else:
-            mid = (w >= c1) & (w < c2)
-            out[mid] = (_alog_H((w[mid] - c1) / span, al, be, s) - (1.0 - al)) / span
+        mid = (w >= c1) & (w < c2)
+        wm = w[mid]
+        slope = _logistic(wm - c1, c2 - wm, self.al, self.be, self.s)[1]
+        out[mid] = (self.be + slope) / span
         out[w >= c2] = 2.0
         return out
 

@@ -35,8 +35,7 @@ def _conditional_survival(model: DependenceModel, x, y):
     y = np.maximum(y, 1e-300)
     total = x + y
     w = y / total
-    a = model.a(w)
-    ap = model.a_prime(w)
+    a, ap = model.a_and_a_prime(w)
     vx = a - w * ap
     v = total * a
     return vx * np.exp(x - v)

@@ -123,6 +123,15 @@ def test_validate_command_exit_codes(capsys):
     assert code != 0
 
 
+def test_validate_near_half_at_large_s(capsys):
+    # (1 - 2c)^s underflows here; the moment lines still fail, on the
+    # quadrature's turnover at the support end (CHANGES.md FOUND line)
+    _, out, _ = run_cli(capsys, "validate", "--family", "restricted",
+                        "--c", "0.4999999", "--s", "48")
+    assert "[PASS] bounds" in out
+    assert "[PASS] convexity" in out
+
+
 def test_missing_file_error(capsys):
     code, _, err = run_cli(capsys, "fit", "--data", "/nonexistent.csv",
                            "--out-dir", "/tmp/nowhere")

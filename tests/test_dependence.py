@@ -210,9 +210,12 @@ def test_validator_grid_size():
 
 
 def test_measure_function_equals_slope_plus_one():
-    # H and A' come from independent closed forms; check their relation
-    # away from kinks and atoms
+    # H and A' share the logistic kernel's slope, so this checks how each
+    # family maps it (constants, the 1/(c2 - c1) factor, tails and masks);
+    # test_density_is_second_derivative checks A' against A itself
     for m in ALL_FAMILY_CASES:
+        for w in (0.0, 1.0):    # exactly, where H counts the end atoms
+            assert m.H(w) == m.a_prime(w) + 1.0, (type(m).__name__, m.params, w)
         lo, hi = m.support()
         kinks = {q for q, _ in m.point_masses()} | {lo, hi}
         for w in np.linspace(0.02, 0.98, 49):
@@ -225,24 +228,41 @@ def test_measure_function_equals_slope_plus_one():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s", [48.0, 60.0])
 def test_measure_function_finite_where_powers_underflow(s):
-    # c within 1e-7 of 1/2: (1 - 2c)^s underflows at these s
-    c = 0.4999999
-    m = make_model("restricted", c=c, s=s)
-    w = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201),
-                                  c + np.logspace(-12, -6, 25), [c]]))
-    values = m.H(w)
-    assert np.all(np.isfinite(values))
-    assert np.all(np.diff(values) >= 0.0)
-    assert m.H(1.0) == 2.0
+    # an end within 1e-7 of 1/2: (1 - 2c)^s or (2c - 1)^s underflows at
+    # these s; all four views stay finite and consistent
+    for family, params in (("restricted", {"c": 0.4999999}),
+                           ("upper", {"c": 0.5000001}),
+                           ("interval", {"c1": 0.4999999, "c2": 0.75})):
+        m = make_model(family, s=s, **params)
+        ends = list(m.support())
+        w = np.unique(np.concatenate(
+            [np.linspace(0.0, 1.0, 201), ends]
+            + [np.clip(e + sign * np.logspace(-12, -6, 25), 0.0, 1.0)
+               for e in ends for sign in (-1.0, 1.0)]))
+        a, a_prime, h, measure = m.a(w), m.a_prime(w), m.h(w), m.H(w)
+        assert np.all(a >= np.maximum(w, 1.0 - w) - 1e-15), family
+        assert np.all(a <= 1.0), family
+        assert np.all(np.isfinite(a_prime)) and np.all(np.isfinite(h)), family
+        assert np.all(np.isfinite(measure)), family
+        assert np.all(np.diff(measure) >= 0.0), family
+        assert np.max(np.abs(measure - (a_prime + 1.0))) <= 1e-15, family
+        assert m.H(1.0) == 2.0
 
 
 def test_density_is_second_derivative():
+    # A' is checked here too, against a central difference of A: a check
+    # that does not go through the kernel's slope, which H shares
     for m in ALL_FAMILY_CASES:
         if m.params.s == 1.0:
             continue
         lo, hi = m.support()
         eps = 1e-4
         for w in np.linspace(lo + 0.08, hi - 0.08, 7):
+            # a step of 1e-6 puts the truncation error far below 1e-6
+            # relative; the absolute floor is the difference's rounding noise
+            slope = float(m.a(w + 1e-6) - m.a(w - 1e-6)) / 2e-6
+            assert slope == pytest.approx(m.a_prime(float(w)), rel=1e-6,
+                                          abs=1e-9)
             h = float(m.h(float(w)))
             # below ~1e-2 the central difference of A (values near 1) sits
             # at the floating-point noise floor and cannot resolve h

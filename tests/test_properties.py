@@ -73,6 +73,15 @@ def test_measure_function_is_slope_plus_one(model):
                   initial=0.0) <= 1e-8
 
 
+@given(st.one_of(families, asymmetric))
+# (t1 w)^s, (t2 (1-w))^s and (t1 t2)^s underflow here; h must stay finite
+@example(make_model("asymmetric", theta1=4.572722852828314e-135,
+                    theta2=3.2379672326296473e-195, s=3.0))
+def test_density_finite_and_nonnegative(model):
+    h = model.h(GRID)
+    assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
+
+
 @given(families)
 def test_validator_passes(model):
     # restricted, upper and interval only: for the asymmetric family the
