@@ -161,32 +161,42 @@ def _check_unit_interval(w):
 # (p, q), its slope of order 0 and its second derivative of order -3, so
 # all of A, A', h and H are taken from p and q divided by the larger one:
 # no power underflows where p^s or q^s would (weights near 1e-135, or c
-# within 1e-7 of 1/2 at large s).
+# within 1e-7 of 1/2 at large s).  One pass gives the sampler and the
+# joint density A, A' and h together.
 # ---------------------------------------------------------------------------
 
 def _logistic(u, v, t1, t2, s, density=False):
     """L = (p^s + q^s)^(1/s) at p = t1 u, q = t2 v, and its slope
     t1 L_p - t2 L_q along u - v, both from the same three powers.
 
-    density=True returns instead (s-1) (t1 t2)^2 (pq)^(s-2) (p^s + q^s)^(1/s-2),
-    for u, v > 0: the second derivative along u - v where u + v = 1.  L is
-    of order 1 in (u, v), the slope of order 0 and the density of order -3.
+    density=True adds, from the same powers, the density
+    (s-1) (t1 t2)^2 (pq)^(s-2) (p^s + q^s)^(1/s-2) for u, v > 0: the
+    second derivative along u - v where u + v = 1.  It is 0 at s = 1, may
+    be inf next to u = 0 or v = 0 at s < 2, and is NaN at them.  All
+    three are of degree 1 in (t1, t2); in (u, v) L is of order 1, the
+    slope of order 0 and the density of order -3.
     """
     p, q = t1 * u, t2 * v
     top = np.maximum(p, q)
     p, q = p / top, q / top
     ps, qs = p ** (s - 1.0), q ** (s - 1.0)
     tot = ps * p + qs * q
-    # the sampler calls this over all its pairs at every bisection step;
-    # freeing p and q here and reusing top for L lower the peak memory of
-    # each call, which is most of its cost there (~6 % at 1e5 pairs)
+    # the sampler calls this at every step; freeing p and q here and
+    # reusing top for L lower the peak memory of each call
     del p, q
     r = tot ** (1.0 / s)
-    if density:
-        return ((s - 1.0) * (t1 / top) * (t2 / top) * top
-                * (ps / u) * (qs / v) * r / (tot * tot))
+    slope = (t1 * ps - t2 * qs) * r / tot
+    if not density:
+        top *= r
+        return top, slope
+    if s > 1.0:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dens = ((s - 1.0) * (t1 / top) * (t2 / top) * top
+                    * (ps / u) * (qs / v) * r / (tot * tot))
+    else:   # the factor s - 1 is 0, also where 1/u or 1/v overflows
+        dens = np.zeros_like(top)
     top *= r
-    return top, (t1 * ps - t2 * qs) * r / tot
+    return top, slope, dens
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +290,10 @@ class DependenceModel:
     def a_prime(self, w):
         raise NotImplementedError
 
-    def a_and_a_prime(self, w):
-        """A(w) and A'(w) as a pair, for callers that need both."""
-        return self.a(w), self.a_prime(w)
+    def a_a_prime_h(self, w):
+        """A(w), A'(w) and h(w) as a triple, for callers that need all
+        three at the same fractions."""
+        return self.a(w), self.a_prime(w), self.h(w)
 
     def h(self, w):
         raise NotImplementedError
@@ -332,7 +343,7 @@ class DependenceModel:
 
 
 class _LogisticModel(DependenceModel):
-    """A family whose A and A' come from one kernel evaluation, _views."""
+    """A family whose A, A' and h come from one kernel evaluation, _views."""
 
     @_array_method
     def a(self, w):
@@ -343,7 +354,11 @@ class _LogisticModel(DependenceModel):
         return self._views(w)[1]
 
     @_array_method
-    def a_and_a_prime(self, w):
+    def h(self, w):
+        return self._views(w)[2]
+
+    @_array_method
+    def a_a_prime_h(self, w):
         return self._views(w)
 
 
@@ -352,7 +367,9 @@ class AsymLogisticModel(_LogisticModel):
 
     At s = 1, or when either weight vanishes, the continuous part
     degenerates and the family collapses to independence (A == 1 with unit
-    atoms at both endpoints).
+    atoms at both endpoints).  The kernel is of degree 1 in the weights,
+    so it runs on the weights over the larger one, m, and its outputs are
+    scaled back by m: subnormal weights leave the kernel's maximum nonzero.
     """
 
     def __init__(self, params: AsymLogisticParams):
@@ -360,28 +377,26 @@ class AsymLogisticModel(_LogisticModel):
             params = AsymLogisticParams(*params)
         self.params = params
         self._degenerate = params.s == 1.0 or params.theta1 == 0.0 or params.theta2 == 0.0
+        self._m = max(params.theta1, params.theta2)
+
+    def _kernel(self, w, density=False):
+        p, m = self.params, self._m
+        return [m * k for k in _logistic(w, 1.0 - w, p.theta1 / m,
+                                         p.theta2 / m, p.s, density)]
 
     def _views(self, w):
         p = self.params
         if self._degenerate:
-            a, ap = np.ones_like(w), np.zeros_like(w)
+            a, ap, h = np.ones_like(w), np.zeros_like(w), np.zeros_like(w)
         else:
-            part, slope = _logistic(w, 1.0 - w, p.theta1, p.theta2, p.s)
+            part, slope, h = self._kernel(w, density=True)
+            ends = (w == 0.0) | (w == 1.0)
             a = (1.0 - p.theta1) * w + (1.0 - p.theta2) * (1.0 - w) + part
-            a[(w == 0.0) | (w == 1.0)] = 1.0
+            a[ends] = 1.0
             ap = p.theta2 - p.theta1 + slope
+            h[ends] = 0.0
         ap[w == 1.0] = 1.0      # H(1) = 2 counts the atom at 1
-        return a, ap
-
-    @_array_method
-    def h(self, w):
-        p = self.params
-        out = np.zeros_like(w)
-        if not self._degenerate:
-            inner = (w > 0.0) & (w < 1.0)
-            out[inner] = _logistic(w[inner], 1.0 - w[inner], p.theta1,
-                                   p.theta2, p.s, density=True)
-        return out
+        return a, ap, h
 
     @_array_method
     def H(self, w):
@@ -389,8 +404,7 @@ class AsymLogisticModel(_LogisticModel):
         if self._degenerate:
             out = np.ones_like(w)
         else:
-            slope = _logistic(w, 1.0 - w, p.theta1, p.theta2, p.s)[1]
-            out = p.theta2 - p.theta1 + slope + 1.0
+            out = p.theta2 - p.theta1 + self._kernel(w)[1] + 1.0
         out[w >= 1.0] = 2.0
         return out
 
@@ -428,30 +442,25 @@ class AffineLogisticModel(_LogisticModel):
 
     def _views(self, w):
         c1, c2, span = self.c1, self.c2, self.c2 - self.c1
-        a, ap = np.empty_like(w), np.empty_like(w)
-        # the linear tails: A = 1 - w up to and at c1, w from c2 on
+        # the kernel runs at every w, clipped onto [c1, c2], and the linear
+        # tails take over outside: A = 1 - w up to and at c1, w from c2 on.
+        # No subset of w is taken, whose size would vary from call to call.
         lo, hi = w <= c1, w >= c2
-        a[lo], ap[lo] = 1.0 - w[lo], -1.0
-        a[hi], ap[hi] = w[hi], 1.0
-        mid = ~(lo | hi)
-        u, v = w[mid] - c1, c2 - w[mid]
-        part, slope = _logistic(u, v, self.al, self.be, self.s)
-        a[mid] = ((1.0 - c2) * u + c1 * v + part) / span
-        ap[mid] = (1.0 - c2 - c1 + slope) / span
+        tail = lo | hi
+        u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
+        part, slope, dens = _logistic(u, v, self.al, self.be, self.s,
+                                      density=True)
+        a = np.where(tail, np.where(lo, 1.0 - w, w),
+                     ((1.0 - c2) * u + c1 * v + part) / span)
+        ap = np.where(tail, np.where(lo, -1.0, 1.0),
+                      (1.0 - c2 - c1 + slope) / span)
+        h = np.where(tail, 0.0, span * dens)
         if self.s == 1.0:   # right derivative at c1: the atomic case's slope
             ap[w == c1] = (1.0 - c2 - c1 + self.al - self.be) / span
-        return a, ap
+        return a, ap, h
 
     # at s = 1 the kernel's powers are all 1: H is constant on [c1, c2)
-    # (the atom at c1), and h vanishes
-    @_array_method
-    def h(self, w):
-        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
-        out = np.zeros_like(w)
-        inner = (w > c1) & (w < c2) & (self.s > 1.0)
-        out[inner] = span * _logistic(w[inner] - c1, c2 - w[inner], self.al,
-                                      self.be, self.s, density=True)
-        return out
+    # (the atom at c1)
 
     @_array_method
     def H(self, w):

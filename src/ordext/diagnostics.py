@@ -135,8 +135,15 @@ def pp_qq_tables(series: BivariateSeries, fit: FitResult,
 # CSV and SVG emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v):
-    return repr(float(v))
+_ROWS = 1024
+
+
+def _row_blocks(x, y):
+    """Two columns as pairs of Python floats, _ROWS rows at a time: a block
+    formats fast, and a whole column's row strings at once would raise the
+    process's peak memory."""
+    for k in range(0, len(x), _ROWS):
+        yield zip(x[k:k + _ROWS].tolist(), y[k:k + _ROWS].tolist())
 
 
 def write_table(table: CurveTable, path_or_buf):
@@ -148,8 +155,9 @@ def write_table(table: CurveTable, path_or_buf):
         for key in sorted(table.meta):
             buf.write(f"# {key}: {table.meta[key]}\n")
         buf.write(f"{table.xname},{table.yname}\n")
-        for xv, yv in zip(table.x, table.values):
-            buf.write(f"{_fmt(xv)},{_fmt(yv)}\n")
+        # repr of a float is its shortest round-tripping form
+        for rows in _row_blocks(table.x, table.values):
+            buf.write("".join(f"{xv!r},{yv!r}\n" for xv, yv in rows))
     finally:
         if own:
             buf.close()
@@ -217,20 +225,16 @@ def render_svg(tables, path=None):
     xr = x1 - x0 or 1.0
     yr = y1 - y0 or 1.0
 
-    def sx(v):
-        return pad + (v - x0) / xr * (SVG_WIDTH - 2 * pad)
-
-    def sy(v):
-        return SVG_HEIGHT - pad - (v - y0) / yr * (SVG_HEIGHT - 2 * pad)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for i, t in enumerate(tables):
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}"
-                       for a, b in zip(t.x, t.values))
+        px = pad + (t.x - x0) / xr * (SVG_WIDTH - 2 * pad)
+        py = SVG_HEIGHT - pad - (t.values - y0) / yr * (SVG_HEIGHT - 2 * pad)
+        pts = " ".join(" ".join(f"{a:.2f},{b:.2f}" for a, b in rows)
+                       for rows in _row_blocks(px, py))
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')

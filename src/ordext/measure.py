@@ -237,8 +237,7 @@ def _joint_log_density_exp(xe, ye, model: DependenceModel):
     ye = np.asarray(ye, dtype=float)
     total = xe + ye
     w = ye / total
-    a, ap = model.a_and_a_prime(w)
-    h = model.h(w)
+    a, ap, h = model.a_a_prime_h(w)
     vx = a - w * ap
     vy = a + (1.0 - w) * ap
     vxy = -w * (1.0 - w) * h / total

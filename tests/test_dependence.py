@@ -225,6 +225,18 @@ def test_measure_function_equals_slope_plus_one():
                 (type(m).__name__, m.params, w)
 
 
+def test_one_pass_views_equal_each_view():
+    # a_a_prime_h is the sampler's and the joint density's single kernel
+    # pass; it must give the same bits as the three views one by one
+    for m in ALL_FAMILY_CASES + [PointMassModel.perfect_dependence()]:
+        grid = np.unique(np.concatenate(
+            [np.linspace(0.0, 1.0, 401), m.breakpoints(), [0.0, 1.0]]))
+        a, a_prime, h = m.a_a_prime_h(grid)
+        for got, view in ((a, m.a), (a_prime, m.a_prime), (h, m.h)):
+            assert np.array_equal(got, view(grid)), (type(m).__name__, view)
+        assert list(m.a_a_prime_h(0.5)) == [m.a(0.5), m.a_prime(0.5), m.h(0.5)]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s", [48.0, 60.0])
 def test_measure_function_finite_where_powers_underflow(s):

@@ -167,3 +167,36 @@ def test_render_svg():
     assert 'viewBox="0 0 800 600"' in text
     with pytest.raises(InputError):
         render_svg([])
+
+
+def test_writers_match_the_per_value_formulas():
+    # the writers format whole blocks of rows; the bytes must be those of
+    # the per-value formulas on numpy scalars they replace, across blocks
+    awkward = [-0.0, 5e-324, 1e308, 0.1, 3, -7, 1.0 / 3.0, 2.5e-16, 0.0]
+    rng = np.random.default_rng(8)
+    values = np.concatenate([awkward, rng.standard_normal(2500) * 1e3])
+    tables = [CurveTable("odd", np.arange(values.size), values,
+                         xname="index"),
+              CurveTable("few", np.array(awkward[:3]), np.array([1, 2, 3]),
+                         xname="x"),
+              CurveTable("empty", np.array([]), np.array([]), xname="x")]
+    for table in tables:
+        buf = io.StringIO()
+        write_table(table, buf)
+        rows = "".join(f"{repr(float(a))},{repr(float(b))}\n"
+                       for a, b in zip(table.x, table.values))
+        assert buf.getvalue().endswith(f"{table.xname},value\n" + rows)
+
+    pad, width, height = 50.0, 800, 600
+    text = render_svg(tables[:2])
+    x_all = np.concatenate([t.x for t in tables[:2]])
+    y_all = np.concatenate([t.values for t in tables[:2]])
+    x0, y0 = float(np.min(x_all)), float(np.min(y_all))
+    xr = float(np.max(x_all)) - x0 or 1.0
+    yr = float(np.max(y_all)) - y0 or 1.0
+    for t in tables[:2]:
+        pts = " ".join(
+            f"{pad + (a - x0) / xr * (width - 2 * pad):.2f},"
+            f"{height - pad - (b - y0) / yr * (height - 2 * pad):.2f}"
+            for a, b in zip(t.x, t.values))
+        assert f'points="{pts}"' in text

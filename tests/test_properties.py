@@ -22,6 +22,7 @@ from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
                     validate_dependence)
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
 from ordext.measure import V_QUAD_TOL  # noqa: E402
+from ordext.simulate import BISECT_MAX_ITER, BISECT_TOL  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -44,9 +45,13 @@ families = family_models(st.floats(1.0, 8.0))
 asymmetric = st.builds(
     lambda t1, t2, s: make_model("asymmetric", theta1=t1, theta2=t2, s=s),
     st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.0, 8.0))
+# both weights subnormal: their products with w and 1 - w underflow to 0
+SUBNORMAL_WEIGHTS = make_model("asymmetric", theta1=5e-324, theta2=5e-324,
+                               s=3.0)
 
 
 @given(st.one_of(families, asymmetric))
+@example(SUBNORMAL_WEIGHTS)
 def test_endpoints_and_envelope(model):
     a = model.a(GRID)
     assert abs(a[0] - 1.0) <= 1e-12 and abs(a[-1] - 1.0) <= 1e-12
@@ -55,6 +60,7 @@ def test_endpoints_and_envelope(model):
 
 
 @given(st.one_of(families, asymmetric))
+@example(SUBNORMAL_WEIGHTS)
 def test_discrete_convexity(model):
     a = model.a(GRID)
     assert np.min(a[:-2] + a[2:] - 2.0 * a[1:-1]) >= -1e-12
@@ -64,6 +70,7 @@ def test_discrete_convexity(model):
 # (t1 w)^s and (t2 (1-w))^s underflow here, and A' and H must not be NaN
 @example(make_model("asymmetric", theta1=4.572722852828314e-135,
                     theta2=3.2379672326296473e-195, s=3.0))
+@example(SUBNORMAL_WEIGHTS)
 def test_measure_function_is_slope_plus_one(model):
     kinks = np.array(sorted({q for q, _ in model.point_masses()}
                             | set(model.support())))
@@ -77,6 +84,7 @@ def test_measure_function_is_slope_plus_one(model):
 # (t1 w)^s, (t2 (1-w))^s and (t1 t2)^s underflow here; h must stay finite
 @example(make_model("asymmetric", theta1=4.572722852828314e-135,
                     theta2=3.2379672326296473e-195, s=3.0))
+@example(SUBNORMAL_WEIGHTS)
 def test_density_finite_and_nonnegative(model):
     h = model.h(GRID)
     assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
@@ -190,6 +198,51 @@ def test_samples_lie_above_the_ordering_floor(model, seed):
     # c for restricted, c1 for interval, 0 for upper
     xe, ye = sample_pairs(model, 300, np.random.default_rng(seed))
     assert np.all(ye / (xe + ye) > model.ordering_floor())
+
+
+def bisection_draws(model, n, rng):
+    """The sampler's former solve, kept as the reference: the same x and
+    u, one bracket per pair, then bisection of all pairs together until
+    the widest bracket is within BISECT_TOL."""
+    x = rng.exponential(size=n)
+    u = rng.random(size=n)
+
+    def survival(y):
+        y = np.maximum(y, 1e-300)
+        total = x + y
+        w = y / total
+        a, ap = model.a(w), model.a_prime(w)
+        return (a - w * ap) * np.exp(x - total * a)
+
+    floor = model.ordering_floor()
+    lo = x * floor / (1.0 - floor) if floor > 0.0 else np.zeros(n)
+    hi = np.maximum(x, 1.0) + 1.0
+    for _ in range(80):
+        open_mask = survival(lo + hi) > u
+        if not np.any(open_mask):
+            break
+        hi[open_mask] *= 2.0
+    hi = lo + hi
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        above = survival(mid) > u
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        if np.max(hi - lo) <= BISECT_TOL * max(1.0, float(np.max(hi))):
+            break
+    return x, 0.5 * (lo + hi)
+
+
+@given(st.one_of(families, asymmetric), st.integers(0, 2 ** 32 - 1))
+@example(SUBNORMAL_WEIGHTS, 0)
+def test_newton_draws_match_bisection(model, seed):
+    # the bisection reference is exact to a share of BISECT_TOL of the
+    # largest draw, so the two agree relative to the draw where it is
+    # above 1 and absolutely below
+    xe, ye = sample_pairs(model, 300, np.random.default_rng(seed))
+    x_ref, y_ref = bisection_draws(model, 300, np.random.default_rng(seed))
+    assert np.array_equal(xe, x_ref)
+    assert np.all(np.abs(ye - y_ref) <= 1e-9 * np.maximum(y_ref, 1.0))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

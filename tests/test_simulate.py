@@ -7,7 +7,8 @@ from scipy.stats import chi2, kstest, spearmanr
 
 from ordext import (GevmParams, ParameterError, PointMassModel, StudyConfig,
                     TrendSpec, joint_log_density_gevm, make_model, run_study,
-                    sample_pair, sample_pairs)
+                    sample_pair, sample_pairs, simulate)
+from ordext.simulate import BISECT_TOL, _log_survival
 
 
 def study_config(n_reps=1, n_times=200, seed=5, s=2.0):
@@ -50,6 +51,45 @@ def test_sampler_marginals_exponential():
         xe, ye = sample_pairs(model, 2000, rng)
         assert kstest(xe, "expon").pvalue > 0.01
         assert kstest(ye, "expon").pvalue > 0.01
+
+
+def test_perfect_dependence_draws_lie_on_the_diagonal():
+    # S(y | x) steps from 1 to 0 at y = x and its slope is 0 or NaN: the
+    # bisection safeguard alone carries the solve
+    xe, ye = sample_pairs(PointMassModel.perfect_dependence(), 2000,
+                          np.random.default_rng(4))
+    assert np.all(np.abs(ye - xe) <= BISECT_TOL * np.maximum(xe, 1.0))
+
+
+def test_draws_do_not_depend_on_the_block_size(monkeypatch):
+    for model in (make_model("restricted", c=0.3, s=1.3),
+                  make_model("interval", c1=0.25, c2=0.75, s=2.0),
+                  make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0)):
+        draws = []
+        for block in (7, 1000):
+            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
+            draws.append(sample_pairs(model, 1000, np.random.default_rng(6)))
+        assert np.array_equal(draws[0][1], draws[1][1])
+
+
+@pytest.mark.parametrize("family, params, fractions", [
+    ("restricted", {"c": 0.25, "s": 2.0}, (0.3, 0.5, 0.9)),
+    ("restricted", {"c": 1.0 / 33.0, "s": 1.5}, (0.1, 0.5, 0.9)),
+    ("upper", {"c": 0.75, "s": 2.0}, (0.1, 0.5, 0.7)),
+    ("interval", {"c1": 0.25, "c2": 0.75, "s": 2.0}, (0.3, 0.5, 0.7)),
+    ("asymmetric", {"theta1": 0.4, "theta2": 0.7, "s": 3.0}, (0.1, 0.5, 0.9)),
+])
+def test_log_survival_slope_matches_central_difference(family, params,
+                                                       fractions):
+    model = make_model(family, **params)
+    x = np.repeat([0.2, 1.0, 4.0], len(fractions))
+    frac = np.tile(fractions, 3)
+    y = x * frac / (1.0 - frac)
+    step = 1e-6 * y
+    slope = _log_survival(model, x, y)[1]
+    fd = (_log_survival(model, x, y + step)[0]
+          - _log_survival(model, x, y - step)[0]) / (2.0 * step)
+    assert np.allclose(fd, slope, rtol=1e-6, atol=1e-8)
 
 
 def test_sampler_size_validation():
