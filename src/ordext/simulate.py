@@ -100,12 +100,12 @@ def _solve_block(model: DependenceModel, x, u, floor):
 
     # Newton from the bracket's top, where g = log S - log u and its slope
     # are known, on the pairs still open.  The point is always a bracket
-    # end, so a step of at most half the bracket stays inside it; a longer
-    # step, or a slope that is not negative and finite, gives way to the
-    # midpoint, which also breaks the two-cycles Newton can fall into
-    # between the ends.  Each pair stops when its step, or its bracket, is
-    # within BISECT_TOL (relative above 1); a step that small is taken
-    # even where it rounds onto the end it starts from.
+    # end, so a step of at most half the bracket stays inside it (a step
+    # that rounds to 0 near the root included); a longer step, or a slope
+    # that is not negative and finite, gives way to the midpoint, which
+    # also breaks the two-cycles Newton can fall into between the ends.
+    # Each pair stops when its step, or its bracket, is within BISECT_TOL
+    # (relative above 1).
     y = np.empty_like(x)
     i, at = np.arange(x.size), hi
     for _ in range(BISECT_MAX_ITER):
@@ -113,10 +113,10 @@ def _solve_block(model: DependenceModel, x, u, floor):
             new = at - g / slope
         dist = np.abs(new - at)
         falling = (slope < 0.0) & (slope > -np.inf)
-        close = falling & (dist <= BISECT_TOL * np.maximum(at, 1.0))
-        newton = close | (falling & (dist <= 0.5 * (hi - lo)))
+        newton = falling & (dist <= 0.5 * (hi - lo))
+        done = (falling & (dist <= BISECT_TOL * np.maximum(at, 1.0))) \
+            | (hi - lo <= BISECT_TOL * np.maximum(hi, 1.0))
         new = np.where(newton, new, 0.5 * (lo + hi))
-        done = close | (hi - lo <= BISECT_TOL * np.maximum(hi, 1.0))
         y[i] = new
         if done.all():
             return np.maximum(y, edge)
