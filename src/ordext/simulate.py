@@ -8,10 +8,11 @@ unit exponential, and Y solves
 by safeguarded Newton steps on log S(y | x) = log V_x + x - V, with
 V_x = A(w) - w A'(w) and the slope d log S/dy = V_xy/V_x - V_y taken from
 the family's closed forms for A, A' and h.  Each pair keeps a bisection
-bracket; a step that leaves it, or a slope that is not negative, gives
-way to the midpoint, so the solve also carries the restricted families,
-whose conditional survival stays at 1 up to the ordering boundary
-y = c x / (1 - c), and the step functions of purely atomic measures.
+bracket; a step longer than half of it, or a slope that is not
+negative, gives way to the midpoint, so the solve also carries the
+restricted families, whose conditional survival stays at 1 up to the
+ordering boundary y = c x / (1 - c), and the step functions of purely
+atomic measures.
 Each pair stops on its own test, so a draw depends only on its own
 (x, u); the pairs are solved in fixed-size blocks, which keeps each
 step's temporaries small.

@@ -204,9 +204,9 @@ def test_samples_lie_above_the_ordering_floor(model, seed):
 
 
 def bisection_draws(model, n, rng):
-    """The sampler's former solve, kept as the reference: the same x and
-    u, one bracket per pair, then bisection of all pairs together until
-    the widest bracket is within BISECT_TOL."""
+    """Reference draws by plain bisection on S = V_x exp(x - V): the same
+    x and u as sample_pairs, one bracket per pair, then all pairs halved
+    together until the widest bracket is within BISECT_TOL."""
     x = rng.exponential(size=n)
     u = rng.random(size=n)
 
