@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericError, ParameterError
 
@@ -595,6 +594,8 @@ def a_numeric_oracle(w, h, atom0=0.0, atom1=0.0, *, interior_atoms=(),
     then adds the atom contributions.  Raises NumericError when the
     quadrature error estimate exceeds the requested tolerance.
     """
+    from scipy.integrate import quad
+
     _check_unit_interval(w)
     w = float(w)
 

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dependence import (DependenceModel, RestrictedLogisticParams,
                          _integrate_dH)
@@ -383,6 +382,8 @@ def _grid_min_ratio(mx, my, x_lo, x_hi, lo_cap, hi_cap):
     """Least D(x, x) for unequal shapes, where it need not be monotone: on
     a log-spaced grid from just below the joint upper support (x_hi if
     finite) far into the lower tail (x_lo if finite), then refined."""
+    from scipy.optimize import minimize_scalar
+
     if not math.isfinite(x_hi):
         x_hi = hi_cap - 1e-9 * (1.0 + abs(hi_cap)) if math.isfinite(hi_cap) \
             else max(mx.mu, my.mu) + 40.0 * max(mx.sigma, my.sigma)

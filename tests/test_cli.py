@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ordext
 from ordext import InputError, NumericError, cli
 from ordext.cli import main, parse_and_validate, read_series_csv
 
@@ -331,3 +337,40 @@ def test_study_fails_when_every_fit_fails(tmp_path, monkeypatch, capsys):
                                "--reps", "2", "--n-times", "40",
                                "--out-dir", str(tmp_path))
     assert code == 2 and "all 2 replicate fits failed" in err
+
+
+COLD_START_IN_CHILD = """
+import json, sys, warnings
+import ordext, ordext.cli
+from ordext.cli import main, read_series_csv
+out = sys.argv[1]
+margins = ["--mu-x", "100", "--sigma-x", "4", "--xi-x", "0.2", "--mu-y",
+           "150", "--sigma-y", "2", "--xi-y", "0.2", "--slope-x", "-40",
+           "--slope-y", "-40"]
+codes = [main(["simulate", "--c", "0.25", "--n", "200", "--seed", "7",
+               "--out", out + "/pairs.csv"]),
+         main(["estimate-c", "--data", out + "/pairs.csv"]),
+         main(["simulate", "--c", "0.03", "--n", "40", "--seed", "3",
+               "--out", out + "/series.csv", *margins])]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = scipy_modules()
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    ordext.fit_restricted(read_series_csv(out + "/series.csv"), 10.0, 10.0,
+                          ordext.FitConfig(max_outer=1))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_scipy_loads_at_the_first_fit(tmp_path):
+    """Importing ordext and the non-fit commands load numpy only."""
+    src = str(Path(ordext.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", COLD_START_IN_CHILD,
+                          str(tmp_path)], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["before"] == []
+    assert {"scipy.optimize", "scipy.linalg"} <= set(result["after"])

@@ -424,6 +424,29 @@ def test_fit_does_not_depend_on_blas_threads():
         assert np.array_equal(getattr(two, name), getattr(one, name)), name
 
 
+@pytest.mark.filterwarnings("ignore:fit stopped at the iteration cap")
+def test_fit_calls_scipy_through_module_names(monkeypatch):
+    """benchmarks/tracer.py counts the scalar stage and its evaluations by
+    patching estimation.minimize; the trend stage solves through
+    estimation.solveh_banded."""
+    from ordext import estimation
+
+    calls = {"minimize": 0, "solveh_banded": 0}
+
+    def counting(name):
+        original = getattr(estimation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(estimation, name, counting(name))
+    fit_restricted(make_series(40, seed=3), 10.0, 10.0, FitConfig(max_outer=1))
+    assert min(calls.values()) >= 1, calls
+
+
 @pytest.mark.filterwarnings("error:fit stopped at the iteration cap")
 def test_fit_large_lambda_gives_straight_trends():
     series = make_series(80, seed=13)
