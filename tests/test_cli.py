@@ -341,7 +341,7 @@ def test_study_fails_when_every_fit_fails(tmp_path, monkeypatch, capsys):
 
 COLD_START_IN_CHILD = """
 import json, sys, warnings
-import ordext, ordext.cli
+import ordext
 from ordext.cli import main, read_series_csv
 out = sys.argv[1]
 margins = ["--mu-x", "100", "--sigma-x", "4", "--xi-x", "0.2", "--mu-y",
@@ -364,7 +364,8 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 
 
 def test_scipy_loads_at_the_first_fit(tmp_path):
-    """Importing ordext and the non-fit commands load numpy only."""
+    """Importing ordext and the non-fit commands load numpy only; the first
+    fit loads scipy."""
     src = str(Path(ordext.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", COLD_START_IN_CHILD,

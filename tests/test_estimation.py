@@ -15,6 +15,7 @@ from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
                     fit_restricted, make_model, pickands_curve,
                     pickands_modified, pickands_raw, run_study, sample_pairs,
                     trend_penalized)
+from ordext import estimation
 from ordext.estimation import (INFEASIBLE_REASONS, _trial_boundary,
                                ridge_trend, roughness)
 from ordext.margins import log_exp_scale
@@ -429,8 +430,6 @@ def test_fit_calls_scipy_through_module_names(monkeypatch):
     """benchmarks/tracer.py counts the scalar stage and its evaluations by
     patching estimation.minimize; the trend stage solves through
     estimation.solveh_banded."""
-    from ordext import estimation
-
     calls = {"minimize": 0, "solveh_banded": 0}
 
     def counting(name):
