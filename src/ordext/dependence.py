@@ -199,89 +199,91 @@ def _logistic(u, v, t1, t2, s, density=False):
 
 
 # ---------------------------------------------------------------------------
-# internal: integrals against dH, by parts on a tanh-sinh rule
+# internal: integrals of the measure function H on a tanh-sinh rule
 # ---------------------------------------------------------------------------
 
 # Tanh-sinh (double-exponential) rule of Takahasi & Mori (Publ. RIMS 1974)
-# on [0, 1]: nodes (1 + tanh(pi/2 sinh t))/2 at t = j h, |t| <= 3.2.  The
-# endpoint clustering absorbs the algebraic cusps H has at the support
-# ends.  Nodes are kept as gaps to the nearer end, 1/(1 + exp(pi sinh|t|)),
-# so that they resolve distances far below the rounding unit of the ends.
+# on [0, 1]: nodes (1 + tanh(pi/2 sinh t))/2 at t = j h, |t| <= 3.2, 205 per
+# segment.  The endpoint clustering absorbs the algebraic cusps H has at
+# the support ends, and its steep climb next to a logistic turnover that
+# lies near one (split_points makes the turnover an edge).  Nodes are kept
+# as gaps to the nearer end, 1/(1 + exp(pi sinh|t|)), so that they resolve
+# distances far below the rounding unit of the ends: the left half (centre
+# included) lies at lower end + width * gap, the right half at upper end -
+# width * gap.  The half-step sub-rule keeps the even j at twice the
+# weight; the gap between the two rules, taken with the rule's weights
+# less the sub-rule's (_TS_W_EXCESS), is the error estimate.  Integrals
+# against dH are taken by parts from these integrals of H:
+# DependenceModel.integrated_H covers [0, 1] once per model, and
+# measure.v_numeric adds one segment per point.
 _TS_STEP = 2.0 ** -5
 _ts_t = _TS_STEP * np.arange(int(3.2 / _TS_STEP) + 1)
 _ts_gap = 1.0 / (1.0 + np.exp(np.pi * np.sinh(_ts_t)))
 _ts_wt = 0.25 * np.pi * _TS_STEP * np.cosh(_ts_t) \
     / np.cosh(0.5 * np.pi * np.sinh(_ts_t)) ** 2
-# left half (centre included) measured from the lower end, right half
-# from the upper end; the half-step sub-rule keeps the even j at twice the
-# weight, and the gap between the two rules is the error estimate
-_TS_GAP_LO = _ts_gap[::-1]
-_TS_GAP_HI = _ts_gap[1:]
+_ts_excess = np.where(np.arange(_ts_t.size) % 2 == 0, -_ts_wt, _ts_wt)
+_TS_LEFT = np.arange(2 * _ts_t.size - 1) < _ts_t.size
+_TS_GAP = np.concatenate([_ts_gap[::-1], -_ts_gap[1:]])
 _TS_W = np.concatenate([_ts_wt[::-1], _ts_wt[1:]])
-_ts_half = np.where(np.arange(_ts_t.size) % 2 == 0, 2.0 * _ts_wt, 0.0)
-_TS_W_HALF = np.concatenate([_ts_half[::-1], _ts_half[1:]])
+_TS_W_EXCESS = np.concatenate([_ts_excess[::-1], _ts_excess[1:]])
 _TS_ROUNDS = 12
 _TS_MAX_SEGMENTS = 64
 
 
-def _integrate_dH(model, edges, slopes, f_one, tol):
-    """Integral of f against dH over [0, 1], by parts against H.
+def _integrate_H(model, edges, tol):
+    """Integral of the measure function H over each segment between
+    consecutive ``edges``, on the tanh-sinh rule.
 
-    f is continuous and linear on each segment between consecutive
-    ``edges`` (which run from 0 to 1), with ``slopes[i]`` on segment i,
-    and f(1) = ``f_one``.  Since H(0-) = 0 and H counts every atom,
-
-        int f dH = f(1) H(1) - sum_i slopes[i] int_{segment i} H(w) dw,
-
-    and H is bounded where the density h is not.  Each round evaluates H
-    once, vectorised over every open segment's nodes; a segment whose
-    error estimate, times |slope|, exceeds its width-share of ``tol`` is
-    bisected for the next round.  Raises NumericError when H is not
-    finite or the rounds or segments run out.
+    The estimated errors sum to at most ``tol``.  Each segment may spend
+    an equal share of it, and each piece of a segment the part of that
+    share by width: a narrow segment, such as one between a turnover and
+    the end of [0, 1] it lies next to, is not held to a far smaller error
+    than its neighbours.  Each round evaluates H once, vectorised over
+    every open piece's nodes, and a piece over its share is bisected for
+    the next round.  H is bounded where the density h is not, and counts
+    every atom.  Raises NumericError when H is not finite or the rounds or
+    pieces run out.
     """
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
-    slopes = np.asarray(slopes, dtype=float)
-    value = spent = 0.0
-    end = [edges[-1]]       # H(1) rides on the first round's call
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    owner = np.arange(lo.size)          # the segment each piece belongs to
+    out = np.zeros(lo.size)
+    span = lo.size * (hi - lo)          # a piece may spend tol d / span
+    spent = 0.0
     for _ in range(_TS_ROUNDS):
         d = hi - lo
-        # H is right-continuous, so an upper node that rounds onto the
-        # segment end would pick up an atom sitting there
-        nodes = np.concatenate(
-            [lo[:, None] + d[:, None] * _TS_GAP_LO,
-             np.minimum(hi[:, None] - d[:, None] * _TS_GAP_HI,
-                        np.nextafter(hi, lo)[:, None])], axis=1)
+        # H is right-continuous, so a node that rounds onto the upper end
+        # would pick up an atom sitting there
+        nodes = np.minimum(np.where(_TS_LEFT, lo[:, None], hi[:, None])
+                           + d[:, None] * _TS_GAP,
+                           np.nextafter(hi, lo)[:, None])
         with np.errstate(all="ignore"):
-            hv = np.asarray(model.H(np.append(nodes.ravel(), end)), dtype=float)
-        if not np.all(np.isfinite(hv)):
+            hv = np.asarray(model.H(nodes.ravel()), dtype=float)
+        if not np.isfinite(hv).all():
             raise NumericError("measure function is not finite",
                                achieved_tol=math.inf)
-        if end:
-            value, end = f_one * hv[-1], []
-            hv = hv[:-1]
         hv = hv.reshape(nodes.shape)
-        full = d * (hv @ _TS_W)
-        err = np.abs(slopes * (full - d * (hv @ _TS_W_HALF)))
-        ok = err <= tol * d        # the segment's width-share of tol
-        value -= float(np.sum(slopes[ok] * full[ok]))
-        spent += float(np.sum(err[ok]))
+        full, err = d * (hv @ _TS_W), np.abs(d * (hv @ _TS_W_EXCESS))
+        ok = err * span[owner] <= tol * d
         if ok.all():
-            return float(value)
-        lo, hi, slopes = lo[~ok], hi[~ok], slopes[~ok]
+            return out + np.bincount(owner, weights=full, minlength=out.size)
+        out += np.bincount(owner[ok], weights=full[ok], minlength=out.size)
+        spent += err[ok].sum()
+        lo, hi, owner = lo[~ok], hi[~ok], owner[~ok]
         if 2 * lo.size > _TS_MAX_SEGMENTS:
             break
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        slopes = np.tile(slopes, 2)
+        owner = np.tile(owner, 2)
     raise NumericError("measure quadrature did not converge",
-                       achieved_tol=spent + float(np.sum(err[~ok])))
+                       achieved_tol=float(spent + err[~ok].sum()))
 
 
 class DependenceModel:
     """Shared behaviour of the parametric families."""
 
     params = None
+    _turnover = ()      # where a logistic kernel's two terms are equal
 
     def a(self, w):
         raise NotImplementedError
@@ -313,6 +315,28 @@ class DependenceModel:
         lo, hi = self.support()
         pts = {lo, hi} | {q for q, _ in self.point_masses()}
         return sorted(p for p in pts if 0.0 < p < 1.0)
+
+    def split_points(self):
+        """The breakpoints and the logistic turnover, where the kernel's
+        two terms are equal and H climbs steeply when one weight is small
+        (c near 1/2, or an asymmetric weight near 0): the quadrature of H
+        splits [0, 1] there, and resolves each side from its end nodes."""
+        return sorted({*self.breakpoints(),
+                       *(w for w in self._turnover if 0.0 < w < 1.0)})
+
+    def integrated_H(self, tol):
+        """(edges, G, H(1)): the edges 0, split_points() and 1, the
+        integral G of H from 0 to each edge, with estimated errors summing
+        to at most tol, and H(1).  Computed once per model and tol and
+        kept on the instance, so the quadrature oracle integrates H over
+        [0, 1] once for all of its points."""
+        cache = self.__dict__.setdefault("_integrated_H", {})
+        if tol not in cache:
+            edges = np.array([0.0, *self.split_points(), 1.0])
+            parts = _integrate_H(self, edges, tol)
+            cache[tol] = (edges, np.concatenate([[0.0], np.cumsum(parts)]),
+                          float(self.H(1.0)))
+        return cache[tol]
 
     def endpoint_atoms(self):
         a0 = a1 = 0.0
@@ -377,6 +401,9 @@ class AsymLogisticModel(_LogisticModel):
         self.params = params
         self._degenerate = params.s == 1.0 or params.theta1 == 0.0 or params.theta2 == 0.0
         self._m = max(params.theta1, params.theta2)
+        if not self._degenerate:
+            self._turnover = (params.theta2 / (params.theta1 + params.theta2),)
+
 
     def _kernel(self, w, density=False):
         p, m = self.params, self._m
@@ -438,6 +465,8 @@ class AffineLogisticModel(_LogisticModel):
     def __init__(self, c1, c2, s):
         self.c1, self.c2, self.s = c1, c2, s
         self.al, self.be = 2.0 * c2 - 1.0, 1.0 - 2.0 * c1
+        # al (w - c1) = be (c2 - w): 1/2 for the restricted and upper ones
+        self._turnover = ((self.al * c1 + self.be * c2) / (self.al + self.be),)
 
     def _views(self, w):
         c1, c2, span = self.c1, self.c2, self.c2 - self.c1
@@ -463,14 +492,12 @@ class AffineLogisticModel(_LogisticModel):
 
     @_array_method
     def H(self, w):
-        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
-        out = np.zeros_like(w)
-        mid = (w >= c1) & (w < c2)
-        wm = w[mid]
-        slope = _logistic(wm - c1, c2 - wm, self.al, self.be, self.s)[1]
-        out[mid] = (self.be + slope) / span
-        out[w >= c2] = 2.0
-        return out
+        # on clipped distances, as in _views: 0 below c1, 2 from c2 on
+        c1, c2 = self.c1, self.c2
+        slope = _logistic(np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0),
+                          self.al, self.be, self.s)[1]
+        return np.where(w < c1, 0.0,
+                        np.where(w >= c2, 2.0, (self.be + slope) / (c2 - c1)))
 
     def support(self):
         return (self.c1, self.c2)
@@ -677,19 +704,18 @@ def validate_dependence(model: DependenceModel, n=101,
 
     # both moments by parts against the bounded measure function H, which
     # counts the atoms (the density h itself is singular at the support
-    # ends as s -> 1+)
-    edges = [0.0, *model.breakpoints(), 1.0]
-    for name, slope, f_one in (("moment_q", 1.0, 1.0),
-                               ("moment_1mq", -1.0, 0.0)):
-        try:
-            moment = _integrate_dH(model, edges,
-                                   np.full(len(edges) - 1, slope), f_one, 1e-13)
-        except NumericError as exc:
-            checks.append(ValidationCheck(name, False, str(exc)))
-            continue
-        checks.append(ValidationCheck(
-            name, abs(moment - 1.0) <= moment_tol,
-            f"moment from the measure function = {moment:.12f}"))
+    # ends as s -> 1+): int q dH = H(1) - int H and int (1 - q) dH = int H
+    try:
+        _edges, g, h_one = model.integrated_H(1e-13)
+    except NumericError as exc:
+        checks += [ValidationCheck(name, False, str(exc))
+                   for name in ("moment_q", "moment_1mq")]
+    else:
+        for name, moment in (("moment_q", h_one - g[-1]),
+                             ("moment_1mq", g[-1])):
+            checks.append(ValidationCheck(
+                name, abs(moment - 1.0) <= moment_tol,
+                f"moment from the measure function = {moment:.12f}"))
 
     return ValidationReport(checks)
 

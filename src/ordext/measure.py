@@ -15,7 +15,10 @@ mass has y-fraction at or below c.
 The quadrature oracle v_numeric integrates max[w x, (1-w) y] against the
 spectral measure by parts, through the measure function H alone, so it
 checks each family's H against v_closed; the density h is checked against
-A by dependence.a_numeric_oracle.
+A by dependence.a_numeric_oracle.  With G(k) the integral of H from 0 to
+k = y/(x+y), V = x H(1) + (x + y) G(k) - x G(1): each model integrates H
+once per tolerance, between 0, its split points and 1, and keeps the
+result on the instance, so that each point adds one segment.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependence import (DependenceModel, RestrictedLogisticParams,
-                         _integrate_dH)
+                         _integrate_H)
 from .errors import BoundaryError, DomainError
 from .margins import (GevmParams, exp_scale, exp_scale_log_jacobian,
                       log_exp_scale, log_exp_scale_grad)
@@ -159,23 +162,32 @@ def v_closed(p: ExpPair, c, s):
 def v_numeric(p: ExpPair, model: DependenceModel, tol=V_QUAD_TOL):
     """Quadrature oracle for V = int max[w x, (1-w) y] dH(w).
 
-    By parts against the bounded measure function H, with k = y/(x+y),
+    By parts against the bounded measure function H, with k = y/(x+y)
+    and G(k) = int_0^k H(w) dw,
 
-        V = x H(1) + y int_0^k H(w) dw - x int_k^1 H(w) dw,
+        V = x H(1) + (x + y) G(k) - x G(1).
 
-    on a tanh-sinh rule split at k and the family's breakpoints.  H counts
-    the atoms, and it stays bounded where the density h is singular
-    (s < 2).  Independent of every closed form, so it cross-checks
-    v_closed and v_from_a.  ``tol`` bounds the estimated relative error;
-    NumericError is raised when the rule cannot reach it or H is not
-    finite.
+    H counts the atoms, and it stays bounded where the density h is
+    singular (s < 2).  The model integrates H once per tolerance, on a
+    tanh-sinh rule split at its breakpoints and its logistic turnover, and
+    keeps G at those split points with H(1) (DependenceModel.integrated_H);
+    each point then integrates H only over [b, k], from the last split
+    point b at or below k.  ``tol`` bounds the estimated relative error:
+    V >= max(x, y), the model's segments enter V with the factor y below b
+    and -x above it, and the point's segment with x + y, so half of tol
+    goes to each part.  Independent of every closed form, so it
+    cross-checks v_closed and v_from_a.  NumericError is raised when the
+    rule cannot reach ``tol`` or H is not finite.
     """
     x, y = p.x_e, p.y_e
-    kink = y / (x + y)
-    edges = sorted({0.0, kink, 1.0, *model.breakpoints()})
-    slopes = np.where(np.asarray(edges[:-1]) < kink, -y, x)
-    # V >= max(x, y), so an absolute error of tol max(x, y) is relative tol
-    return _integrate_dH(model, edges, slopes, x, tol * max(x, y))
+    k = y / (x + y)
+    edges, g, h_one = model.integrated_H(0.5 * tol)
+    i = int(np.searchsorted(edges, k, side="right")) - 1
+    g_k = g[i]
+    if k > edges[i]:
+        g_k += _integrate_H(model, (edges[i], k),
+                            0.5 * tol * max(x, y) / (x + y))[0]
+    return float(x * (h_one - g[-1]) + (x + y) * g_k)
 
 
 def v_from_a(p: ExpPair, a):

@@ -8,9 +8,10 @@ from ordext import (AsymLogisticParams, DomainError, IntervalRestrictedParams,
                     RestrictedLogisticParams, UpperRestrictedParams,
                     a_numeric_oracle, make_model, nadarajah_density,
                     validate_dependence)
-from ordext.dependence import (AsymLogisticModel, IntervalRestrictedModel,
+from ordext.dependence import (AffineLogisticModel, AsymLogisticModel,
+                               IntervalRestrictedModel,
                                RestrictedLogisticModel, UpperRestrictedModel,
-                               a_numeric_from_model)
+                               _logistic, a_numeric_from_model)
 
 ALL_FAMILY_CASES = [
     make_model("restricted", c=0.25, s=2.0),
@@ -181,6 +182,31 @@ def test_point_mass_models():
     w = np.linspace(0.0, 1.0, 21)
     assert np.allclose(ind.a(w), 1.0)
     assert np.allclose(per.a(w), np.maximum(w, 1.0 - w))
+
+
+def _masked_H(m, w):
+    """H of an affine family with the kernel taken on the support only, as
+    it was before H ran the kernel on clipped distances."""
+    out = np.zeros_like(w)
+    mid = (w >= m.c1) & (w < m.c2)
+    slope = _logistic(w[mid] - m.c1, m.c2 - w[mid], m.al, m.be, m.s)[1]
+    out[mid] = (m.be + slope) / (m.c2 - m.c1)
+    out[w >= m.c2] = 2.0
+    return out
+
+
+def test_affine_H_is_bit_identical_to_the_masked_form():
+    # the asymmetric cases of ALL_FAMILY_CASES have no support ends to clip
+    affine = [m for m in ALL_FAMILY_CASES if isinstance(m, AffineLogisticModel)]
+    assert len(affine) == 8
+    for m in affine:
+        ends = [0.0, m.c1, m.c2, 1.0]
+        w = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 401), ends,
+            np.nextafter(ends, 0.5), [m.c1 + 1e-12, m.c2 - 1e-12]]))
+        assert np.array_equal(m.H(w), _masked_H(m, w)), m.params
+        for v in ends:
+            assert m.H(v) == _masked_H(m, np.array([v]))[0], (m.params, v)
 
 
 def test_validator_passes_for_families():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -10,7 +11,8 @@ from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
                     joint_log_density_gevm, joint_survival_gevm, make_model,
                     v_closed, v_frechet, v_from_a, v_numeric, v_partials)
 from ordext.margins import exp_scale, exp_scale_inverse
-from ordext.measure import _diag_ratio, _log_density, _v_closed, _v_partials
+from ordext.measure import (V_QUAD_TOL, _diag_ratio, _log_density, _v_closed,
+                            _v_partials)
 
 # (sqrt(0.5) + 0.25) / 0.75, the closed form at c = 0.25, s = 2, x = y = 1
 V_UNIT_POINT = 1.2761423749153967
@@ -60,6 +62,30 @@ def test_v_numeric_degenerate_models():
     for x, y in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.2)]:
         assert v_numeric(ExpPair(x, y), m) == \
             pytest.approx(v_closed(ExpPair(x, y), 0.25, 1.0), rel=1e-12)
+
+
+def test_v_numeric_does_not_depend_on_the_model_cache():
+    # each model integrates H once per tolerance and keeps the result; a
+    # point's value must be the same on a fresh model and on one already
+    # used for other points and other tolerances.  At c = 0.49999, s = 60
+    # the model's integrals at tol 1e-12 differ from those at the default
+    # in the last bit, and so does V at the last point below
+    builds = [lambda: make_model("restricted", c=0.25, s=2.0),
+              lambda: make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0),
+              lambda: make_model("interval", c1=0.1, c2=0.6, s=1.5),
+              lambda: make_model("restricted", c=0.49999, s=60.0)]
+    points = [(1.0, 1.0), (0.3, 2.5), (4.0, 0.9), (0.05, 0.05), (1.0, 1e-9),
+              (1e-9, 1.0), (1.0, 3.0),      # y/(x+y) = 1/4, a split point
+              (3.8454536844012805, 0.130338256332463)]
+    for build in builds:
+        used = build()
+        for tol in (1e-12, 1e-6, V_QUAD_TOL):
+            for x, y in points:
+                with contextlib.suppress(NumericError):
+                    v_numeric(ExpPair(2.0 * y + 0.1, x), used, tol=tol)
+        for x, y in points:
+            assert v_numeric(ExpPair(x, y), used) == \
+                v_numeric(ExpPair(x, y), build())
 
 
 def test_v_numeric_reports_nonconvergence():

@@ -21,7 +21,6 @@ from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
                     sample_pairs, v_closed, v_from_a, v_numeric,
                     validate_dependence)
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
-from ordext.measure import V_QUAD_TOL  # noqa: E402
 from ordext.simulate import BISECT_MAX_ITER, BISECT_TOL  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 201)
@@ -93,8 +92,9 @@ def test_density_finite_and_nonnegative(model):
 @given(families)
 def test_validator_passes(model):
     # restricted, upper and interval only: for the asymmetric family the
-    # validator's quadrature raises where a weight below ~1e-4 puts the
-    # logistic part's turnover at an end of [0, 1] (CHANGES.md FOUND line)
+    # validator's quadrature at 1e-13 still raises where a weight near 1e-7
+    # puts the logistic turnover next to an end of [0, 1], e.g. theta1 = 1,
+    # theta2 = 1.2e-7, s = 4 (CHANGES.md FOUND line)
     report = validate_dependence(model)
     assert report.passed, report.lines()
 
@@ -175,22 +175,40 @@ def test_v_numeric_matches_mpmath_or_raises(point):
 
 
 @given(st.one_of(families, asymmetric), log_uniform, log_uniform)
+# a weight near 0 puts the logistic turnover, theta2 / (theta1 + theta2),
+# next to an end of [0, 1]; the oracle splits there
+@example(make_model("asymmetric", theta1=1.38e-10, theta2=0.859, s=3.671),
+         1.0, 1e-3)
+@example(make_model("asymmetric", theta1=1.0, theta2=1e-12, s=1.5), 1e-3, 1.0)
+@example(SUBNORMAL_WEIGHTS, 1.0, 1.0)
 def test_v_numeric_matches_v_from_a(model, x, y):
-    # an asymmetric weight below 1e-2 puts the logistic part's turnover,
-    # theta2 / (theta1 + theta2), near an end of [0, 1], where the rule's
-    # half-step error estimate stays large: there v_numeric is held to its
-    # own tolerance or raises
     pair = ExpPair(x, y)
     expected = v_from_a(pair, model)
+    assert abs(v_numeric(pair, model) - expected) <= 1e-12 * expected
+
+
+# the logistic turnover within 1e-2 of a support end: at c = 0.49999 it
+# lies 1e-5 above c, and an asymmetric weight t puts it within about t of
+# 0 or 1
+near_half = st.builds(lambda c, s: make_model("restricted", c=c, s=s),
+                      st.floats(0.499, 0.49999), st.floats(1.0, 61.0))
+one_small_weight = st.builds(
+    lambda t, other, s, first: make_model(
+        "asymmetric", theta1=t if first else other,
+        theta2=other if first else t, s=s),
+    st.floats(1e-4, 1e-2), st.floats(0.0, 1.0), st.floats(1.0, 61.0),
+    st.booleans())
+
+
+@given(st.one_of(near_half, one_small_weight), log_uniform, log_uniform)
+def test_v_numeric_converges_next_to_the_turnover(model, x, y):
+    pair = ExpPair(x, y)
     params = model.params
-    steep = (isinstance(params, AsymLogisticParams)
-             and 0.0 < min(params.theta1, params.theta2) < 1e-2)
-    try:
-        value = v_numeric(pair, model)
-    except NumericError:
-        assert steep
-        return
-    assert abs(value - expected) <= (2 * V_QUAD_TOL if steep else 1e-12) * expected
+    if isinstance(params, AsymLogisticParams):
+        expected = v_from_a(pair, model)
+    else:
+        expected = v_closed(pair, params.c, params.s)
+    assert abs(v_numeric(pair, model) - expected) <= 1e-12 * expected
 
 
 @given(families, st.integers(0, 2 ** 32 - 1))
