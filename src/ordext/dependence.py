@@ -328,14 +328,15 @@ class DependenceModel:
         """(edges, G, H(1)): the edges 0, split_points() and 1, the
         integral G of H from 0 to each edge, with estimated errors summing
         to at most tol, and H(1).  Computed once per model and tol and
-        kept on the instance, so the quadrature oracle integrates H over
-        [0, 1] once for all of its points."""
+        kept on the instance, read-only, so the quadrature oracle
+        integrates H over [0, 1] once for all of its points."""
         cache = self.__dict__.setdefault("_integrated_H", {})
         if tol not in cache:
             edges = np.array([0.0, *self.split_points(), 1.0])
             parts = _integrate_H(self, edges, tol)
-            cache[tol] = (edges, np.concatenate([[0.0], np.cumsum(parts)]),
-                          float(self.H(1.0)))
+            g = np.concatenate([[0.0], np.cumsum(parts)])
+            edges.flags.writeable = g.flags.writeable = False
+            cache[tol] = edges, g, float(self.H(1.0))
         return cache[tol]
 
     def endpoint_atoms(self):
@@ -403,7 +404,6 @@ class AsymLogisticModel(_LogisticModel):
         self._m = max(params.theta1, params.theta2)
         if not self._degenerate:
             self._turnover = (params.theta2 / (params.theta1 + params.theta2),)
-
 
     def _kernel(self, w, density=False):
         p, m = self.params, self._m
