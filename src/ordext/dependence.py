@@ -199,84 +199,113 @@ def _logistic(u, v, t1, t2, s, density=False):
 
 
 # ---------------------------------------------------------------------------
-# internal: integrals of the measure function H on a tanh-sinh rule
+# internal: a piecewise-Chebyshev antiderivative of the measure function H
 # ---------------------------------------------------------------------------
 
-# Tanh-sinh (double-exponential) rule of Takahasi & Mori (Publ. RIMS 1974)
-# on [0, 1]: nodes (1 + tanh(pi/2 sinh t))/2 at t = j h, |t| <= 3.2, 205 per
-# segment.  The endpoint clustering absorbs the algebraic cusps H has at
-# the support ends, and its steep climb next to a logistic turnover that
-# lies near one (split_points makes the turnover an edge).  Nodes are kept
-# as gaps to the nearer end, 1/(1 + exp(pi sinh|t|)), so that they resolve
-# distances far below the rounding unit of the ends: the left half (centre
-# included) lies at lower end + width * gap, the right half at upper end -
-# width * gap.  The half-step sub-rule keeps the even j at twice the
-# weight; the gap between the two rules, taken with the rule's weights
-# less the sub-rule's (_TS_W_EXCESS), is the error estimate.  Integrals
-# against dH are taken by parts from these integrals of H:
-# DependenceModel.integrated_H covers [0, 1] once per model, and
-# measure.v_numeric adds one segment per point.
-_TS_STEP = 2.0 ** -5
-_ts_t = _TS_STEP * np.arange(int(3.2 / _TS_STEP) + 1)
-_ts_gap = 1.0 / (1.0 + np.exp(np.pi * np.sinh(_ts_t)))
-_ts_wt = 0.25 * np.pi * _TS_STEP * np.cosh(_ts_t) \
-    / np.cosh(0.5 * np.pi * np.sinh(_ts_t)) ** 2
-_ts_excess = np.where(np.arange(_ts_t.size) % 2 == 0, -_ts_wt, _ts_wt)
-_TS_LEFT = np.arange(2 * _ts_t.size - 1) < _ts_t.size
-_TS_GAP = np.concatenate([_ts_gap[::-1], -_ts_gap[1:]])
-_TS_W = np.concatenate([_ts_wt[::-1], _ts_wt[1:]])
-_TS_W_EXCESS = np.concatenate([_ts_excess[::-1], _ts_excess[1:]])
-_TS_ROUNDS = 12
-_TS_MAX_SEGMENTS = 64
+# On each panel H is interpolated at the 24 first-kind Chebyshev nodes
+# cos(pi (m + 1/2)/24) of [-1, 1], none of which is a panel end, so the
+# right-continuous H never picks up an atom sitting on one.  _CHEB_COEF
+# takes the values to the Chebyshev coefficients a_0..a_23, a_0 doubled,
+# and _CHEB_INT takes them on to the coefficients of the integral from -1,
+# b_j = (a_(j-1) - a_(j+1))/(2j), with b_0 making it 0 at -1 (Trefethen,
+# Approximation Theory and Approximation Practice, SIAM 2013; Battles &
+# Trefethen, SIAM J. Sci. Comput. 2004).  The panels of each segment
+# between 0, split_points() and 1 are graded geometrically toward both of
+# its ends, at offsets width * _GRADING: that absorbs the algebraic cusps
+# H has at the support ends, and its steep climb next to a logistic
+# turnover that lies near one (split_points makes the turnover an edge).
+# Without the grading, a climb that falls between the nodes of a wide
+# panel leaves its tail small and the integral wrong.  A panel's estimated
+# error is its width times the size of its last three coefficients, and
+# its share of the tolerance is half by width and half equal: the width
+# part keeps wide panels above the rounding of their coefficients, and the
+# equal part lets through the narrow panels next to a steep climb, where H
+# varies by its slope times the rounding of the nodes.  A panel over its
+# share is bisected, each half with half the share.  Integrals against dH
+# are taken by parts from this antiderivative G:
+# DependenceModel.integrated_H builds it once per model and tolerance, and
+# measure.v_numeric reads it at each point without evaluating H.
+_CHEB_N = 24
+_CHEB_ORDERS = np.arange(_CHEB_N + 1)
+_cheb_theta = np.pi * (np.arange(_CHEB_N) + 0.5) / _CHEB_N
+_CHEB_NODES = np.cos(_cheb_theta)
+_CHEB_COEF = np.cos(np.outer(_cheb_theta, _CHEB_ORDERS[:-1])) * (2.0 / _CHEB_N)
+_cheb_j = _CHEB_ORDERS[1:]
+_cheb_int = np.zeros((_CHEB_N, _CHEB_N + 1))
+_cheb_int[_cheb_j - 1, _cheb_j] = 0.5 / _cheb_j
+_cheb_int[_cheb_j[:-2] + 1, _cheb_j[:-2]] = -0.5 / _cheb_j[:-2]
+_cheb_int[:, 0] = -_cheb_int[:, 1:] @ (-1.0) ** _cheb_j
+_CHEB_INT = _CHEB_COEF @ _cheb_int
+_GRADING = 2.0 ** -np.arange(1, 53)
+_MAX_ROUNDS = 40
+_MAX_PANELS = 4096
 
 
-def _integrate_H(model, edges, tol):
-    """Integral of the measure function H over each segment between
-    consecutive ``edges``, on the tanh-sinh rule.
+@dataclass(frozen=True)
+class IntegratedH:
+    """G(k) = int_0^k H as a table: panel edges from 0 to 1, G at each
+    edge, per panel the Chebyshev series on [-1, 1] of G less its value at
+    the panel's lower end, and H(1).  The arrays are read-only."""
 
-    The estimated errors sum to at most ``tol``.  Each segment may spend
-    an equal share of it, and each piece of a segment the part of that
-    share by width: a narrow segment, such as one between a turnover and
-    the end of [0, 1] it lies next to, is not held to a far smaller error
-    than its neighbours.  Each round evaluates H once, vectorised over
-    every open piece's nodes, and a piece over its share is bisected for
-    the next round.  H is bounded where the density h is not, and counts
-    every atom.  Raises NumericError when H is not finite or the rounds or
-    pieces run out.
-    """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    owner = np.arange(lo.size)          # the segment each piece belongs to
-    out = np.zeros(lo.size)
-    span = lo.size * (hi - lo)          # a piece may spend tol d / span
-    spent = 0.0
-    for _ in range(_TS_ROUNDS):
-        d = hi - lo
-        # H is right-continuous, so a node that rounds onto the upper end
-        # would pick up an atom sitting there
-        nodes = np.minimum(np.where(_TS_LEFT, lo[:, None], hi[:, None])
-                           + d[:, None] * _TS_GAP,
+    edges: np.ndarray
+    g: np.ndarray
+    series: np.ndarray
+    h_one: float
+
+    def __call__(self, k):
+        """G at one k in [0, 1], from k's panel."""
+        i = int(np.searchsorted(self.edges[1:-1], k, side="right"))
+        lo, hi = self.edges[i], self.edges[i + 1]
+        t = min(max(2.0 * (k - lo) / (hi - lo) - 1.0, -1.0), 1.0)
+        return float(self.g[i]
+                     + np.cos(_CHEB_ORDERS * math.acos(t)) @ self.series[i])
+
+
+def _antiderivative_H(model, tol):
+    """IntegratedH of ``model``, with estimated errors summing to at most
+    ``tol``.  Each round evaluates H once, vectorised over every open
+    panel.  Raises NumericError when H is not finite or the rounds or
+    panels run out."""
+    edges = np.array([0.0, *model.split_points(), 1.0])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    cuts = np.unique(np.concatenate([edges,
+                                     (lo + (hi - lo) * _GRADING).ravel(),
+                                     (hi - (hi - lo) * _GRADING).ravel()]))
+    lo, hi = cuts[:-1], cuts[1:]
+    share = 0.5 * tol * (hi - lo + 1.0 / lo.size)
+    done = []
+    for _ in range(_MAX_ROUNDS):
+        half = 0.5 * (hi - lo)
+        # a node that rounds onto the upper end of a panel a few units of
+        # rounding wide would pick up an atom sitting there
+        nodes = np.minimum(lo[:, None] + half[:, None] * (1.0 + _CHEB_NODES),
                            np.nextafter(hi, lo)[:, None])
         with np.errstate(all="ignore"):
-            hv = np.asarray(model.H(nodes.ravel()), dtype=float)
+            hv = np.asarray(model.H(nodes.ravel()),
+                            dtype=float).reshape(nodes.shape)
         if not np.isfinite(hv).all():
             raise NumericError("measure function is not finite",
                                achieved_tol=math.inf)
-        hv = hv.reshape(nodes.shape)
-        full, err = d * (hv @ _TS_W), np.abs(d * (hv @ _TS_W_EXCESS))
-        ok = err * span[owner] <= tol * d
+        err = 2.0 * half * np.abs(hv @ _CHEB_COEF[:, -3:]).sum(axis=1)
+        ok = err <= share
+        done.append((lo[ok], (hv[ok] @ _CHEB_INT) * half[ok, None], err[ok]))
         if ok.all():
-            return out + np.bincount(owner, weights=full, minlength=out.size)
-        out += np.bincount(owner[ok], weights=full[ok], minlength=out.size)
-        spent += err[ok].sum()
-        lo, hi, owner = lo[~ok], hi[~ok], owner[~ok]
-        if 2 * lo.size > _TS_MAX_SEGMENTS:
+            lo, series, _ = (np.concatenate(part) for part in zip(*done))
+            order = np.argsort(lo)
+            edges, series = np.append(lo[order], 1.0), series[order]
+            g = np.concatenate([[0.0], np.cumsum(series.sum(axis=1))])
+            for table in (edges, g, series):
+                table.flags.writeable = False
+            return IntegratedH(edges, g, series, float(model.H(1.0)))
+        lo, hi, share = lo[~ok], hi[~ok], 0.5 * share[~ok]
+        if 2 * lo.size > _MAX_PANELS:
             break
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        owner = np.tile(owner, 2)
+        share = np.tile(share, 2)
     raise NumericError("measure quadrature did not converge",
-                       achieved_tol=float(spent + err[~ok].sum()))
+                       achieved_tol=float(sum(e.sum() for *_, e in done)
+                                          + err[~ok].sum()))
 
 
 class DependenceModel:
@@ -325,18 +354,13 @@ class DependenceModel:
                        *(w for w in self._turnover if 0.0 < w < 1.0)})
 
     def integrated_H(self, tol):
-        """(edges, G, H(1)): the edges 0, split_points() and 1, the
-        integral G of H from 0 to each edge, with estimated errors summing
-        to at most tol, and H(1).  Computed once per model and tol and
-        kept on the instance, read-only, so the quadrature oracle
-        integrates H over [0, 1] once for all of its points."""
+        """IntegratedH: G(k) = int_0^k H with estimated errors summing to at
+        most tol, and H(1).  Built once per model and tol and kept on the
+        instance, so the quadrature oracle evaluates H at none of its
+        points."""
         cache = self.__dict__.setdefault("_integrated_H", {})
         if tol not in cache:
-            edges = np.array([0.0, *self.split_points(), 1.0])
-            parts = _integrate_H(self, edges, tol)
-            g = np.concatenate([[0.0], np.cumsum(parts)])
-            edges.flags.writeable = g.flags.writeable = False
-            cache[tol] = edges, g, float(self.H(1.0))
+            cache[tol] = _antiderivative_H(self, tol)
         return cache[tol]
 
     def endpoint_atoms(self):
@@ -706,13 +730,13 @@ def validate_dependence(model: DependenceModel, n=101,
     # counts the atoms (the density h itself is singular at the support
     # ends as s -> 1+): int q dH = H(1) - int H and int (1 - q) dH = int H
     try:
-        _edges, g, h_one = model.integrated_H(1e-13)
+        big_g = model.integrated_H(1e-13)
     except NumericError as exc:
         checks += [ValidationCheck(name, False, str(exc))
                    for name in ("moment_q", "moment_1mq")]
     else:
-        for name, moment in (("moment_q", h_one - g[-1]),
-                             ("moment_1mq", g[-1])):
+        for name, moment in (("moment_q", big_g.h_one - big_g.g[-1]),
+                             ("moment_1mq", big_g.g[-1])):
             checks.append(ValidationCheck(
                 name, abs(moment - 1.0) <= moment_tol,
                 f"moment from the measure function = {moment:.12f}"))

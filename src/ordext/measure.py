@@ -16,9 +16,9 @@ The quadrature oracle v_numeric integrates max[w x, (1-w) y] against the
 spectral measure by parts, through the measure function H alone, so it
 checks each family's H against v_closed; the density h is checked against
 A by dependence.a_numeric_oracle.  With G(k) the integral of H from 0 to
-k = y/(x+y), V = x H(1) + (x + y) G(k) - x G(1): each model integrates H
-once per tolerance, between 0, its split points and 1, and keeps the
-result on the instance, so that each point adds one segment.
+k = y/(x+y), V = x H(1) + (x + y) G(k) - x G(1): each model builds G once
+per tolerance, as a piecewise-Chebyshev table kept on the instance, and a
+point reads it without evaluating H.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import (DependenceModel, RestrictedLogisticParams,
-                         _integrate_H)
+from .dependence import DependenceModel, RestrictedLogisticParams
 from .errors import BoundaryError, DomainError
 from .margins import (GevmParams, exp_scale, exp_scale_log_jacobian,
                       log_exp_scale, log_exp_scale_grad)
@@ -168,26 +167,20 @@ def v_numeric(p: ExpPair, model: DependenceModel, tol=V_QUAD_TOL):
         V = x H(1) + (x + y) G(k) - x G(1).
 
     H counts the atoms, and it stays bounded where the density h is
-    singular (s < 2).  The model integrates H once per tolerance, on a
-    tanh-sinh rule split at its breakpoints and its logistic turnover, and
-    keeps G at those split points with H(1) (DependenceModel.integrated_H);
-    each point then integrates H only over [b, k], from the last split
-    point b at or below k.  ``tol`` bounds the estimated relative error:
-    V >= max(x, y), the model's segments enter V with the factor y below b
-    and -x above it, and the point's segment with x + y, so half of tol
-    goes to each part.  Independent of every closed form, so it
-    cross-checks v_closed and v_from_a.  NumericError is raised when the
-    rule cannot reach ``tol`` or H is not finite.
+    singular (s < 2).  The model builds G once per tolerance, on Chebyshev
+    panels graded toward its breakpoints and its logistic turnover, and
+    keeps it with H(1) (DependenceModel.integrated_H); a point then finds
+    k's panel and sums that panel's series at k, with no call of H.
+    ``tol`` bounds the estimated relative error: V = x H(1) - x int_k^1 H
+    + y int_0^k H, the estimated errors of G sum to at most tol, and
+    V >= max(x, y).  Independent of every closed form, so it cross-checks
+    v_closed and v_from_a.  NumericError is raised when the table cannot
+    reach ``tol`` or H is not finite.
     """
     x, y = p.x_e, p.y_e
-    k = y / (x + y)
-    edges, g, h_one = model.integrated_H(0.5 * tol)
-    i = int(np.searchsorted(edges, k, side="right")) - 1
-    g_k = g[i]
-    if k > edges[i]:
-        g_k += _integrate_H(model, (edges[i], k),
-                            0.5 * tol * max(x, y) / (x + y))[0]
-    return float(x * (h_one - g[-1]) + (x + y) * g_k)
+    big_g = model.integrated_H(tol)
+    return float(x * (big_g.h_one - big_g.g[-1])
+                 + (x + y) * big_g(y / (x + y)))
 
 
 def v_from_a(p: ExpPair, a):

@@ -130,12 +130,13 @@ def test_validate_command_exit_codes(capsys):
 
 
 def test_validate_near_half_at_large_s(capsys):
-    # (1 - 2c)^s underflows here; the moment lines still fail, on the
-    # quadrature's turnover at the support end (CHANGES.md FOUND line)
-    _, out, _ = run_cli(capsys, "validate", "--family", "restricted",
-                        "--c", "0.4999999", "--s", "48")
+    # (1 - 2c)^s underflows here, and the logistic turnover lies 1e-7 from
+    # the support end c
+    code, out, _ = run_cli(capsys, "validate", "--family", "restricted",
+                           "--c", "0.4999999", "--s", "48")
     assert "[PASS] bounds" in out
     assert "[PASS] convexity" in out
+    assert code == 0 and "[FAIL]" not in out
 
 
 def test_missing_file_error(capsys):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
-                    GevmParams, NumericError, PointMassModel, c_from_margins,
+                    GevmParams, NumericError, PointMassModel,
+                    RestrictedLogisticModel, RestrictedLogisticParams,
+                    c_from_margins,
                     joint_log_density_gevm, joint_survival_gevm, make_model,
                     v_closed, v_frechet, v_from_a, v_numeric, v_partials)
 from ordext.margins import exp_scale, exp_scale_inverse
@@ -86,6 +88,29 @@ def test_v_numeric_does_not_depend_on_the_model_cache():
         for x, y in points:
             assert v_numeric(ExpPair(x, y), used) == \
                 v_numeric(ExpPair(x, y), build())
+
+
+def test_v_numeric_reads_the_model_table_without_calling_H():
+    class Counted(RestrictedLogisticModel):
+        calls = 0
+
+        def H(self, w):
+            Counted.calls += 1
+            return super().H(w)
+
+    model = Counted(RestrictedLogisticParams(0.25, 2.0))
+    table = model.integrated_H(V_QUAD_TOL)
+    assert Counted.calls > 0
+    built = Counted.calls
+    for x, y in [(1.0, 1.0), (0.3, 2.5), (4.0, 0.9), (1.0, 1e-9), (1.0, 3.0)]:
+        assert v_numeric(ExpPair(x, y), model) == pytest.approx(
+            v_closed(ExpPair(x, y), 0.25, 2.0), rel=1e-14)
+    assert Counted.calls == built
+    assert model.integrated_H(V_QUAD_TOL) is table
+    for array in (table.edges, table.g, table.series):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_v_numeric_reports_nonconvergence():
