@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
                     GevmParams, NumericError, PointMassModel,
                     RestrictedLogisticModel, RestrictedLogisticParams,
-                    c_from_margins,
-                    joint_log_density_gevm, joint_survival_gevm, make_model,
-                    v_closed, v_frechet, v_from_a, v_numeric, v_partials)
+                    c_from_margins, joint_log_density_gevm,
+                    joint_survival_gevm, make_model, v_closed, v_frechet,
+                    v_from_a, v_numeric, v_partials)
 from ordext.margins import exp_scale, exp_scale_inverse
 from ordext.measure import (V_QUAD_TOL, _diag_ratio, _log_density, _v_closed,
                             _v_partials)
