@@ -8,7 +8,6 @@ is included for quick visual checks without a plotting dependency.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,12 +198,6 @@ def read_table(path_or_buf) -> CurveTable:
     finally:
         if own:
             buf.close()
-
-
-def table_to_csv_text(table: CurveTable) -> str:
-    buf = io.StringIO()
-    write_table(table, buf)
-    return buf.getvalue()
 
 
 SVG_WIDTH, SVG_HEIGHT = 800, 600

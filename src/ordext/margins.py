@@ -46,14 +46,14 @@ class GevmParams:
         return abs(self.xi) < XI_ZERO_TOL
 
     def upper_endpoint(self):
-        """Upper support endpoint (inf when xi <= 0)."""
-        if self.xi > XI_ZERO_TOL:
+        """Upper support endpoint (inf for xi < 0 or a Gumbel margin)."""
+        if self.xi >= XI_ZERO_TOL:
             return self.mu + self.sigma / self.xi
         return math.inf
 
     def lower_endpoint(self):
-        """Lower support endpoint (-inf when xi >= 0)."""
-        if self.xi < -XI_ZERO_TOL:
+        """Lower support endpoint (-inf for xi > 0 or a Gumbel margin)."""
+        if self.xi <= -XI_ZERO_TOL:
             return self.mu + self.sigma / self.xi
         return -math.inf
 

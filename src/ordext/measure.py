@@ -361,21 +361,25 @@ def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=-math.inf,
                    x_hi=math.inf):
     """Ordering boundary c = 1/(1 + inf D(x, x)) over the part of
     [x_lo, x_hi] where both margins are defined: boundary_constant for
-    equal shapes (1/33 for the reference design), a grid search otherwise.
+    equal shapes (1/33 for the reference design) and for two Gumbel
+    margins, _least_log_ratio's ends and stationary point otherwise.
 
     A result at or above 1/2 means the margins cannot support the
     ordering X < Y; it is returned with a warning.
     """
     hi_cap = min(mx.upper_endpoint(), my.upper_endpoint())
     lo_cap = max(mx.lower_endpoint(), my.lower_endpoint())
-    if not max(x_lo, lo_cap) < min(x_hi, hi_cap):
+    lo, hi = max(x_lo, lo_cap), min(x_hi, hi_cap)
+    if not lo < hi:
         raise DomainError("empty feasible search domain for the boundary "
                           "constant")
-    if mx.xi == my.xi:
-        c = boundary_constant(mx.mu, my.mu, mx.sigma, my.sigma, mx.xi, x_lo,
-                              x_hi)
+    if mx.xi == my.xi or (mx.is_gumbel and my.is_gumbel):
+        c = boundary_constant(mx.mu, my.mu, mx.sigma, my.sigma,
+                              mx.xi if mx.xi == my.xi else 0.0, x_lo, x_hi)
     else:
-        c = 1.0 / (1.0 + _grid_min_ratio(mx, my, x_lo, x_hi, lo_cap, hi_cap))
+        d = _least_log_ratio(mx, my, lo, hi)
+        c = 1.0 if d == -math.inf else 0.0 if d > 700.0 else \
+            1.0 / (1.0 + math.exp(d))
     if c >= 0.5:
         warnings.warn(
             "boundary constant at or above 1/2: margins do not support the "
@@ -383,38 +387,35 @@ def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=-math.inf,
     return c
 
 
-def _grid_min_ratio(mx, my, x_lo, x_hi, lo_cap, hi_cap):
-    """Least D(x, x) for unequal shapes, where it need not be monotone: on
-    a log-spaced grid from just below the joint upper support (x_hi if
-    finite) far into the lower tail (x_lo if finite), then refined."""
-    from scipy.optimize import minimize_scalar
+def _least_log_ratio(mx, my, lo, hi):
+    """inf log D(x, x) over [lo, hi], the window cut to both supports, for
+    unequal shapes; a margin inside XI_ZERO_TOL is Gumbel (xi = 0).
 
-    if not math.isfinite(x_hi):
-        x_hi = hi_cap - 1e-9 * (1.0 + abs(hi_cap)) if math.isfinite(hi_cap) \
-            else max(mx.mu, my.mu) + 40.0 * max(mx.sigma, my.sigma)
-    if not math.isfinite(x_lo):
-        base = min(mx.mu, my.mu) - 40.0 * max(mx.sigma, my.sigma)
-        x_lo = base - 10.0 * (x_hi - base)
-    x_lo = max(x_lo, lo_cap + 1e-9 * (1.0 + abs(lo_cap))) if math.isfinite(lo_cap) else x_lo
-    if not x_lo < x_hi:
-        raise DomainError("empty feasible search domain for the boundary constant")
+    With b = sigma - xi (x - mu) > 0 on a support, d log e/dx = 1/b, so
+    d log D/dx = (b_y - b_x)/(b_x b_y) changes sign only at x*, where
+    b_x = b_y: the infimum is at x* or at an end.  Toward an end where a
+    log e is unbounded it grows like g L, L -> +inf: L = -log|x - t| and
+    g = 1/xi at the margin's threshold t; L = log|x| and g = -1/xi at an
+    infinite end, where a Gumbel margin's linear log e outgrows any g L.
+    There log D tends to (g_x - g_y) inf.
+    """
+    def at(x, p, xi):
+        # (log e at x, its growth factor g toward x: 0 where it is finite)
+        v = float(log_exp_scale(x, p.mu, p.sigma, xi))
+        if math.isinf(x):
+            return v, -1.0 / xi if xi else math.copysign(math.inf, x)
+        # at the threshold itself, or off the support by rounding
+        t = p.upper_endpoint() if xi > 0.0 else p.lower_endpoint()
+        return v, 1.0 / xi if x == t or not math.isfinite(v) else 0.0
 
-    # log-spaced offsets below x_hi reach far into the lower tail
-    span = x_hi - x_lo
-    offsets = np.logspace(math.log10(span * 1e-9), math.log10(span), 512)
-    grid = x_hi - offsets
-    dvals = _diag_ratio(grid, mx, my)
-    finite = np.isfinite(dvals)
-    if not np.any(finite):
-        raise DomainError("no feasible grid point for the boundary constant")
-    k = int(np.argmin(np.where(finite, dvals, np.inf)))
-    lo_b = grid[min(k + 1, len(grid) - 1)]
-    hi_b = grid[max(k - 1, 0)]
-    d_best = float(dvals[k])
-    if lo_b < hi_b:
-        res = minimize_scalar(lambda x: float(_diag_ratio(x, mx, my)),
-                              bounds=(lo_b, hi_b), method="bounded",
-                              options={"xatol": 1e-10 * (1.0 + abs(hi_b))})
-        if res.fun < d_best:
-            d_best = float(res.fun)
-    return d_best
+    xi_x = 0.0 if mx.is_gumbel else mx.xi
+    xi_y = 0.0 if my.is_gumbel else my.xi
+    x_star = (mx.sigma - my.sigma + xi_x * mx.mu - xi_y * my.mu) \
+        / (xi_x - xi_y)
+    found = []
+    with np.errstate(all="ignore"):
+        for x in [lo, hi, x_star] if lo < x_star < hi else [lo, hi]:
+            (ex, gx), (ey, gy) = at(x, mx, xi_x), at(x, my, xi_y)
+            found.append(math.copysign(math.inf, gx - gy) if gx != gy
+                         else ex - ey)
+    return min(found)

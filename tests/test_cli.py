@@ -353,6 +353,8 @@ codes = [main(["simulate", "--c", "0.25", "--n", "200", "--seed", "7",
          main(["estimate-c", "--data", out + "/pairs.csv"]),
          main(["simulate", "--c", "0.03", "--n", "40", "--seed", "3",
                "--out", out + "/series.csv", *margins])]
+ordext.c_from_margins(ordext.GevmParams(100, 2, 0.2),
+                      ordext.GevmParams(150, 2, 0.15))
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 before = scipy_modules()
@@ -365,8 +367,8 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 
 
 def test_scipy_loads_at_the_first_fit(tmp_path):
-    """Importing ordext and the non-fit commands load numpy only; the first
-    fit loads scipy."""
+    """Importing ordext, the non-fit commands and an unequal-shape boundary
+    constant load numpy only; the first fit loads scipy."""
     src = str(Path(ordext.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", COLD_START_IN_CHILD,

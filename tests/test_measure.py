@@ -340,6 +340,73 @@ def test_shared_shape_boundary_matches_dense_scan(mu_x, gap, sig_x, sig_y, xi,
     assert c_scan * (1.0 - 1e-12) <= c <= c_scan + 1e-9
 
 
+def test_unequal_shape_boundary_takes_exact_limits():
+    # D falls to 0 toward x -> -inf, toward x -> +inf, at Y's threshold
+    # 24.18 (within ~1e-11 of it), and at both thresholds of margins with
+    # xi = -+XI_ZERO_TOL, which are not Gumbel
+    for mx, my, window in [
+            (GevmParams(0.0, 3.9, 0.56), GevmParams(10.0, 1.65, 0.63), ()),
+            (GevmParams(0.0, 1.1, -0.38), GevmParams(10.0, 3.9, -0.33), ()),
+            (GevmParams(17.6, 0.2, 0.0), GevmParams(23.7, 0.36, 0.75),
+             (20.0, 95.0)),
+            (GevmParams(-2.4, 0.8, -1e-8), GevmParams(-1.3, 5.3, 1e-8), ())]:
+        with pytest.warns(RuntimeWarning, match="ordering"):
+            assert c_from_margins(mx, my, *window) == 1.0
+    # two Gumbel margins, one shape inside XI_ZERO_TOL
+    c = c_from_margins(GevmParams(0.0, 2.0, 1e-9), GevmParams(1.0, 2.0, 0.0))
+    assert c == pytest.approx(1.0 / (1.0 + math.exp(0.5)), abs=1e-15)
+
+
+def _scan_least_ratio(mx, my, lo, hi):
+    """Least D(x, x) on [lo, hi]: log-spaced from each end and evenly
+    spaced, then zoomed three times around the least point."""
+    offsets = (hi - lo) * np.logspace(-14.0, 0.0, 2001)
+    x = np.unique(np.concatenate([lo + offsets, hi - offsets,
+                                  np.linspace(lo, hi, 2001)]))
+    best = math.inf
+    for _ in range(4):
+        d = _diag_ratio(x, mx, my)
+        k = int(np.argmin(d))
+        best = min(best, float(d[k]))
+        x = np.linspace(x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)], 2001)
+    return best
+
+
+_SHAPES = st.one_of(st.floats(-0.45, 0.95), st.floats(-1e-8, 1e-8),
+                    st.sampled_from([0.0, 1e-8, -1e-8]))
+
+
+@settings(max_examples=300)
+@given(st.floats(-20.0, 20.0), st.floats(-2.0, 10.0), st.floats(0.1, 10.0),
+       st.floats(0.1, 10.0), _SHAPES, _SHAPES, st.floats(-60.0, 60.0),
+       st.floats(1e-3, 80.0))
+def test_unequal_shape_boundary_matches_dense_scan(mu_x, gap, sig_x, sig_y,
+                                                   xi_x, xi_y, x_lo, width):
+    assume(xi_x != xi_y)
+    mx, my = GevmParams(mu_x, sig_x, xi_x), GevmParams(mu_x + gap, sig_y, xi_y)
+    x_hi = x_lo + width
+    lo = max(x_lo, mx.lower_endpoint(), my.lower_endpoint())
+    hi = min(x_hi, mx.upper_endpoint(), my.upper_endpoint())
+    assume(lo < hi)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "boundary constant at or above")
+        c = c_from_margins(mx, my, x_lo, x_hi)
+    c_scan = 1.0 / (1.0 + _scan_least_ratio(mx, my, lo, hi))
+    assert c >= c_scan * (1.0 - 1e-12)
+
+    # toward a threshold t that ends the window, a margin's log e grows
+    # like -log|x - t| / xi; where D -> 0 there, c is 1 however close to t
+    # the scan would have to go to see it
+    def growth(p, t):
+        return 1.0 / p.xi if t in (p.lower_endpoint(), p.upper_endpoint()) \
+            else 0.0
+    if any(t != end and growth(mx, t) < growth(my, t)
+           for t, end in [(lo, x_lo), (hi, x_hi)]):
+        assert c == 1.0
+    else:
+        assert c <= c_scan + 1e-9
+
+
 def test_c_from_margins_empty_domain():
     with pytest.raises(DomainError):
         c_from_margins(GevmParams(0.0, 1.0, 0.2), GevmParams(0.0, 1.0, 0.2),
