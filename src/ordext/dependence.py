@@ -209,13 +209,15 @@ def _logistic(u, v, t1, t2, s, density=False):
 # and _CHEB_INT takes them on to the coefficients of the integral from -1,
 # b_j = (a_(j-1) - a_(j+1))/(2j), with b_0 making it 0 at -1 (Trefethen,
 # Approximation Theory and Approximation Practice, SIAM 2013; Battles &
-# Trefethen, SIAM J. Sci. Comput. 2004).  The panels of each segment
-# between 0, split_points() and 1 are graded geometrically toward both of
-# its ends, at offsets width * _GRADING: that absorbs the algebraic cusps
-# H has at the support ends, and its steep climb next to a logistic
-# turnover that lies near one (split_points makes the turnover an edge).
-# Without the grading, a climb that falls between the nodes of a wide
-# panel leaves its tail small and the integral wrong.  A panel's estimated
+# Trefethen, SIAM J. Sci. Comput. 2004).  The panels start from
+# DependenceModel.graded_cuts: each segment between split_points() inside
+# the support is graded geometrically toward both of its ends, which
+# absorbs the algebraic cusps H has at the support ends, and its steep
+# climb next to a logistic turnover that lies near one (split_points makes
+# the turnover an edge).  Without the grading, a climb that falls between
+# the nodes of a wide panel leaves its tail small and the integral wrong;
+# outside the support H is constant, and one panel takes a segment exactly
+# (atoms sit on segment ends, which no node touches).  A panel's estimated
 # error is its width times the size of its last three coefficients, and
 # its share of the tolerance is half by width and half equal: the width
 # part keeps wide panels above the rounding of their coefficients, and the
@@ -266,11 +268,7 @@ def _antiderivative_H(model, tol):
     ``tol``.  Each round evaluates H once, vectorised over every open
     panel.  Raises NumericError when H is not finite or the rounds or
     panels run out."""
-    edges = np.array([0.0, *model.split_points(), 1.0])
-    lo, hi = edges[:-1, None], edges[1:, None]
-    cuts = np.unique(np.concatenate([edges,
-                                     (lo + (hi - lo) * _GRADING).ravel(),
-                                     (hi - (hi - lo) * _GRADING).ravel()]))
+    cuts = model.graded_cuts()
     lo, hi = cuts[:-1], cuts[1:]
     share = 0.5 * tol * (hi - lo + 1.0 / lo.size)
     done = []
@@ -352,6 +350,16 @@ class DependenceModel:
         splits [0, 1] there, and resolves each side from its end nodes."""
         return sorted({*self.breakpoints(),
                        *(w for w in self._turnover if 0.0 < w < 1.0)})
+
+    def graded_cuts(self):
+        """0, split_points() and 1, each segment between them inside
+        support() cut at width * _GRADING from both of its ends."""
+        edges = np.array([0.0, *self.split_points(), 1.0])
+        lo, hi = edges[:-1, None], edges[1:, None]
+        s_lo, s_hi = self.support()
+        width = np.where((lo >= s_lo) & (hi <= s_hi), hi - lo, 0.0)
+        return np.unique(np.concatenate([edges, (lo + width * _GRADING).ravel(),
+                                         (hi - width * _GRADING).ravel()]))
 
     def integrated_H(self, tol):
         """IntegratedH: G(k) = int_0^k H with estimated errors summing to at

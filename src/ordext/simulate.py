@@ -1,21 +1,16 @@
 """Sampling from the bivariate models and the replication study driver.
 
-Pairs are drawn on the exponential scale by conditional inversion: X is a
-unit exponential, and Y solves
-
-    Pr(Y > y | X = x) = V_x(x, y) * exp(x - V(x, y)) = u
-
-by safeguarded Newton steps on log S(y | x) = log V_x + x - V, with
-V_x = A(w) - w A'(w) and the slope d log S/dy = V_xy/V_x - V_y taken from
-the family's closed forms for A, A' and h.  Each pair keeps a bisection
-bracket; a step longer than half of it, or a slope that is not
-negative, gives way to the midpoint, so the solve also carries the
-restricted families, whose conditional survival stays at 1 up to the
-ordering boundary y = c x / (1 - c), and the step functions of purely
-atomic measures.
-Each pair stops on its own test, so a draw depends only on its own
-(x, u); the pairs are solved in fixed-size blocks, which keeps each
-step's temporaries small.
+Pairs are drawn on the exponential scale by the angular decomposition
+(Ghoudi, Khoudraji & Rivest, Canad. J. Statist. 1998): for the survival
+exp(-(x+y) A(w)), the fraction W = Y/(X+Y) has the cdf
+F(w) = w + w(1-w) A'(w)/A(w), a bounded non-decreasing function of w
+alone with a jump at each atom of H inside (0, 1); given W = w, T = X + Y
+is Gamma(2) or exponential with rate A(w), always exponential on an
+atom, and the pair is (T(1-w), T w).  Each call tabulates F once and
+inverts it inside the table's cells, pair by pair in fixed-size blocks.
+Every draw's w is at least the ordering floor plus _FLOOR_GAP, which
+lifts the draws on an atom at the floor (s = 1) and, for s near 1, those
+within _FLOOR_GAP of it.
 
 Replicates use independent child streams spawned from one master seed, so
 a study is reproducible from (seed, replicate index, draw index) and the
@@ -33,120 +28,101 @@ from .errors import NumericError, ParameterError
 from .margins import GevmParams, TrendSpec, exp_scale_inverse, resolve_mu
 from .series import BivariateSeries
 
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 200
-
-# pairs per solve block: at 64 KB a step's temporaries are reused by the
-# allocator from one step to the next, where whole-sample arrays would be
-# paged in afresh at every step; a draw does not depend on it
+# pairs per block: a step's temporaries stay small, where whole-sample
+# arrays would be paged in afresh at every step; a draw does not depend on it
 _SOLVE_BLOCK = 8192
+# with the graded cuts, no cell of the table of F spans more than 1/256
+_EVEN_CUTS = np.linspace(0.0, 1.0, 257)
+# a pair stops when its bracket is within _W_TOL of w, relative
+_W_TOL = 1e-12
+_MAX_STEPS = 100
+# every draw's y-fraction is at least this far above the ordering floor
+_FLOOR_GAP = 1e-12
 
 
-def _log_survival(model: DependenceModel, x, y):
-    """log Pr(Y > y | X = x) on the exponential scale and its y-derivative,
-    vectorised: with w = y/(x+y), V = (x+y) A, V_x = A - w A',
-    V_y = A + (1-w) A' and V_xy = -w (1-w) h/(x+y),
-
-        log S = log V_x + x - V,   d log S/dy = V_xy/V_x - V_y.
-
-    Where V_x is 0 (no mass beyond y), log S is -inf and the slope NaN.
-    """
-    total = x + y
-    w = y / total
+def _angular_law(model: DependenceModel, w):
+    """F, its density g, A and the Gamma(2) share p at the fractions w,
+    from one a_a_prime_h call, and the rounding scale of F: with
+    V_x = A - w A', V_y = A + (1-w) A' and e = A w(1-w) h, F = w V_y/A,
+    g = (V_x V_y + e)/A^2 and p = V_x V_y/(V_x V_y + e), 0 where h = inf."""
     a, ap, h = model.a_a_prime_h(w)
-    vx = a - w * ap
+    vy = a + (1.0 - w) * ap
+    gamma = (a - w * ap) * vy
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.log(vx) + (x - total * a),
-                -(w * (1.0 - w) * h) / (total * vx) - (a + (1.0 - w) * ap))
+        expo = a * w * (1.0 - w) * h
+        return (w * vy / a, (gamma + expo) / (a * a), a, gamma / (gamma + expo),
+                4.0 * np.finfo(float).eps * w * (a + (1.0 - w) * np.abs(ap)) / a)
 
 
-def _open_rows(mask):
-    """Indices of the True entries of mask, repeated cyclically up to a
-    multiple of 64 entries; a pair solved twice gives the same bits twice.
+def _cdf_table(model: DependenceModel):
+    """The cuts (graded, even, and just below each atom inside (0, 1)), F
+    there made non-decreasing against rounding, A there, and whether each
+    cut is an atom, the top of a jump of F."""
+    atoms = [q for q, m in model.point_masses() if 0.0 < q < 1.0 and m > 0.0]
+    cuts = np.unique(np.concatenate([model.graded_cuts(), _EVEN_CUTS,
+                                     np.nextafter(atoms, 0.0)]))
+    f, _, a, _, _ = _angular_law(model, cuts)
+    if not np.isfinite(f).all():
+        raise NumericError("angular cdf is not finite", achieved_tol=np.inf)
+    return cuts, np.maximum.accumulate(np.clip(f, 0.0, 1.0)), a, \
+        np.isin(cuts, atoms)
 
-    numpy keeps up to seven freed arrays of each size under 1 KB for
-    reuse and never returns them, so open sets of every size below 1024
-    pairs would leave ~2 MB behind over a few draws; rounded to multiples
-    of 64, 15 such sizes occur and the cache stays under 100 KB.
-    """
-    k = int(np.count_nonzero(mask))
-    return np.argsort(~mask, kind="stable")[np.arange(-(-k // 64) * 64) % k]
 
-
-def _solve_block(model: DependenceModel, x, u, floor):
-    """y with S(y | x) = u for one block of pairs."""
-    # at u = 0 (a chance of 2^-53) the root is where S underflows
-    log_u = np.log(np.maximum(u, np.finfo(float).smallest_subnormal))
-    lo = x * floor / (1.0 - floor) if floor > 0.0 else np.zeros_like(x)
-    # a root within rounding of the ordering boundary would round onto a
-    # y-fraction of c, where the model has no mass: draws stay half a
-    # tolerance above it (for s near 1 a share of the roots lie there)
-    edge = lo + 0.5 * BISECT_TOL * np.maximum(lo, 1.0)
-
-    # bracket: double each pair's offset from lo until S(lo + off) <= u
-    off = np.maximum(x, 1.0) + 1.0
-    g, slope = np.empty_like(x), np.empty_like(x)
-    i = np.arange(x.size)
-    for _ in range(80):
-        gi, si = _log_survival(model, x[i], lo[i] + off[i])
-        g[i], slope[i] = gi - log_u[i], si
-        above = g > 0.0
-        if not above.any():
-            break
-        i = _open_rows(above)
-        off[i] *= 2.0
-    else:
-        raise NumericError("could not bracket the conditional quantile")
-    hi = lo + off
-
-    # Newton from the bracket's top, where g = log S - log u and its slope
-    # are known, on the pairs still open.  The point is always a bracket
-    # end, so a step of at most half the bracket stays inside it (a step
-    # that rounds to 0 near the root included); a longer step, or a slope
-    # that is not negative and finite, gives way to the midpoint, which
-    # also breaks the two-cycles Newton can fall into between the ends.
-    # Each pair stops when its step, or its bracket, is within BISECT_TOL
-    # (relative above 1).
-    y = np.empty_like(x)
-    i, at = np.arange(x.size), hi
-    for _ in range(BISECT_MAX_ITER):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new = at - g / slope
-        dist = np.abs(new - at)
-        falling = (slope < 0.0) & (slope > -np.inf)
-        newton = falling & (dist <= 0.5 * (hi - lo))
-        done = (falling & (dist <= BISECT_TOL * np.maximum(at, 1.0))) \
-            | (hi - lo <= BISECT_TOL * np.maximum(hi, 1.0))
-        new = np.where(newton, new, 0.5 * (lo + hi))
-        y[i] = new
+def _invert_block(model: DependenceModel, table, u):
+    """w with F(w) = u, A(w) and the Gamma(2) share, for one block.  A u
+    in a jump of F takes the atom; any other starts linearly in its cell
+    of the table and takes safeguarded Newton steps inside it."""
+    cuts, f, a_cut, jump = table
+    j = np.searchsorted(f, u, side="right")     # F(cut j-1) <= u < F(cut j)
+    w, a, p = cuts[j], a_cut[j], np.zeros_like(u)
+    i = np.flatnonzero(~jump[j])
+    lo, hi, u, j = cuts[j[i] - 1], w[i], u[i], j[i]
+    at = lo + (hi - lo) * ((u - f[j - 1]) / (f[j] - f[j - 1]))
+    for _ in range(_MAX_STEPS):
+        fa, g, a_at, p_at, slack = _angular_law(model, at)
+        resid = fa - u
+        below = resid < 0.0
+        lo, hi = np.where(below, at, lo), np.where(below, hi, at)
+        # each pair stops on its own residual, within rounding of F, or its
+        # bracket; where F is flat, rounding alone sets the Newton step,
+        # so the step is no test
+        done = (np.abs(resid) <= slack) | (hi - lo <= _W_TOL * hi)
+        k = i[done]
+        w[k], a[k], p[k] = at[done], a_at[done], p_at[done]
         if done.all():
-            return np.maximum(y, edge)
-        keep = _open_rows(~done)
-        i, at, lo, hi, x, log_u = (v[keep] for v in (i, new, lo, hi, x, log_u))
-        g, slope = _log_survival(model, x, at)
-        g -= log_u
-        above = g > 0.0
-        lo = np.where(above, at, lo)
-        hi = np.where(above, hi, at)
-    raise NumericError("conditional-quantile solve did not converge",
-                       achieved_tol=float(np.max(hi - lo)))
+            return w, a, p
+        i, at, lo, hi, u, resid, g = (v[~done] for v in
+                                      (i, at, lo, hi, u, resid, g))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = at - resid / g
+        # a step longer than half the bracket gives way to the midpoint;
+        # a shorter one is kept half a tolerance inside the bracket, so
+        # where it rounds onto an end the next bracket is within tolerance
+        gap = 0.5 * _W_TOL * hi
+        at = np.where(np.abs(new - at) <= 0.5 * (hi - lo),
+                      np.clip(new, lo + gap, hi - gap), 0.5 * (lo + hi))
+    raise NumericError("angular inversion did not converge",
+                       achieved_tol=float(np.max((hi - lo) / hi)))
 
 
 def sample_pairs(model: DependenceModel, n, rng):
-    """Draw n exponential-scale pairs from the model.
-
-    Raises NumericError if a pair cannot be bracketed, or if its solve
-    does not reach BISECT_TOL within BISECT_MAX_ITER steps.
-    """
+    """Draw n exponential-scale pairs from the model, from two uniforms
+    and two unit exponentials per pair, all drawn first.  Raises
+    NumericError if F is not finite on its table, or if an inversion does
+    not settle within _MAX_STEPS steps."""
     if n < 1:
         raise ParameterError("sample size must be positive")
-    x = rng.exponential(size=n)
-    u = rng.random(size=n)
-    floor = model.ordering_floor()
-    y = np.empty(n)
+    u, v = rng.random((2, n))
+    # x and y hold the two exponentials until their block is drawn
+    x, y = rng.exponential(size=(2, n))
+    table = _cdf_table(model)
+    floor = model.ordering_floor() + _FLOOR_GAP
     for k in range(0, n, _SOLVE_BLOCK):
-        block = slice(k, k + _SOLVE_BLOCK)
-        y[block] = _solve_block(model, x[block], u[block], floor)
+        b = slice(k, k + _SOLVE_BLOCK)
+        w, a, p = _invert_block(model, table, u[b])
+        t = (x[b] + np.where(v[b] < p, y[b], 0.0)) / a
+        w = np.maximum(w, floor)
+        x[b], y[b] = t * (1.0 - w), t * w
     return x, y
 
 

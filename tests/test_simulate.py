@@ -8,7 +8,8 @@ from scipy.stats import chi2, kstest, spearmanr
 from ordext import (GevmParams, ParameterError, PointMassModel, StudyConfig,
                     TrendSpec, joint_log_density_gevm, make_model, run_study,
                     sample_pair, sample_pairs, simulate)
-from ordext.simulate import BISECT_TOL, _log_survival
+from ordext.simulate import _angular_law
+from test_dependence import ALL_FAMILY_CASES
 
 
 def study_config(n_reps=1, n_times=200, seed=5, s=2.0):
@@ -54,11 +55,11 @@ def test_sampler_marginals_exponential():
 
 
 def test_perfect_dependence_draws_lie_on_the_diagonal():
-    # S(y | x) steps from 1 to 0 at y = x and its slope is 0 or NaN: the
-    # bisection safeguard alone carries the solve
+    # F steps from 0 to 1 at w = 1/2, the atom every draw takes, and
+    # x = T/2 = y exactly
     xe, ye = sample_pairs(PointMassModel.perfect_dependence(), 2000,
                           np.random.default_rng(4))
-    assert np.all(np.abs(ye - xe) <= BISECT_TOL * np.maximum(xe, 1.0))
+    assert np.array_equal(xe, ye)
 
 
 def test_draws_do_not_depend_on_the_block_size(monkeypatch):
@@ -81,15 +82,36 @@ def test_draws_do_not_depend_on_the_block_size(monkeypatch):
 ])
 def test_log_survival_slope_matches_central_difference(family, params,
                                                        fractions):
+    # W = Y/(X+Y) has the survival 1 - F and the density g = F', so the
+    # slope of log(1 - F) is -g/(1 - F)
     model = make_model(family, **params)
-    x = np.repeat([0.2, 1.0, 4.0], len(fractions))
-    frac = np.tile(fractions, 3)
-    y = x * frac / (1.0 - frac)
-    step = 1e-6 * y
-    slope = _log_survival(model, x, y)[1]
-    fd = (_log_survival(model, x, y + step)[0]
-          - _log_survival(model, x, y - step)[0]) / (2.0 * step)
-    assert np.allclose(fd, slope, rtol=1e-6, atol=1e-8)
+    w = np.array(fractions)
+    step = 1e-6 * w
+    f, g = _angular_law(model, w)[:2]
+    fd = (np.log1p(-_angular_law(model, w + step)[0])
+          - np.log1p(-_angular_law(model, w - step)[0])) / (2.0 * step)
+    assert np.allclose(fd, -g / (1.0 - f), rtol=1e-6, atol=1e-8)
+
+
+# every family case, the two atomic s = 1 cases and independence
+LAW_MODELS = ALL_FAMILY_CASES + [make_model("restricted", c=0.25, s=1.0),
+                                 make_model("interval", c1=0.25, c2=0.75,
+                                            s=1.0),
+                                 PointMassModel.independence()]
+
+
+def test_draws_follow_the_joint_survival():
+    # Pr(X > x, Y > y) = exp(-(x+y) A(y/(x+y))) on a 3 x 3 grid; 117
+    # binomial z-scores from fixed seeds, none beyond 4
+    n = 50_000
+    px, py = (a.ravel() for a in np.meshgrid([0.2, 0.7, 2.0],
+                                             [0.2, 0.7, 2.0]))
+    for seed, model in enumerate(LAW_MODELS):
+        xe, ye = sample_pairs(model, n, np.random.default_rng(seed))
+        p = np.exp(-(px + py) * model.a(py / (px + py)))
+        hits = np.mean((xe[:, None] > px) & (ye[:, None] > py), axis=0)
+        z = (hits - p) / np.sqrt(p * (1.0 - p) / n)
+        assert np.max(np.abs(z)) <= 4.0, (model.params, z)
 
 
 def test_sampler_size_validation():
