@@ -149,7 +149,7 @@ def _array_method(f):
 
 def _check_unit_interval(w):
     arr = np.asarray(w, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):     # NaN fails too
         raise DomainError("fraction must lie in [0, 1]")
 
 

@@ -6,7 +6,9 @@ minimum T_i = min(X_i / (1-w), Y_i / w) of an exponential-scale sample;
 T is Exp(A(w)) under the model, so n / sum(T_i) estimates A(w).  The
 mean-rescaled variant divides each coordinate by its sample mean, which
 pins the endpoints at exactly 1 and keeps the curve above the convex
-envelope max(w, 1-w).
+envelope max(w, 1-w).  T_i = X_i / (1-w) exactly when w <= Y_i/(X_i+Y_i),
+so the pairs are sorted once by their y-fraction and each w reads a
+suffix sum of X and a prefix sum of Y: O(n log n + G) for G fractions.
 
 The parametric fit alternates penalized trend updates with a bounded
 quasi-Newton step (L-BFGS-B, the one scalar optimiser) on (s, sigma_x,
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dependence import _check_unit_interval
 from .errors import InputError, NumericError, ParameterError
 from .margins import log_exp_scale, log_exp_scale_grad
 # _v_closed and _v_partials are not used here; they are imported because
@@ -111,27 +114,69 @@ def _check_sample(xe, ye):
     ye = np.asarray(ye, dtype=float)
     if xe.size == 0 or ye.size == 0:
         raise InputError("empty sample")
-    if xe.shape != ye.shape:
-        raise InputError("x and y samples must have equal length")
+    if xe.ndim != 1 or xe.shape != ye.shape:
+        raise InputError("x and y samples must be 1-D of equal length")
+    if not (np.all(np.isfinite(xe)) and np.all(np.isfinite(ye))):
+        raise InputError("sample has a non-finite value")
+    if np.any(xe < 0.0) or np.any(ye < 0.0):
+        raise InputError("sample has a negative value")
+    if np.any(xe + ye == 0.0):
+        raise InputError("sample has a pair with x + y = 0")
+    if not np.any((xe > 0.0) & (ye > 0.0)):
+        # at every 0 < w < 1 each pooled minimum would be 0, and A = inf
+        raise InputError("sample has no pair with x > 0 and y > 0")
     return xe, ye
 
 
-_POOLED_BLOCK = 1 << 20
+# a rounded y-fraction fl(y/(x+y)) is within eps of the exact one, and the
+# minimum's rounded 1 - w moves its tie by at most eps/8: a pair whose
+# rounded fraction is farther than _TIE from w takes the side it says
+_TIE = 4.0 * np.finfo(float).eps
+
+
+def _running_sums(v):
+    # prefix sums that carry each step's rounding error (TwoSum), so a
+    # prefix of non-negative terms is within ~eps of its exact value
+    p = np.cumsum(v)
+    prev = np.concatenate(([0.0], p[:-1]))
+    step = p - prev
+    return p + np.cumsum((prev - (p - step)) + (v - step))
 
 
 def _pooled_minimum_mean(xe, ye, w):
-    # omega rows go in blocks of about 2^20 elements, so a large sample
-    # never holds the whole omega x n array; each row's mean is the same
-    # reduction as in one block, so the result does not depend on the size
+    # min(x/(1-w), y/w) = x/(1-w) exactly when w <= k = y/(x+y).  With the
+    # pairs ordered by k, those from w's split index on take x/(1-w) and the
+    # rest y/w, so the mean is a suffix sum of x and a prefix sum of y; only
+    # pairs whose rounded k lies within _TIE of w take the minimum itself.
+    # Segments between split indices are summed pairwise and their prefixes
+    # compensated, so each mean is within a few eps of the exact one.
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    rows = max(1, _POOLED_BLOCK // xe.size)
-    out = np.empty(w.size)
-    for i in range(0, w.size, rows):
-        wb = w[i:i + rows, None]
-        with np.errstate(divide="ignore"):
-            tx = xe[None, :] / (1.0 - wb)
-            ty = ye[None, :] / wb
-        out[i:i + rows] = np.mean(np.minimum(tx, ty, out=tx), axis=1)
+    _check_unit_interval(w)
+    n = xe.size
+    k = ye / (xe + ye)
+    order = np.argsort(k)
+    lo = np.searchsorted(k, w - _TIE, sorter=order)
+    hi = np.searchsorted(k, w + _TIE, side="right", sorter=order)
+    del k
+    cuts = np.unique(np.concatenate(([0, n], lo, hi)))
+    seg_x, seg_y = np.empty(cuts.size - 1), np.empty(cuts.size - 1)
+    for i in range(cuts.size - 1):
+        rows = order[cuts[i]:cuts[i + 1]]
+        seg_x[i], seg_y[i] = xe[rows].sum(), ye[rows].sum()
+    tail_x = np.append(_running_sums(seg_x[::-1])[::-1], 0.0)
+    head_y = np.append(0.0, _running_sums(seg_y))
+    band = np.zeros(w.size)
+    # the ends divide by 0 and are set below; in a band, the side that is
+    # not the minimum may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in np.flatnonzero(hi > lo):
+            rows = order[lo[i]:hi[i]]
+            band[i] = np.minimum(xe[rows] / (1.0 - w[i]),
+                                 ye[rows] / w[i]).sum()
+        out = (head_y[np.searchsorted(cuts, lo)] / w
+               + tail_x[np.searchsorted(cuts, hi)] / (1.0 - w) + band) / n
+    out[w == 0.0] = tail_x[0] / n
+    out[w == 1.0] = head_y[-1] / n
     return out
 
 

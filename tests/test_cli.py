@@ -209,7 +209,8 @@ def test_study_requires_design_flag(capsys):
     ("t,x,y\n0.0,0.7,abc\n1.0,0.5,1.5\n", "non-numeric"),
     ("t,x,y\n0.0,0.7,0.3\n1.0,0.5\n", "cells"),
     ("t,x,y\n0.0,0.7,nan\n1.0,0.5,1.5\n", "non-finite"),
-], ids=["non_numeric_cell", "ragged_row", "nan_value"])
+    ("t,x,y\n0.0,-0.7,0.3\n1.0,0.5,1.5\n", "negative"),
+], ids=["non_numeric_cell", "ragged_row", "nan_value", "negative_value"])
 def test_estimate_c_rejects_bad_cells(tmp_path, capsys, body, reason):
     data = tmp_path / "pairs.csv"
     data.write_text(body)

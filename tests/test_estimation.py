@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ordext
-from ordext import (BivariateSeries, FitConfig, GevmParams, InputError,
-                    NumericError, TrendSpec, StudyConfig, estimate_c_hat,
-                    fit_restricted, make_model, pickands_curve,
-                    pickands_modified, pickands_raw, run_study, sample_pairs,
-                    trend_penalized)
+from ordext import (BivariateSeries, DomainError, FitConfig, GevmParams,
+                    InputError, NumericError, TrendSpec, StudyConfig,
+                    estimate_c_hat, fit_restricted, make_model,
+                    pickands_curve, pickands_modified, pickands_raw,
+                    run_study, sample_pairs, trend_penalized)
 from ordext import estimation
 from ordext.estimation import (INFEASIBLE_REASONS, _trial_boundary,
                                ridge_trend, roughness)
@@ -91,18 +92,37 @@ def test_pickands_consistency_on_model_sample():
     assert float(np.max(np.abs(est - model.a(grid)))) <= 0.05
 
 
-def test_pickands_blocks_match_one_array(monkeypatch):
-    # the pooled minimum over the whole omega x n array is the reference
+@pytest.mark.parametrize("model", [
+    make_model("restricted", c=1.0 / 33.0, s=2.0),
+    make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0),
+], ids=["restricted", "asymmetric"])
+# on 2001 points a plain cumulative sum of the segment sums errs by 4-10 eps
+@pytest.mark.parametrize("n, points", [(20000, 201), (2000, 2001)])
+def test_pickands_matches_exactly_rounded_mean(model, n, points):
+    # the reference rounds each w's mean of pooled minima once (math.fsum);
+    # a plain cumulative sum over 2e4 sorted pairs misses it by ~30 eps
     rng = np.random.default_rng(12)
-    xe, ye = sample_pairs(make_model("restricted", c=0.25, s=2.0), 700, rng)
-    grid = np.linspace(0.0, 1.0, 201)
+    xe, ye = sample_pairs(model, n, rng)
+    grid = np.linspace(0.0, 1.0, points)
     with np.errstate(divide="ignore"):
-        whole = np.mean(np.minimum(xe[None, :] / (1.0 - grid[:, None]),
-                                   ye[None, :] / grid[:, None]), axis=1)
-    one_block = pickands_modified(xe, ye, grid)
-    monkeypatch.setattr(ordext.estimation, "_POOLED_BLOCK", 3 * 700 + 5)
-    assert np.array_equal(pickands_raw(xe, ye, grid), 1.0 / whole)
-    assert np.array_equal(pickands_modified(xe, ye, grid), one_block)
+        ref = [math.fsum(np.minimum(xe / (1.0 - w), ye / w)) / xe.size
+               for w in grid]
+    ref = 1.0 / np.array(ref)
+    err = np.max(np.abs(pickands_raw(xe, ye, grid) - ref) / ref)
+    assert err <= 4 * np.finfo(float).eps
+
+
+def test_pickands_curve_heap_peak():
+    rng = np.random.default_rng(13)
+    xe, ye = rng.exponential(size=100_000), rng.exponential(size=100_000)
+    tracemalloc.start()
+    try:
+        pickands_curve(xe, ye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 201 x n array of pooled minima, in blocks of 2^20, peaked at 24.4 MiB
+    assert peak < 8 * 2 ** 20
 
 
 def test_pickands_empty_sample():
@@ -110,6 +130,38 @@ def test_pickands_empty_sample():
         pickands_raw(np.array([]), np.array([]), 0.5)
     with pytest.raises(InputError):
         estimate_c_hat(np.array([]), np.array([]))
+
+
+BAD_SAMPLES = {
+    "nan": ([1.0, np.nan], [1.0, 2.0]),
+    "inf": ([1.0, 2.0], [np.inf, 2.0]),
+    "negative": ([1.0, -0.5], [1.0, 2.0]),
+    "zero_pair": ([1.0, 0.0], [1.0, 0.0]),
+    "no_positive_pair": ([0.0, 1.0], [1.0, 0.0]),
+}
+ESTIMATORS = {
+    "raw": lambda xe, ye: pickands_raw(xe, ye, 0.5),
+    "modified": lambda xe, ye: pickands_modified(xe, ye, 0.5),
+    "curve": pickands_curve,
+    "c_hat": estimate_c_hat,
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("case", BAD_SAMPLES)
+def test_estimators_reject_bad_samples(case, estimator):
+    xe, ye = BAD_SAMPLES[case]
+    with pytest.raises(InputError):
+        ESTIMATORS[estimator](np.array(xe), np.array(ye))
+
+
+@pytest.mark.parametrize("w", [-0.1, 1.5, np.nan])
+def test_pickands_rejects_fractions_outside_unit_interval(w):
+    xe, ye = np.array([0.5, 1.5]), np.array([1.2, 0.8])
+    with pytest.raises(DomainError):
+        pickands_raw(xe, ye, w)
+    with pytest.raises(DomainError):
+        pickands_modified(xe, ye, np.array([0.5, w]))
 
 
 def test_pickands_curve_object():

@@ -7,6 +7,7 @@ below are those of any dependence function, checked over random
 parameters.
 """
 
+import math
 import tempfile
 
 import numpy as np
@@ -14,12 +15,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import (example, given, settings,  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
 from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
                     ExpPair, FitResult, NumericError, make_model,
-                    sample_pairs, v_closed, v_from_a, v_numeric,
+                    pickands_modified, pickands_raw, sample_pairs, v_closed,
+                    v_from_a, v_numeric,
                     validate_dependence)
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
 
@@ -260,6 +262,59 @@ def test_sample_pairs_never_raises(model, seed, n):
     xe, ye = sample_pairs(model, n, np.random.default_rng(seed))
     assert np.isfinite(xe).all() and np.isfinite(ye).all()
     assert np.all(ye / (xe + ye) > model.ordering_floor())
+
+
+# exponential-scale values: 0 or a normal float (the reference rounds
+# each subnormal term to an absolute 5e-324, which no mean can match)
+exp_values = st.one_of(st.just(0.0), st.floats(1e-300, 1e6))
+
+
+@st.composite
+def pooled_samples(draw):
+    """1 to 30 pairs drawn from at most 6 distinct ones, some with x == y,
+    and an unsorted grid with repeats, 0, 1/2, 1 and each pair's rounded
+    y-fraction and its two neighbours, where rounding decides which side
+    of the pooled minimum a pair takes."""
+    pair = st.one_of(st.tuples(exp_values, exp_values),
+                     exp_values.map(lambda v: (v, v)))
+    distinct = draw(st.lists(pair.filter(lambda p: p[0] + p[1] > 0.0),
+                             min_size=1, max_size=6))
+    pairs = draw(st.lists(st.sampled_from(distinct), min_size=1,
+                          max_size=30))
+    xe, ye = (np.array(v) for v in zip(*pairs))
+    assume(np.any((xe > 0.0) & (ye > 0.0)))
+    ks = [float(k) for k in ye / (xe + ye)]
+    near = [float(np.nextafter(k, d)) for k in ks for d in (0.0, 1.0)]
+    grid = draw(st.lists(st.one_of(st.floats(0.0, 1.0),
+                                   st.sampled_from([0.0, 0.5, 1.0] + ks + near)),
+                         min_size=1, max_size=25))
+    return xe, ye, np.array(grid)
+
+
+def fsum_pooled_mean(xe, ye, w):
+    if w == 0.0:
+        return math.fsum(xe) / xe.size
+    if w == 1.0:
+        return math.fsum(ye) / xe.size
+    with np.errstate(over="ignore"):
+        return math.fsum(np.minimum(xe / (1.0 - w), ye / w)) / xe.size
+
+
+@given(pooled_samples())
+@example((np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([0.5])))
+# the pair's rounded y-fraction equals w and the exact one lies below it:
+# a split on the rounded fraction takes x/(1-w) = 1.23 for a minimum of 1
+@example((np.array([5.468755603901019e-16]), np.array([1.0]),
+          np.array([0.9999999999999996])))
+def test_sorted_pooled_minimum_matches_direct_mean(sample):
+    xe, ye, grid = sample
+    ref = np.array([fsum_pooled_mean(xe, ye, w) for w in grid])
+    got = 1.0 / pickands_raw(xe, ye, grid)
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * ref)
+    assert pickands_raw(xe, ye, grid[0]) == pickands_raw(xe, ye, grid[:1])[0]
+    mod = pickands_modified(xe, ye, grid)
+    assert np.all(mod[(grid == 0.0) | (grid == 1.0)] == 1.0)
+    assert np.all(mod >= np.maximum(grid, 1.0 - grid))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
