@@ -22,10 +22,11 @@ so A'(1) = 1.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,6 +148,16 @@ def _array_method(f):
     return wrapper
 
 
+def _sorted_unique(v):
+    """The distinct values of a 1-d array without NaN, in ascending order
+    as np.unique gives them, by one sort; np.unique would load numpy.ma."""
+    v = np.sort(v)
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def _check_unit_interval(w):
     arr = np.asarray(w, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):     # NaN fails too
@@ -247,20 +258,33 @@ _MAX_PANELS = 4096
 class IntegratedH:
     """G(k) = int_0^k H as a table: panel edges from 0 to 1, G at each
     edge, per panel the Chebyshev series on [-1, 1] of G less its value at
-    the panel's lower end, and H(1).  The arrays are read-only."""
+    the panel's lower end, and H(1).  The arrays are read-only; the same
+    table is also kept as Python floats, which a point reads."""
 
     edges: np.ndarray
     g: np.ndarray
     series: np.ndarray
     h_one: float
+    _inner: list = field(init=False, repr=False, compare=False)
+    _panels: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # per panel its ends, G at the lower one, and the series from the
+        # highest order down, the order Clenshaw's recurrence reads it in
+        object.__setattr__(self, "_inner", self.edges[1:-1].tolist())
+        object.__setattr__(self, "_panels", list(zip(
+            self.edges[:-1].tolist(), self.edges[1:].tolist(),
+            self.g[:-1].tolist(), self.series[:, ::-1].tolist())))
 
     def __call__(self, k):
-        """G at one k in [0, 1], from k's panel."""
-        i = int(np.searchsorted(self.edges[1:-1], k, side="right"))
-        lo, hi = self.edges[i], self.edges[i + 1]
+        """G at one k in [0, 1], from k's panel: the series is summed by
+        Clenshaw's recurrence on Python floats."""
+        lo, hi, g_lo, coef = self._panels[bisect.bisect_right(self._inner, k)]
         t = min(max(2.0 * (k - lo) / (hi - lo) - 1.0, -1.0), 1.0)
-        return float(self.g[i]
-                     + np.cos(_CHEB_ORDERS * math.acos(t)) @ self.series[i])
+        t2, b1, b2 = 2.0 * t, 0.0, 0.0
+        for c in coef[:-1]:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return float(g_lo + (coef[-1] + t * b1 - b2))
 
 
 def _antiderivative_H(model, tol):
@@ -358,8 +382,9 @@ class DependenceModel:
         lo, hi = edges[:-1, None], edges[1:, None]
         s_lo, s_hi = self.support()
         width = np.where((lo >= s_lo) & (hi <= s_hi), hi - lo, 0.0)
-        return np.unique(np.concatenate([edges, (lo + width * _GRADING).ravel(),
-                                         (hi - width * _GRADING).ravel()]))
+        return _sorted_unique(np.concatenate(
+            [edges, (lo + width * _GRADING).ravel(),
+             (hi - width * _GRADING).ravel()]))
 
     def integrated_H(self, tol):
         """IntegratedH: G(k) = int_0^k H with estimated errors summing to at

@@ -3,7 +3,9 @@
 Everything is emitted as plain CSV with a '#'-prefixed metadata header
 (LF line endings, '.' decimal point) so the tables can be re-read by the
 CLI and rendered by any plotting tool.  A minimal SVG polyline renderer
-is included for quick visual checks without a plotting dependency.
+is included for quick visual checks without a plotting dependency; it
+draws a long curve at the SVG's resolution, at most four vertices per
+unit column of the viewBox, and the CSV keeps every value.
 """
 
 from __future__ import annotations
@@ -205,8 +207,36 @@ _SVG_COLORS = ["#000000", "#d62728", "#1f77b4", "#2ca02c", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f"]
 
 
+def _column_vertices(px, py, budget):
+    """Indices of the vertices a polyline keeps, in order.  A run of
+    consecutive vertices in one unit-wide column of the viewBox keeps
+    them all if it has at most four, else its first, last, lowest and
+    highest: the line drawn across the column is the same (M4; Jugel et
+    al., PVLDB 7(10), 2014).  A curve of at most ``budget`` vertices, or
+    with a non-finite one, keeps all."""
+    if px.size <= budget or not (np.isfinite(px).all()
+                                 and np.isfinite(py).all()):
+        return np.arange(px.size)
+    col = np.floor(px)
+    first = np.concatenate(([True], col[1:] != col[:-1]))
+    start = np.flatnonzero(first)
+    size = np.diff(np.append(start, px.size))
+    run = np.cumsum(first) - 1
+    keep = size[run] <= 4
+    # sorted by run and then by height, each run still spans its own
+    # positions, so its lowest and highest vertices sit at its two ends
+    by_height = np.lexsort((py, run))
+    for ends in (start, start + size - 1):
+        keep[ends] = True
+        keep[by_height[ends]] = True
+    return np.flatnonzero(keep)
+
+
 def render_svg(tables, path=None):
-    """Render curve tables as one SVG with a polyline per curve."""
+    """Render curve tables as one SVG with a polyline per curve.  A curve
+    of more vertices than four per unit column of the plot keeps at most
+    four of each run in one column (_column_vertices), formatted as the
+    full curve's; any other curve is written whole."""
     tables = list(tables)
     if not tables:
         raise InputError("nothing to render")
@@ -226,8 +256,9 @@ def render_svg(tables, path=None):
     for i, t in enumerate(tables):
         px = pad + (t.x - x0) / xr * (SVG_WIDTH - 2 * pad)
         py = SVG_HEIGHT - pad - (t.values - y0) / yr * (SVG_HEIGHT - 2 * pad)
+        kept = _column_vertices(px, py, 4 * (SVG_WIDTH - 2 * pad))
         pts = " ".join(" ".join(f"{a:.2f},{b:.2f}" for a, b in rows)
-                       for rows in _row_blocks(px, py))
+                       for rows in _row_blocks(px[kept], py[kept]))
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dependence import _check_unit_interval
+from .dependence import _check_unit_interval, _sorted_unique
 from .errors import InputError, NumericError, ParameterError
 from .margins import log_exp_scale, log_exp_scale_grad
 # _v_closed and _v_partials are not used here; they are imported because
@@ -158,7 +158,7 @@ def _pooled_minimum_mean(xe, ye, w):
     lo = np.searchsorted(k, w - _TIE, sorter=order)
     hi = np.searchsorted(k, w + _TIE, side="right", sorter=order)
     del k
-    cuts = np.unique(np.concatenate(([0, n], lo, hi)))
+    cuts = _sorted_unique(np.concatenate(([0, n], lo, hi)))
     seg_x, seg_y = np.empty(cuts.size - 1), np.empty(cuts.size - 1)
     for i in range(cuts.size - 1):
         rows = order[cuts[i]:cuts[i + 1]]

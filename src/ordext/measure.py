@@ -170,7 +170,8 @@ def v_numeric(p: ExpPair, model: DependenceModel, tol=V_QUAD_TOL):
     singular (s < 2).  The model builds G once per tolerance, on Chebyshev
     panels graded toward its breakpoints and its logistic turnover, and
     keeps it with H(1) (DependenceModel.integrated_H); a point then finds
-    k's panel and sums that panel's series at k, with no call of H.
+    k's panel by bisection and sums that panel's series at k by
+    Clenshaw's recurrence, in scalar arithmetic and with no call of H.
     ``tol`` bounds the estimated relative error: V = x H(1) - x int_k^1 H
     + y int_0^k H, the estimated errors of G sum to at most tol, and
     V >= max(x, y).  Independent of every closed form, so it cross-checks

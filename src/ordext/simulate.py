@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import DependenceModel
+from .dependence import DependenceModel, _sorted_unique
 from .errors import NumericError, ParameterError
 from .margins import GevmParams, TrendSpec, exp_scale_inverse, resolve_mu
 from .series import BivariateSeries
@@ -59,13 +59,16 @@ def _cdf_table(model: DependenceModel):
     there made non-decreasing against rounding, A there, and whether each
     cut is an atom, the top of a jump of F."""
     atoms = [q for q, m in model.point_masses() if 0.0 < q < 1.0 and m > 0.0]
-    cuts = np.unique(np.concatenate([model.graded_cuts(), _EVEN_CUTS,
-                                     np.nextafter(atoms, 0.0)]))
+    cuts = _sorted_unique(np.concatenate([model.graded_cuts(), _EVEN_CUTS,
+                                          np.nextafter(atoms, 0.0)]))
     f, _, a, _, _ = _angular_law(model, cuts)
     if not np.isfinite(f).all():
         raise NumericError("angular cdf is not finite", achieved_tol=np.inf)
-    return cuts, np.maximum.accumulate(np.clip(f, 0.0, 1.0)), a, \
-        np.isin(cuts, atoms)
+    # the cuts are distinct, so an atom found on both sides is one cut
+    at = np.searchsorted(cuts, atoms)
+    jump = np.zeros(cuts.size, dtype=bool)
+    jump[at[at < np.searchsorted(cuts, atoms, side="right")]] = True
+    return cuts, np.maximum.accumulate(np.clip(f, 0.0, 1.0)), a, jump
 
 
 def _invert_block(model: DependenceModel, table, u):

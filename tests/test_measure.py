@@ -113,6 +113,33 @@ def test_v_numeric_reads_the_model_table_without_calling_H():
             array[0] = 0.0
 
 
+TABLE_MODELS = [("restricted", dict(c=c, s=s))
+                for c in (0.0, 0.1, 0.25, 0.45) for s in (1.2, 2.0, 5.0)] + [
+    ("restricted", dict(c=0.25, s=1.0)),
+    ("interval", dict(c1=0.25, c2=0.75, s=2.0)),
+    ("asymmetric", dict(theta1=0.4, theta2=0.7, s=3.0))]
+
+
+@pytest.mark.parametrize("family, params", TABLE_MODELS)
+def test_table_read_by_clenshaw_matches_the_vector_read(family, params):
+    table = make_model(family, **params).integrated_H(V_QUAD_TOL)
+    edges = table.edges
+    rng = np.random.default_rng(19)
+    ks = np.concatenate([[0.0, 1.0], edges, rng.random(400),
+                         rng.uniform(edges[:-1], edges[1:])])
+    # the panel's series summed as cos(j acos t) against its coefficients
+    i = np.searchsorted(edges[1:-1], ks, side="right")
+    lo, hi = edges[i], edges[i + 1]
+    t = np.clip(2.0 * (ks - lo) / (hi - lo) - 1.0, -1.0, 1.0)
+    orders = np.arange(table.series.shape[1])
+    vector = table.g[i] + np.einsum(
+        "kj,kj->k", np.cos(np.outer(np.arccos(t), orders)), table.series[i])
+    scalar = np.array([table(k) for k in ks.tolist()])
+    assert type(table(0.5)) is float
+    ulp = np.spacing(np.maximum(np.abs(vector), table.h_one))
+    assert np.all(np.abs(scalar - vector) <= 4 * ulp)
+
+
 def test_v_numeric_reports_nonconvergence():
     rough = make_model("restricted", c=0.45, s=1.2)
     with pytest.raises(NumericError) as exc:

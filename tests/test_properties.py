@@ -19,11 +19,13 @@ from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
 from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
-                    ExpPair, FitResult, NumericError, make_model,
+                    CurveTable, ExpPair, FitResult, NumericError, make_model,
                     pickands_modified, pickands_raw, sample_pairs, v_closed,
                     v_from_a, v_numeric,
                     validate_dependence)
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
+from ordext.diagnostics import (_SVG_COLORS as SVG_COLORS,  # noqa: E402
+                                _column_vertices, render_svg)
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -345,3 +347,92 @@ def test_fit_files_round_trip(fit):
         assert getattr(back, name) == getattr(fit, name), name
     for name in ("g_x", "g_y", "times"):
         assert np.array_equal(getattr(back, name), getattr(fit, name)), name
+
+
+def full_resolution_svg(tables):
+    """The SVG with every vertex of every curve, as render_svg wrote it
+    before it kept at most four per column."""
+    pad, width, height = 50.0, 800, 600
+    x_all = np.concatenate([t.x for t in tables])
+    y_all = np.concatenate([t.values for t in tables])
+    x0, y0 = float(np.min(x_all)), float(np.min(y_all))
+    xr = float(np.max(x_all)) - x0 or 1.0
+    yr = float(np.max(y_all)) - y0 or 1.0
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>']
+    vertices = []
+    for i, t in enumerate(tables):
+        px = pad + (t.x - x0) / xr * (width - 2 * pad)
+        py = height - pad - (t.values - y0) / yr * (height - 2 * pad)
+        vertices.append((px, py))
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        color = SVG_COLORS[i % len(SVG_COLORS)]
+        parts.append(f'<polyline fill="none" stroke="{color}" '
+                     f'stroke-width="1.5" points="{pts}"/>')
+        parts.append(f'<text x="{pad + 8:.0f}" y="{pad + 16 * (i + 1):.0f}" '
+                     f'fill="{color}" font-size="12">{t.label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n", vertices
+
+
+@st.composite
+def svg_curves(draw):
+    """One to three curves, monotone in x or not, with up to 6000 vertices
+    (the plot has 700 columns, so some are denser than four per column),
+    their heights a random walk, sorted, constant or in steps, and one
+    height perhaps NaN or huge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.one_of(st.integers(1, 40), st.integers(2000, 6000)))
+        x = rng.random(n) * draw(st.sampled_from([1.0, 1e-3, 1e6]))
+        if draw(st.booleans()):
+            x = np.sort(x)
+        shape = draw(st.sampled_from(["walk", "sorted", "flat", "steps"]))
+        v = np.cumsum(rng.standard_normal(n))
+        if shape == "sorted":
+            v = np.sort(v)
+        elif shape == "flat":
+            v = np.full(n, 2.5)
+        elif shape == "steps":
+            v = np.floor(v)
+        if draw(st.booleans()) and n > 2:
+            v[n // 2] = draw(st.sampled_from([math.nan, 1e300]))
+        tables.append(CurveTable(f"c{i}", x, v, xname="x"))
+    return tables
+
+
+def polyline_points(text):
+    return [line.split('points="')[1].split('"')[0].split()
+            for line in text.splitlines() if line.startswith("<polyline")]
+
+
+@given(svg_curves())
+@settings(max_examples=60, deadline=None)
+def test_svg_keeps_at_most_four_vertices_per_column_run(tables):
+    text = render_svg(tables)
+    full, vertices = full_resolution_svg(tables)
+    budget = 4 * 700
+    per_column = max(np.unique(np.floor(px), return_counts=True)[1].max()
+                     for px, _ in vertices)
+    if per_column <= 4:
+        assert text == full
+    for (px, py), shown in zip(vertices, polyline_points(text), strict=True):
+        kept = _column_vertices(px, py, budget)
+        everything = [f"{a:.2f},{b:.2f}" for a, b in zip(px, py)]
+        assert shown == [everything[k] for k in kept]
+        assert np.all(np.diff(kept) > 0)
+        assert kept[0] == 0 and kept[-1] == px.size - 1
+        finite = np.isfinite(px).all() and np.isfinite(py).all()
+        if px.size <= budget or not finite:
+            assert kept.size == px.size
+            continue
+        col = np.floor(px)
+        start = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+        for a, b in zip(start, np.append(start[1:], px.size)):
+            mine = kept[(kept >= a) & (kept < b)]
+            run = py[a:b]
+            assert mine[0] == a and mine[-1] == b - 1
+            assert run.min() in py[mine] and run.max() in py[mine]
+            assert mine.size == b - a if b - a <= 4 else mine.size <= 4

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.stats import chi2, kstest, spearmanr
 
+import ordext
 from ordext import (GevmParams, ParameterError, PointMassModel, StudyConfig,
                     TrendSpec, joint_log_density_gevm, make_model, run_study,
                     sample_pair, sample_pairs, simulate)
+from ordext.dependence import _GRADING
 from ordext.simulate import _angular_law
 from test_dependence import ALL_FAMILY_CASES
 
@@ -112,6 +118,53 @@ def test_draws_follow_the_joint_survival():
         hits = np.mean((xe[:, None] > px) & (ye[:, None] > py), axis=0)
         z = (hits - p) / np.sqrt(p * (1.0 - p) / n)
         assert np.max(np.abs(z)) <= 4.0, (model.params, z)
+
+
+def old_graded_cuts(model):
+    edges = np.array([0.0, *model.split_points(), 1.0])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    s_lo, s_hi = model.support()
+    width = np.where((lo >= s_lo) & (hi <= s_hi), hi - lo, 0.0)
+    return np.unique(np.concatenate([edges, (lo + width * _GRADING).ravel(),
+                                     (hi - width * _GRADING).ravel()]))
+
+
+@pytest.mark.parametrize("model", LAW_MODELS
+                         + [PointMassModel.perfect_dependence()])
+def test_cuts_and_table_match_the_np_unique_forms(model):
+    # the one-sort dedup and the searchsorted membership give the arrays
+    # np.unique and np.isin gave, bit for bit
+    cuts = old_graded_cuts(model)
+    assert model.graded_cuts().tobytes() == cuts.tobytes()
+    atoms = [q for q, m in model.point_masses() if 0.0 < q < 1.0 and m > 0.0]
+    cuts = np.unique(np.concatenate([cuts, simulate._EVEN_CUTS,
+                                     np.nextafter(atoms, 0.0)]))
+    f, _, a, _, _ = _angular_law(model, cuts)
+    old = (cuts, np.maximum.accumulate(np.clip(f, 0.0, 1.0)), a,
+           np.isin(cuts, atoms))
+    for new, ref in zip(simulate._cdf_table(model), old, strict=True):
+        assert new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+
+
+NUMPY_MA_IN_CHILD = """
+import sys
+import numpy as np
+import ordext
+model = ordext.make_model("interval", c1=0.25, c2=0.75, s=1.0)
+xe, ye = ordext.sample_pairs(model, 2000, np.random.default_rng(1))
+ordext.pickands_curve(xe, ye)
+ordext.v_numeric(ordext.ExpPair(1.0, 2.0), model)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sampler_estimator_and_oracle_leave_numpy_ma_unloaded():
+    src = str(Path(ordext.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_IN_CHILD],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_sampler_size_validation():
