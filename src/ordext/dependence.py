@@ -259,32 +259,38 @@ class IntegratedH:
     """G(k) = int_0^k H as a table: panel edges from 0 to 1, G at each
     edge, per panel the Chebyshev series on [-1, 1] of G less its value at
     the panel's lower end, and H(1).  The arrays are read-only; the same
-    table is also kept as Python floats, which a point reads."""
+    table is also kept as Python floats, which a point reads, and so is
+    H(1) - G(1) = int q dH(q), ``moment``."""
 
     edges: np.ndarray
     g: np.ndarray
     series: np.ndarray
     h_one: float
+    moment: float = field(init=False)
     _inner: list = field(init=False, repr=False, compare=False)
     _panels: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # per panel its ends, G at the lower one, and the series from the
-        # highest order down, the order Clenshaw's recurrence reads it in
+        object.__setattr__(self, "moment", float(self.h_one - self.g[-1]))
+        # per panel its ends, G at the lower one, the constant term, and
+        # the other terms from the highest order down, the order
+        # Clenshaw's recurrence reads them in
+        top_down = self.series[:, :0:-1].tolist()
         object.__setattr__(self, "_inner", self.edges[1:-1].tolist())
         object.__setattr__(self, "_panels", list(zip(
             self.edges[:-1].tolist(), self.edges[1:].tolist(),
-            self.g[:-1].tolist(), self.series[:, ::-1].tolist())))
+            self.g[:-1].tolist(), self.series[:, 0].tolist(), top_down)))
 
     def __call__(self, k):
         """G at one k in [0, 1], from k's panel: the series is summed by
         Clenshaw's recurrence on Python floats."""
-        lo, hi, g_lo, coef = self._panels[bisect.bisect_right(self._inner, k)]
+        lo, hi, g_lo, c0, coef = self._panels[
+            bisect.bisect_right(self._inner, k)]
         t = min(max(2.0 * (k - lo) / (hi - lo) - 1.0, -1.0), 1.0)
         t2, b1, b2 = 2.0 * t, 0.0, 0.0
-        for c in coef[:-1]:
+        for c in coef:
             b1, b2 = c + t2 * b1 - b2, b1
-        return float(g_lo + (coef[-1] + t * b1 - b2))
+        return float(g_lo + (c0 + t * b1 - b2))
 
 
 def _antiderivative_H(model, tol):
@@ -528,18 +534,18 @@ class AffineLogisticModel(_LogisticModel):
     def _views(self, w):
         c1, c2, span = self.c1, self.c2, self.c2 - self.c1
         # the kernel runs at every w, clipped onto [c1, c2], and the linear
-        # tails take over outside: A = 1 - w up to and at c1, w from c2 on.
-        # No subset of w is taken, whose size would vary from call to call.
-        lo, hi = w <= c1, w >= c2
-        tail = lo | hi
+        # tails are written over the few points outside: A = 1 - w up to
+        # and at c1, w from c2 on.  No subset of w goes to the kernel,
+        # whose size would vary from call to call.
         u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
-        part, slope, dens = _logistic(u, v, self.al, self.be, self.s,
-                                      density=True)
-        a = np.where(tail, np.where(lo, 1.0 - w, w),
-                     ((1.0 - c2) * u + c1 * v + part) / span)
-        ap = np.where(tail, np.where(lo, -1.0, 1.0),
-                      (1.0 - c2 - c1 + slope) / span)
-        h = np.where(tail, 0.0, span * dens)
+        part, slope, h = _logistic(u, v, self.al, self.be, self.s,
+                                   density=True)
+        a = ((1.0 - c2) * u + c1 * v + part) / span
+        ap = (1.0 - c2 - c1 + slope) / span
+        h *= span
+        lo, hi = w <= c1, w >= c2
+        a[lo], ap[lo], h[lo] = 1.0 - w[lo], -1.0, 0.0
+        a[hi], ap[hi], h[hi] = w[hi], 1.0, 0.0
         if self.s == 1.0:   # right derivative at c1: the atomic case's slope
             ap[w == c1] = (1.0 - c2 - c1 + self.al - self.be) / span
         return a, ap, h
@@ -768,7 +774,7 @@ def validate_dependence(model: DependenceModel, n=101,
         checks += [ValidationCheck(name, False, str(exc))
                    for name in ("moment_q", "moment_1mq")]
     else:
-        for name, moment in (("moment_q", big_g.h_one - big_g.g[-1]),
+        for name, moment in (("moment_q", big_g.moment),
                              ("moment_1mq", big_g.g[-1])):
             checks.append(ValidationCheck(
                 name, abs(moment - 1.0) <= moment_tol,

@@ -5,7 +5,8 @@ Everything is emitted as plain CSV with a '#'-prefixed metadata header
 CLI and rendered by any plotting tool.  A minimal SVG polyline renderer
 is included for quick visual checks without a plotting dependency; it
 draws a long curve at the SVG's resolution, at most four vertices per
-unit column of the viewBox, and the CSV keeps every value.
+unit column of the viewBox, and leaves non-finite values out; the CSV
+keeps every value.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ class CurveTable:
     xname: str = "omega"
     yname: str = "value"
     meta: dict = field(default_factory=dict)
+    # the x column's text, held by the tables that share the column
+    _x_text: _ColumnText | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -107,16 +111,23 @@ def pp_qq_tables(series: BivariateSeries, fit: FitResult,
 
     pos = np.arange(1, n + 1) / (n + 1.0)
     exp_q = -np.log1p(-pos)
+    # both P-P tables plot against pos and both Q-Q tables against exp_q:
+    # each column is formatted once, by whichever table is written first
+    pos_text, exp_q_text = _ColumnText(pos), _ColumnText(exp_q)
 
     def pp(e, label):
-        return CurveTable(label, pos, np.sort(1.0 - np.exp(-e)),
-                          xname="plotting_position", yname="model_probability",
-                          meta={"kind": "pp"})
+        table = CurveTable(label, pos, np.sort(1.0 - np.exp(-e)),
+                           xname="plotting_position",
+                           yname="model_probability", meta={"kind": "pp"})
+        table._x_text = pos_text
+        return table
 
     def qq(e, label):
-        return CurveTable(label, exp_q, np.sort(e),
-                          xname="model_quantile", yname="empirical_quantile",
-                          meta={"kind": "qq", "law": "exponential(1)"})
+        table = CurveTable(label, exp_q, np.sort(e),
+                           xname="model_quantile", yname="empirical_quantile",
+                           meta={"kind": "qq", "law": "exponential(1)"})
+        table._x_text = exp_q_text
+        return table
 
     a_half = float(model.a(0.5))
     pooled = np.minimum(xe / 0.5, ye / 0.5)
@@ -147,18 +158,45 @@ def _row_blocks(x, y):
         yield zip(x[k:k + _ROWS].tolist(), y[k:k + _ROWS].tolist())
 
 
+class _ColumnText:
+    """The repr of each value of a column that several tables share, kept
+    as one string per block of _ROWS rows: the first write formats a
+    block, a later one splits it.  One string per value would hold many
+    more objects."""
+
+    def __init__(self, x):
+        self.x = x
+        self.blocks = {}
+
+    def rows(self, k):
+        """The reprs of the block that starts at row k."""
+        if k in self.blocks:
+            return self.blocks[k].split("\n")
+        reprs = [f"{v!r}" for v in self.x[k:k + _ROWS].tolist()]
+        self.blocks[k] = "\n".join(reprs)
+        return reprs
+
+
 def write_table(table: CurveTable, path_or_buf):
     """Write one table as CSV with a '#'-metadata header (round-trippable)."""
     own = isinstance(path_or_buf, (str, bytes))
     buf = open(path_or_buf, "w", newline="\n") if own else path_or_buf
+    shared = table._x_text
+    if shared is not None and shared.x is not table.x:
+        shared = None
     try:
         buf.write(f"# label: {table.label}\n")
         for key in sorted(table.meta):
             buf.write(f"# {key}: {table.meta[key]}\n")
         buf.write(f"{table.xname},{table.yname}\n")
         # repr of a float is its shortest round-tripping form
-        for rows in _row_blocks(table.x, table.values):
-            buf.write("".join(f"{xv!r},{yv!r}\n" for xv, yv in rows))
+        if shared is None:
+            for rows in _row_blocks(table.x, table.values):
+                buf.write("".join(f"{xv!r},{yv!r}\n" for xv, yv in rows))
+        else:
+            for k in range(0, len(table.x), _ROWS):
+                rows = zip(shared.rows(k), table.values[k:k + _ROWS].tolist())
+                buf.write("".join(f"{xv},{yv!r}\n" for xv, yv in rows))
     finally:
         if own:
             buf.close()
@@ -212,10 +250,9 @@ def _column_vertices(px, py, budget):
     consecutive vertices in one unit-wide column of the viewBox keeps
     them all if it has at most four, else its first, last, lowest and
     highest: the line drawn across the column is the same (M4; Jugel et
-    al., PVLDB 7(10), 2014).  A curve of at most ``budget`` vertices, or
-    with a non-finite one, keeps all."""
-    if px.size <= budget or not (np.isfinite(px).all()
-                                 and np.isfinite(py).all()):
+    al., PVLDB 7(10), 2014).  A curve of at most ``budget`` vertices
+    keeps all."""
+    if px.size <= budget:
         return np.arange(px.size)
     col = np.floor(px)
     first = np.concatenate(([True], col[1:] != col[:-1]))
@@ -232,19 +269,25 @@ def _column_vertices(px, py, budget):
     return np.flatnonzero(keep)
 
 
+def _finite_range(v):
+    """The least and greatest finite value of v, (0, 0) if it has none."""
+    v = v[np.isfinite(v)]
+    return (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 0.0)
+
+
 def render_svg(tables, path=None):
-    """Render curve tables as one SVG with a polyline per curve.  A curve
-    of more vertices than four per unit column of the plot keeps at most
-    four of each run in one column (_column_vertices), formatted as the
-    full curve's; any other curve is written whole."""
+    """Render curve tables as one SVG with a polyline per curve.  The
+    axes span the finite values, and a vertex with a non-finite value is
+    left out.  A curve of more vertices than four per unit column of the
+    plot keeps at most four of each run in one column
+    (_column_vertices), formatted as the full curve's; any other curve
+    is written whole."""
     tables = list(tables)
     if not tables:
         raise InputError("nothing to render")
     pad = 50.0
-    x_all = np.concatenate([t.x for t in tables])
-    y_all = np.concatenate([t.values for t in tables])
-    x0, x1 = float(np.min(x_all)), float(np.max(x_all))
-    y0, y1 = float(np.min(y_all)), float(np.max(y_all))
+    x0, x1 = _finite_range(np.concatenate([t.x for t in tables]))
+    y0, y1 = _finite_range(np.concatenate([t.values for t in tables]))
     xr = x1 - x0 or 1.0
     yr = y1 - y0 or 1.0
 
@@ -254,8 +297,12 @@ def render_svg(tables, path=None):
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for i, t in enumerate(tables):
+        # from finite ends, a non-finite value maps to a non-finite
+        # coordinate without a floating-point warning
         px = pad + (t.x - x0) / xr * (SVG_WIDTH - 2 * pad)
         py = SVG_HEIGHT - pad - (t.values - y0) / yr * (SVG_HEIGHT - 2 * pad)
+        shown = np.isfinite(px) & np.isfinite(py)
+        px, py = px[shown], py[shown]
         kept = _column_vertices(px, py, 4 * (SVG_WIDTH - 2 * pad))
         pts = " ".join(" ".join(f"{a:.2f},{b:.2f}" for a, b in rows)
                        for rows in _row_blocks(px[kept], py[kept]))

@@ -180,8 +180,7 @@ def v_numeric(p: ExpPair, model: DependenceModel, tol=V_QUAD_TOL):
     """
     x, y = p.x_e, p.y_e
     big_g = model.integrated_H(tol)
-    return float(x * (big_g.h_one - big_g.g[-1])
-                 + (x + y) * big_g(y / (x + y)))
+    return float(x * big_g.moment + (x + y) * big_g(y / (x + y)))
 
 
 def v_from_a(p: ExpPair, a):

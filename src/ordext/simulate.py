@@ -6,8 +6,10 @@ exp(-(x+y) A(w)), the fraction W = Y/(X+Y) has the cdf
 F(w) = w + w(1-w) A'(w)/A(w), a bounded non-decreasing function of w
 alone with a jump at each atom of H inside (0, 1); given W = w, T = X + Y
 is Gamma(2) or exponential with rate A(w), always exponential on an
-atom, and the pair is (T(1-w), T w).  Each call tabulates F once and
-inverts it inside the table's cells, pair by pair in fixed-size blocks.
+atom, and the pair is (T(1-w), T w).  Each call tabulates F once, with
+a guide table over u that finds a pair's cell of the table without a
+search (Chen & Asau, AIIE Trans. 6(2), 1974), and inverts F inside the
+cells, pair by pair in fixed-size blocks.
 Every draw's w is at least the ordering floor plus _FLOOR_GAP, which
 lifts the draws on an atom at the floor (s = 1) and, for s near 1, those
 within _FLOOR_GAP of it.
@@ -38,20 +40,23 @@ _W_TOL = 1e-12
 _MAX_STEPS = 100
 # every draw's y-fraction is at least this far above the ordering floor
 _FLOOR_GAP = 1e-12
+_EPS4 = 4.0 * np.finfo(float).eps
 
 
 def _angular_law(model: DependenceModel, w):
-    """F, its density g, A and the Gamma(2) share p at the fractions w,
-    from one a_a_prime_h call, and the rounding scale of F: with
-    V_x = A - w A', V_y = A + (1-w) A' and e = A w(1-w) h, F = w V_y/A,
-    g = (V_x V_y + e)/A^2 and p = V_x V_y/(V_x V_y + e), 0 where h = inf."""
+    """F, its density g, A, the Gamma(2) share p as the pair (V_x V_y,
+    V_x V_y + e) whose quotient it is, and the rounding scale of F, from
+    one a_a_prime_h call: with V_x = A - w A', V_y = A + (1-w) A' and
+    e = A w(1-w) h, F = w V_y/A, g = (V_x V_y + e)/A^2 and
+    p = V_x V_y/(V_x V_y + e), 0 where h = inf."""
     a, ap, h = model.a_a_prime_h(w)
-    vy = a + (1.0 - w) * ap
+    v = 1.0 - w
+    vy = a + v * ap
     gamma = (a - w * ap) * vy
     with np.errstate(divide="ignore", invalid="ignore"):
-        expo = a * w * (1.0 - w) * h
-        return (w * vy / a, (gamma + expo) / (a * a), a, gamma / (gamma + expo),
-                4.0 * np.finfo(float).eps * w * (a + (1.0 - w) * np.abs(ap)) / a)
+        tot = gamma + a * w * v * h
+        return (w * vy / a, tot / (a * a), a, (gamma, tot),
+                _EPS4 * w * (a + v * np.abs(ap)) / a)
 
 
 def _cdf_table(model: DependenceModel):
@@ -71,18 +76,42 @@ def _cdf_table(model: DependenceModel):
     return cuts, np.maximum.accumulate(np.clip(f, 0.0, 1.0)), a, jump
 
 
-def _invert_block(model: DependenceModel, table, u):
+def _guide(f):
+    """A guide table over u for the table f of F (Chen & Asau, AIIE
+    Trans. 6(2), 1974): m buckets [b/m, (b+1)/m), m a power of two at
+    least four times f's size, so u m and its floor b are exact.  Per
+    bucket: the count of f below it, the first f at or above it (inf past
+    the end), and whether two or more f lie inside it."""
+    m = 1 << (4 * f.size - 1).bit_length()
+    below = np.searchsorted(f, np.arange(m + 1) / m)
+    return m, below[:-1], np.append(f, np.inf)[below[:-1]], np.diff(below) > 1
+
+
+def _cell(guide, f, u):
+    """searchsorted(f, u, side="right") by the guide: in a bucket holding
+    at most one f, j is the count below it plus whether u reaches that f;
+    a u in a bucket holding more is searched for."""
+    m, below, first, crowded = guide
+    b = (u * m).astype(np.intp)
+    j = below[b]
+    j += u >= first[b]
+    far = np.flatnonzero(crowded[b])
+    j[far] = np.searchsorted(f, u[far], side="right")
+    return j
+
+
+def _invert_block(model: DependenceModel, table, guide, u):
     """w with F(w) = u, A(w) and the Gamma(2) share, for one block.  A u
     in a jump of F takes the atom; any other starts linearly in its cell
     of the table and takes safeguarded Newton steps inside it."""
     cuts, f, a_cut, jump = table
-    j = np.searchsorted(f, u, side="right")     # F(cut j-1) <= u < F(cut j)
+    j = _cell(guide, f, u)                      # F(cut j-1) <= u < F(cut j)
     w, a, p = cuts[j], a_cut[j], np.zeros_like(u)
     i = np.flatnonzero(~jump[j])
     lo, hi, u, j = cuts[j[i] - 1], w[i], u[i], j[i]
     at = lo + (hi - lo) * ((u - f[j - 1]) / (f[j] - f[j - 1]))
     for _ in range(_MAX_STEPS):
-        fa, g, a_at, p_at, slack = _angular_law(model, at)
+        fa, g, a_at, (gamma, tot), slack = _angular_law(model, at)
         resid = fa - u
         below = resid < 0.0
         lo, hi = np.where(below, at, lo), np.where(below, hi, at)
@@ -90,39 +119,50 @@ def _invert_block(model: DependenceModel, table, u):
         # bracket; where F is flat, rounding alone sets the Newton step,
         # so the step is no test
         done = (np.abs(resid) <= slack) | (hi - lo <= _W_TOL * hi)
-        k = i[done]
-        w[k], a[k], p[k] = at[done], a_at[done], p_at[done]
-        if done.all():
+        if done.any():
+            k = np.flatnonzero(done)
+            out = i[k]
+            w[out], a[out] = at[k], a_at[k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p[out] = gamma[k] / tot[k]
+            left = np.flatnonzero(~done)
+            i, at, lo, hi, u, resid, g = (v[left] for v in
+                                          (i, at, lo, hi, u, resid, g))
+        if not i.size:
             return w, a, p
-        i, at, lo, hi, u, resid, g = (v[~done] for v in
-                                      (i, at, lo, hi, u, resid, g))
         with np.errstate(divide="ignore", invalid="ignore"):
             new = at - resid / g
+        # freed before the next evaluation, which sets the heap peak
+        del fa, g, a_at, gamma, tot, slack, resid
         # a step longer than half the bracket gives way to the midpoint;
         # a shorter one is kept half a tolerance inside the bracket, so
         # where it rounds onto an end the next bracket is within tolerance
         gap = 0.5 * _W_TOL * hi
         at = np.where(np.abs(new - at) <= 0.5 * (hi - lo),
-                      np.clip(new, lo + gap, hi - gap), 0.5 * (lo + hi))
+                      np.minimum(np.maximum(new, lo + gap), hi - gap),
+                      0.5 * (lo + hi))
     raise NumericError("angular inversion did not converge",
                        achieved_tol=float(np.max((hi - lo) / hi)))
 
 
 def sample_pairs(model: DependenceModel, n, rng):
     """Draw n exponential-scale pairs from the model, from two uniforms
-    and two unit exponentials per pair, all drawn first.  Raises
-    NumericError if F is not finite on its table, or if an inversion does
-    not settle within _MAX_STEPS steps."""
+    and two unit exponentials per pair, all drawn first.  The table of F
+    and its guide table are built once per call, and each block of pairs
+    finds its cells through the guide.  Raises NumericError if F is not
+    finite on its table, or if an inversion does not settle within
+    _MAX_STEPS steps."""
     if n < 1:
         raise ParameterError("sample size must be positive")
     u, v = rng.random((2, n))
     # x and y hold the two exponentials until their block is drawn
     x, y = rng.exponential(size=(2, n))
     table = _cdf_table(model)
+    guide = _guide(table[1])
     floor = model.ordering_floor() + _FLOOR_GAP
     for k in range(0, n, _SOLVE_BLOCK):
         b = slice(k, k + _SOLVE_BLOCK)
-        w, a, p = _invert_block(model, table, u[b])
+        w, a, p = _invert_block(model, table, guide, u[b])
         t = (x[b] + np.where(v[b] < p, y[b], 0.0)) / a
         w = np.maximum(w, floor)
         x[b], y[b] = t * (1.0 - w), t * w

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,55 @@ def test_writers_match_the_per_value_formulas():
             f"{height - pad - (b - y0) / yr * (height - 2 * pad):.2f}"
             for a, b in zip(t.x, t.values))
         assert f'points="{pts}"' in text
+
+
+def test_svg_leaves_nan_vertices_out_of_every_curve():
+    # a NaN in one table once made every vertex of every curve "nan"
+    clean = CurveTable("clean", np.arange(5.0), np.array([1, 3, 2, 5, 4.0]),
+                       xname="x")
+    dirty = CurveTable("dirty", np.arange(3.0), np.array([2, math.nan, 6.0]),
+                       xname="x")
+    kept = CurveTable("dirty", np.array([0, 2.0]), np.array([2, 6.0]),
+                      xname="x")
+    text = render_svg([clean, dirty])
+    assert "nan" not in text
+    assert text == render_svg([clean, kept])
+
+
+def test_svg_leaves_infinite_vertices_out_without_a_warning():
+    # an inf once warned (an error under this suite's filter) and put
+    # every finite vertex of every curve on the bottom edge
+    clean = CurveTable("clean", np.arange(5.0), np.array([1, 3, 2, 5, 4.0]),
+                       xname="x")
+    for odd in (math.inf, -math.inf):
+        dirty = CurveTable("dirty", np.array([0, 1, math.inf, 3.0]),
+                           np.array([2, odd, 1, 6.0]), xname="x")
+        kept = CurveTable("dirty", np.array([0, 3.0]), np.array([2, 6.0]),
+                          xname="x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = render_svg([clean, dirty])
+        assert "inf" not in text
+        assert text == render_svg([clean, kept])
+
+
+def test_shared_columns_write_the_per_value_formulas():
+    # the P-P tables share one x column and the Q-Q tables another, which
+    # the first write formats; every write gives the per-value bytes, in
+    # any order, across blocks and again
+    series, fit = make_model_series(2500, seed=4)
+    tables = pp_qq_tables(series, fit, make_model("restricted",
+                                                  c=1.0 / 33.0, s=2.0))
+    assert tables.pp_x.x is tables.pp_y.x and tables.qq_x.x is tables.qq_y.x
+    for table in tables.all_tables()[::-1] + tables.all_tables():
+        buf = io.StringIO()
+        write_table(table, buf)
+        rows = "".join(f"{repr(float(a))},{repr(float(b))}\n"
+                       for a, b in zip(table.x, table.values))
+        assert buf.getvalue().endswith(f"{table.yname}\n" + rows)
+    # a table given another x column no longer reads the shared text
+    tables.pp_y.x = tables.pp_y.x[::-1].copy()
+    buf = io.StringIO()
+    write_table(tables.pp_y, buf)
+    assert buf.getvalue().split("\n")[-2].startswith(
+        repr(float(tables.pp_y.x[-1])) + ",")

@@ -136,6 +136,8 @@ def test_table_read_by_clenshaw_matches_the_vector_read(family, params):
         "kj,kj->k", np.cos(np.outer(np.arccos(t), orders)), table.series[i])
     scalar = np.array([table(k) for k in ks.tolist()])
     assert type(table(0.5)) is float
+    assert type(table.moment) is float
+    assert table.moment == table.h_one - table.g[-1]
     ulp = np.spacing(np.maximum(np.abs(vector), table.h_one))
     assert np.all(np.abs(scalar - vector) <= 4 * ulp)
 

@@ -23,6 +23,7 @@ from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
                     pickands_modified, pickands_raw, sample_pairs, v_closed,
                     v_from_a, v_numeric,
                     validate_dependence)
+from ordext import simulate  # noqa: E402
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
 from ordext.diagnostics import (_SVG_COLORS as SVG_COLORS,  # noqa: E402
                                 _column_vertices, render_svg)
@@ -350,11 +351,12 @@ def test_fit_files_round_trip(fit):
 
 
 def full_resolution_svg(tables):
-    """The SVG with every vertex of every curve, as render_svg wrote it
-    before it kept at most four per column."""
+    """The SVG with every finite vertex of every curve, on axes over the
+    finite values, as render_svg would write it if it kept every vertex."""
     pad, width, height = 50.0, 800, 600
     x_all = np.concatenate([t.x for t in tables])
     y_all = np.concatenate([t.values for t in tables])
+    x_all, y_all = x_all[np.isfinite(x_all)], y_all[np.isfinite(y_all)]
     x0, y0 = float(np.min(x_all)), float(np.min(y_all))
     xr = float(np.max(x_all)) - x0 or 1.0
     yr = float(np.max(y_all)) - y0 or 1.0
@@ -363,8 +365,9 @@ def full_resolution_svg(tables):
              f'<rect width="{width}" height="{height}" fill="white"/>']
     vertices = []
     for i, t in enumerate(tables):
-        px = pad + (t.x - x0) / xr * (width - 2 * pad)
-        py = height - pad - (t.values - y0) / yr * (height - 2 * pad)
+        finite = np.isfinite(t.x) & np.isfinite(t.values)
+        px = pad + (t.x[finite] - x0) / xr * (width - 2 * pad)
+        py = height - pad - (t.values[finite] - y0) / yr * (height - 2 * pad)
         vertices.append((px, py))
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         color = SVG_COLORS[i % len(SVG_COLORS)]
@@ -381,7 +384,7 @@ def svg_curves(draw):
     """One to three curves, monotone in x or not, with up to 6000 vertices
     (the plot has 700 columns, so some are denser than four per column),
     their heights a random walk, sorted, constant or in steps, and one
-    height perhaps NaN or huge."""
+    height or x perhaps NaN, infinite or huge."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tables = []
     for i in range(draw(st.integers(1, 3))):
@@ -398,7 +401,8 @@ def svg_curves(draw):
         elif shape == "steps":
             v = np.floor(v)
         if draw(st.booleans()) and n > 2:
-            v[n // 2] = draw(st.sampled_from([math.nan, 1e300]))
+            odd = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e300]))
+            (v if draw(st.booleans()) else x)[n // 2] = odd
         tables.append(CurveTable(f"c{i}", x, v, xname="x"))
     return tables
 
@@ -424,8 +428,7 @@ def test_svg_keeps_at_most_four_vertices_per_column_run(tables):
         assert shown == [everything[k] for k in kept]
         assert np.all(np.diff(kept) > 0)
         assert kept[0] == 0 and kept[-1] == px.size - 1
-        finite = np.isfinite(px).all() and np.isfinite(py).all()
-        if px.size <= budget or not finite:
+        if px.size <= budget:
             assert kept.size == px.size
             continue
         col = np.floor(px)
@@ -436,3 +439,35 @@ def test_svg_keeps_at_most_four_vertices_per_column_run(tables):
             assert mine[0] == a and mine[-1] == b - 1
             assert run.min() in py[mine] and run.max() in py[mine]
             assert mine.size == b - a if b - a <= 4 else mine.size <= 4
+
+
+@st.composite
+def cdf_tables(draw):
+    """Non-decreasing tables from 0 to 1, as the sampler's table of F is:
+    spread values, flat runs, a cluster inside one bucket, values on
+    bucket edges; or the table of a family."""
+    if draw(st.booleans()):
+        return simulate._cdf_table(draw(st.one_of(families, asymmetric)))[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spot = rng.random()
+    parts = [rng.random(draw(st.integers(0, 400))),
+             np.repeat(rng.random(3), draw(st.integers(1, 60))),
+             spot + 1e-9 * rng.random(draw(st.integers(0, 40))),
+             rng.integers(0, 2**12, draw(st.integers(0, 30))) / 2**12]
+    return np.minimum(np.sort(np.concatenate([[0.0, 1.0], *parts])), 1.0)
+
+
+@given(cdf_tables())
+@settings(max_examples=60, deadline=None)
+def test_guide_lookup_is_searchsorted(f):
+    guide = simulate._guide(f)
+    m = guide[0]
+    inside = f[f < 1.0]
+    u = np.concatenate([
+        inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0),
+        np.arange(m) / m, np.nextafter(np.arange(1, m) / m, 0.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+        np.random.default_rng(f.size).random(500)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(simulate._cell(guide, f, u),
+                          np.searchsorted(f, u, side="right"))

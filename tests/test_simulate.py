@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,19 @@ def test_sampler_estimator_and_oracle_leave_numpy_ma_unloaded():
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]
+
+
+def test_sample_pairs_heap_peak():
+    # the four random numbers per pair take 3.05 MiB; a block's steps, the
+    # table of F and its guide table add at most 2.16 MiB to them
+    model = make_model("restricted", c=1.0 / 33.0, s=2.0)
+    tracemalloc.start()
+    try:
+        sample_pairs(model, 100_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.21 * 2 ** 20
 
 
 def test_sampler_size_validation():
