@@ -273,11 +273,8 @@ def read_series_csv(path, expected_scale="original") -> BivariateSeries:
 
 
 def write_series_csv(series: BivariateSeries, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# scale: {series.scale}\n")
-        fh.write("t,x,y\n")
-        for t, x, y in zip(series.t, series.x, series.y):
-            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
+    _write_rows_csv(path, ("t", "x", "y"), zip(series.t, series.x, series.y),
+                    meta=[f"scale: {series.scale}"])
 
 
 def _write_rows_csv(path, header, rows, meta=()):

@@ -203,12 +203,11 @@ def write_table(table: CurveTable, path_or_buf):
 
 
 def read_table(path_or_buf) -> CurveTable:
-    """Parse a CSV emitted by write_table back into a CurveTable."""
+    """Parse write_table's CSV into a CurveTable; InputError on a bad row."""
     own = isinstance(path_or_buf, (str, bytes))
     buf = open(path_or_buf, "r") if own else path_or_buf
     try:
         meta = {}
-        label = ""
         header = None
         xs, ys = [], []
         for line in buf:
@@ -217,23 +216,22 @@ def read_table(path_or_buf) -> CurveTable:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].partition(":")
-                key = key.strip()
-                value = value.strip()
-                if key == "label":
-                    label = value
-                else:
-                    meta[key] = value
+                meta[key.strip()] = value.strip()
             elif header is None:
                 header = line.split(",")
                 if len(header) != 2:
                     raise InputError(f"expected two columns, got {header}")
             else:
-                a, b = line.split(",")
-                xs.append(float(a))
-                ys.append(float(b))
+                try:
+                    a, b = line.split(",")
+                    xs.append(float(a))
+                    ys.append(float(b))
+                except ValueError:
+                    raise InputError(f"data row {len(ys) + 1} is not two "
+                                     "numbers") from None
         if header is None:
             raise InputError("no column header found")
-        return CurveTable(label, np.array(xs), np.array(ys),
+        return CurveTable(meta.pop("label", ""), np.array(xs), np.array(ys),
                           xname=header[0], yname=header[1], meta=meta)
     finally:
         if own:
@@ -269,10 +267,12 @@ def _column_vertices(px, py, budget):
     return np.flatnonzero(keep)
 
 
-def _finite_range(v):
-    """The least and greatest finite value of v, (0, 0) if it has none."""
+def _half_range(v):
+    """Halves of v's least and greatest finite values ((0, 0) if none),
+    exact for normal floats, whose difference cannot overflow."""
     v = v[np.isfinite(v)]
-    return (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 0.0)
+    return (float(np.min(v)) / 2.0, float(np.max(v)) / 2.0) if v.size \
+        else (0.0, 0.0)
 
 
 def render_svg(tables, path=None):
@@ -286,8 +286,8 @@ def render_svg(tables, path=None):
     if not tables:
         raise InputError("nothing to render")
     pad = 50.0
-    x0, x1 = _finite_range(np.concatenate([t.x for t in tables]))
-    y0, y1 = _finite_range(np.concatenate([t.values for t in tables]))
+    x0, x1 = _half_range(np.concatenate([t.x for t in tables]))
+    y0, y1 = _half_range(np.concatenate([t.values for t in tables]))
     xr = x1 - x0 or 1.0
     yr = y1 - y0 or 1.0
 
@@ -299,8 +299,9 @@ def render_svg(tables, path=None):
     for i, t in enumerate(tables):
         # from finite ends, a non-finite value maps to a non-finite
         # coordinate without a floating-point warning
-        px = pad + (t.x - x0) / xr * (SVG_WIDTH - 2 * pad)
-        py = SVG_HEIGHT - pad - (t.values - y0) / yr * (SVG_HEIGHT - 2 * pad)
+        px = pad + (t.x / 2.0 - x0) / xr * (SVG_WIDTH - 2 * pad)
+        py = SVG_HEIGHT - pad - (t.values / 2.0 - y0) / yr \
+            * (SVG_HEIGHT - 2 * pad)
         shown = np.isfinite(px) & np.isfinite(py)
         px, py = px[shown], py[shown]
         kept = _column_vertices(px, py, 4 * (SVG_WIDTH - 2 * pad))

@@ -55,7 +55,7 @@ import numpy as np
 
 from .dependence import _check_unit_interval, _sorted_unique
 from .errors import InputError, NumericError, ParameterError
-from .margins import log_exp_scale, log_exp_scale_grad
+from .margins import base_minus_one, log_exp_scale, log_exp_scale_grad
 # _v_closed and _v_partials are not used here; they are imported because
 # benchmarks/tracer.py patches them on this module
 from .measure import (_log_density, _v_closed, _v_partials,  # noqa: F401
@@ -403,7 +403,7 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi,
     span = max(data_hi - data_lo, 1e-6)
     lo, hi = (-math.inf, math.inf) if xi > 0.0 else \
         (data_hi - 11.0 * span, data_hi - 1e-6 * span)
-    return boundary_constant(mu_x, mu_y, sig_x, sig_y, xi, lo, hi, grad)
+    return boundary_constant(mu_x, mu_y, sig_x, sig_y, xi, xi, lo, hi, grad)
 
 
 def _y_fraction(log_ex, log_ey):
@@ -512,8 +512,8 @@ class _RestrictedLikelihood:
         """
         if sig_x <= 0 or sig_y <= 0 or s <= 1.0:
             return 1e6, np.zeros(4)
-        bx = 1.0 - xi * (self.x - g_x) / sig_x
-        by = 1.0 - xi * (self.y - g_y) / sig_y
+        bx = 1.0 + base_minus_one(self.x, g_x, sig_x, xi)
+        by = 1.0 + base_minus_one(self.y, g_y, sig_y, xi)
         score = float(np.sum(np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)))
         if score > 0:
             # -b = xi u - 1 with u = (z - g) / sigma, over the violations

@@ -111,8 +111,13 @@ def _split_scalar(z):
     return z.ndim == 0, np.atleast_1d(z)
 
 
+def base_minus_one(z, mu, sigma, xi):
+    """b - 1 for the transform's base b = 1 - xi (z - mu) / sigma > 0."""
+    return -xi * (z - mu) / sigma
+
+
 def log_exp_scale(z, mu, sigma, xi):
-    """log of the exponential-scale transform, -log1p(-xi (z - mu)/sigma)/xi.
+    """log of the exponential-scale transform, -log1p(b - 1)/xi.
 
     mu may be an array (a location trend resolved over the observations).
     No support check: outside the support the result is nan or infinite.
@@ -121,7 +126,7 @@ def log_exp_scale(z, mu, sigma, xi):
     z = np.asarray(z, dtype=float)
     if abs(xi) < XI_ZERO_TOL:
         return (z - mu) / sigma
-    return -np.log1p(-xi * (z - mu) / sigma) / xi
+    return -np.log1p(base_minus_one(z, mu, sigma, xi)) / xi
 
 
 # |q| = |xi (z - mu) / sigma| below which d log_exp_scale / d xi is summed as

@@ -19,6 +19,10 @@ A by dependence.a_numeric_oracle.  With G(k) the integral of H from 0 to
 k = y/(x+y), V = x H(1) + (x + y) G(k) - x G(1): each model builds G once
 per tolerance, as a piecewise-Chebyshev table kept on the instance, and a
 point reads it without evaluating H.
+
+The ordering boundary c = 1/(1 + inf D(x, x)) has one implementation,
+boundary_constant, for shared and unequal shapes over trend rows; a shape
+inside XI_ZERO_TOL is Gumbel there, as in margins.log_exp_scale.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ import numpy as np
 
 from .dependence import DependenceModel, RestrictedLogisticParams
 from .errors import BoundaryError, DomainError
-from .margins import (GevmParams, exp_scale, exp_scale_log_jacobian,
-                      log_exp_scale, log_exp_scale_grad)
+from .margins import (XI_ZERO_TOL, GevmParams, exp_scale,
+                      exp_scale_log_jacobian, log_exp_scale,
+                      log_exp_scale_grad)
 
 V_QUAD_TOL = 1e-10
 
@@ -279,80 +284,107 @@ def _diag_ratio(x, mx: GevmParams, my: GevmParams):
     return np.where(np.isfinite(d), d, np.inf)
 
 
-def boundary_constant(mu_x, mu_y, sig_x, sig_y, xi, lo, hi, grad=False):
-    """c = 1/(1 + inf D(x, x)), D = e_x / e_y, for margins sharing the
-    shape xi, over [lo, hi] cut for each row of mu_x, mu_y to where both
-    of its margins are defined; grad=True adds dc/d(sigma_x, sigma_y, xi).
+def boundary_constant(mu_x, mu_y, sig_x, sig_y, xi_x, xi_y, lo, hi,
+                      grad=False):
+    """c = 1/(1 + inf D(x, x)), D = e_x / e_y, over [lo, hi] cut for each
+    row of mu_x, mu_y to where both of its margins are defined; a shape
+    inside XI_ZERO_TOL is Gumbel, as in log_exp_scale.  For a shared
+    shape, grad=True adds dc/d(sigma_x, sigma_y, xi).
 
-    log D is monotone along a row, so it is taken only at the ends of each
-    row's interval: by log_exp_scale, or by its limit at an infinite end,
-    log(sigma_x/sigma_y)/xi (linear in x at xi = 0, where grad needs a
-    finite window), and at a support threshold, +-inf.  No row left gives
-    c = 1, log D > 700 c = 0.
+    d log e/dx = 1/(sigma - xi (x - mu)), so log D turns only at x*, for
+    unequal shapes.  It is taken there and at each end of a row's
+    interval, by log_exp_scale or, toward a threshold t or an infinite
+    end, by its limit (g_x - g_y) inf, where log e ~ g L: g = 1/xi with
+    L = -log|x - t|, g = -1/xi with L = log|x|, which a Gumbel margin's
+    linear log e outgrows.  Where the g agree log D tends to a shared
+    shape's tail log(sigma_x/sigma_y)/xi, or is linear (two Gumbel
+    margins).  No row left gives c = 1, log D > 700 c = 0.
     """
     def const(c):
         return (c, np.zeros(3)) if grad else c
 
     def at(x, rows):
-        # (least log D, its row, x) at the window end x over the mask rows
-        # (None: all rows); rows that x rounds off their support end at
-        # their threshold instead
-        if math.isinf(x):       # only at xi = 0, where log D is linear
-            slope = 1.0 / sig_x - 1.0 / sig_y
-            d = mu_y / sig_y - mu_x / sig_x + (x * slope if slope else 0.0)
-        else:
-            d = (log_exp_scale(x, mu_x, sig_x, xi)
-                 - log_exp_scale(x, mu_y, sig_y, xi))
-        if rows is not None:
-            off[rows & np.isnan(d)] = True
-            d = np.where(rows & ~off, d, np.inf)
+        # (least log D at the points x over the mask rows, its row, its
+        # point); rows that x rounds off a support are marked off
+        nonlocal off
+        d = (log_exp_scale(x, mu_x, sig_x, xi_x)
+             - log_exp_scale(x, mu_y, sig_y, xi_y))
+        off = off | (rows & np.isnan(d))
+        d = np.where(rows & ~off, d, np.inf)
         i = int(np.argmin(d))
-        return float(d[i]), i, x
+        return float(d[i]), i, x[i] if isinstance(x, np.ndarray) else x
+
+    def thresholds(side):
+        # X's and Y's support thresholds below (side -1) or above (+1) the
+        # rows; side * inf for a margin without one
+        return [mu + sig / xi if side * xi > 0.0 else side * math.inf
+                for mu, sig, xi in ((mu_x, sig_x, xi_x), (mu_y, sig_y, xi_y))]
 
     mu_x, mu_y = np.atleast_1d(mu_x), np.atleast_1d(mu_y)
+    xi_x = 0.0 if abs(xi_x) < XI_ZERO_TOL else xi_x
+    xi_y = 0.0 if abs(xi_y) < XI_ZERO_TOL else xi_y
+    shared = xi_x == xi_y
+    tail = math.log(sig_x / sig_y) / xi_x if shared and xi_x else None
+    cut = [side * xi_x > 0.0 or side * xi_y > 0.0 for side in (-1.0, 1.0)]
+    # an infinite end without a threshold leaves no row's interval empty
+    every = any(math.isinf(e) and not k for e, k in zip((lo, hi), cut))
+    off, sides, found = False, [], []
     with np.errstate(all="ignore"):
-        if xi == 0.0:
-            found = [at(lo, None), at(hi, None)]
-        else:
-            tail = math.log(sig_x / sig_y) / xi
-            # rows whose interval is not empty, and rows whose interval
-            # ends at their threshold t, above for xi > 0 and below for
-            # xi < 0; None for all rows, as an infinite window end has
-            # every t inside
-            live = cut = None
-            if math.isfinite(lo) or math.isfinite(hi):
-                t = (np.minimum if xi > 0.0 else np.maximum)(
-                    mu_x + sig_x / xi, mu_y + sig_y / xi)
-                live, cut = (t > lo, t <= hi) if xi > 0.0 else \
-                    (t < hi, t >= lo)
-                if not np.any(live):
-                    return const(1.0)
-                off = np.zeros(mu_x.shape, dtype=bool)
-            free, edge = (lo, hi) if xi > 0.0 else (hi, lo)
-            found = [(tail, 0, free) if math.isinf(free) else at(free, live)]
-            if math.isfinite(edge):
-                found.append(at(edge, live & ~cut))
-            # at t, D -> inf where X's threshold lies below Y's and D -> 0
-            # where above; where they coincide D is constant along the row.
-            # dt is their difference, signed right even where a subnormal
-            # xi sends sigma / xi to +-inf
-            dt = (mu_x - mu_y) + (sig_x - sig_y) / xi
-            at_t = dt if cut is None else dt[live & (cut | off)]
-            top = at_t.max() if at_t.size else -math.inf
-            found.append((-math.inf if top > 0.0 else tail if top == 0.0
-                          else math.inf, 0, None))
+        for e, side, k in zip((lo, hi), (-1.0, 1.0), cut):
+            # s > 0 where a row's inner threshold on this side is X's lower
+            # or Y's upper (D -> 0), s < 0 where it is the other margin's,
+            # s = 0 where both: s = t_x - t_y, written for a shared shape
+            # so that its sign is exact; inside marks the rows whose
+            # interval ends there rather than at e
+            s, inside, end = None, False, e
+            if k:
+                s = (mu_x - mu_y) + (sig_x - sig_y) / xi_x if shared else \
+                    np.subtract(*thresholds(side))
+                inside = True
+                if math.isfinite(e) or not every:
+                    t = (np.maximum if side < 0.0 else np.minimum)(
+                        *thresholds(side))
+                    inside = t >= e if side < 0.0 else t <= e
+                    end = np.where(inside, t, e)
+            elif math.isinf(e) and (xi_x or xi_y):   # the limit at x = e
+                g_x, g_y = (-1.0 / xi if xi else e for xi in (xi_x, xi_y))
+                found.append((tail if g_x == g_y else
+                              math.copysign(math.inf, g_x - g_y), 0, None))
+            elif math.isinf(e):     # two Gumbel margins: log D is linear
+                slope = 1.0 / sig_x - 1.0 / sig_y
+                found.append((math.copysign(math.inf, e * slope), 0, None)
+                             if slope else at(0.0, True))
+            sides.append((e, s, inside, end))
+        live = True if every else sides[0][3] < sides[1][3]
+        if not (live is True or np.any(live)):
+            return const(1.0)
+        for e, s, inside, _ in sides:
+            if math.isfinite(e):
+                found.append(at(e, live if s is None else live & ~inside))
+        if not shared:      # off a support, log D at x* is nan
+            x_star = (sig_x - sig_y + xi_x * mu_x - xi_y * mu_y) \
+                / (xi_x - xi_y)
+            found.append(at(x_star, live & (lo < x_star) & (x_star < hi)))
+        for _, s, inside, _ in sides:
+            if s is not None:
+                rows = live & (inside | off)
+                at_t = s if rows is True else s[rows]
+                top = at_t.max() if at_t.size else -math.inf
+                found.append((-math.inf if top > 0.0 else math.inf
+                              if top < 0.0 else tail if shared else
+                              math.copysign(math.inf, 1.0 / xi_x - 1.0 / xi_y),
+                              0, None))
     value, i, x = min(found, key=lambda f: f[0])
     if not -math.inf < value <= 700.0:  # D = 0, or too large for exp
         return const(1.0 if value < 0.0 else 0.0)
     c = 1.0 / (1.0 + math.exp(value))
     if not grad:
         return c
-    if x is None or math.isinf(x):
-        # the infinite end's limit, or a row where it holds throughout
+    if x is None:   # the tail, at an infinite end or along a row
         return c, -c * (1.0 - c) * np.array([1.0 / sig_x, -1.0 / sig_y,
-                                             -value]) / xi
-    dx_sig, dx_xi = log_exp_scale_grad(x, mu_x[i], sig_x, xi)
-    dy_sig, dy_xi = log_exp_scale_grad(x, mu_y[i], sig_y, xi)
+                                             -value]) / xi_x
+    dx_sig, dx_xi = log_exp_scale_grad(x, mu_x[i], sig_x, xi_x)
+    dy_sig, dy_xi = log_exp_scale_grad(x, mu_y[i], sig_y, xi_y)
     return c, -c * (1.0 - c) * np.array([float(dx_sig), -float(dy_sig),
                                          float(dx_xi - dy_xi)])
 
@@ -360,62 +392,20 @@ def boundary_constant(mu_x, mu_y, sig_x, sig_y, xi, lo, hi, grad=False):
 def c_from_margins(mx: GevmParams, my: GevmParams, x_lo=-math.inf,
                    x_hi=math.inf):
     """Ordering boundary c = 1/(1 + inf D(x, x)) over the part of
-    [x_lo, x_hi] where both margins are defined: boundary_constant for
-    equal shapes (1/33 for the reference design) and for two Gumbel
-    margins, _least_log_ratio's ends and stationary point otherwise.
+    [x_lo, x_hi] where both margins are defined, by boundary_constant
+    (1/33 for the reference design).
 
     A result at or above 1/2 means the margins cannot support the
     ordering X < Y; it is returned with a warning.
     """
-    hi_cap = min(mx.upper_endpoint(), my.upper_endpoint())
-    lo_cap = max(mx.lower_endpoint(), my.lower_endpoint())
-    lo, hi = max(x_lo, lo_cap), min(x_hi, hi_cap)
-    if not lo < hi:
+    if not max(x_lo, mx.lower_endpoint(), my.lower_endpoint()) \
+            < min(x_hi, mx.upper_endpoint(), my.upper_endpoint()):
         raise DomainError("empty feasible search domain for the boundary "
                           "constant")
-    if mx.xi == my.xi or (mx.is_gumbel and my.is_gumbel):
-        c = boundary_constant(mx.mu, my.mu, mx.sigma, my.sigma,
-                              mx.xi if mx.xi == my.xi else 0.0, x_lo, x_hi)
-    else:
-        d = _least_log_ratio(mx, my, lo, hi)
-        c = 1.0 if d == -math.inf else 0.0 if d > 700.0 else \
-            1.0 / (1.0 + math.exp(d))
+    c = boundary_constant(mx.mu, my.mu, mx.sigma, my.sigma, mx.xi, my.xi,
+                          x_lo, x_hi)
     if c >= 0.5:
         warnings.warn(
             "boundary constant at or above 1/2: margins do not support the "
             "ordering X < Y", RuntimeWarning, stacklevel=2)
     return c
-
-
-def _least_log_ratio(mx, my, lo, hi):
-    """inf log D(x, x) over [lo, hi], the window cut to both supports, for
-    unequal shapes; a margin inside XI_ZERO_TOL is Gumbel (xi = 0).
-
-    With b = sigma - xi (x - mu) > 0 on a support, d log e/dx = 1/b, so
-    d log D/dx = (b_y - b_x)/(b_x b_y) changes sign only at x*, where
-    b_x = b_y: the infimum is at x* or at an end.  Toward an end where a
-    log e is unbounded it grows like g L, L -> +inf: L = -log|x - t| and
-    g = 1/xi at the margin's threshold t; L = log|x| and g = -1/xi at an
-    infinite end, where a Gumbel margin's linear log e outgrows any g L.
-    There log D tends to (g_x - g_y) inf.
-    """
-    def at(x, p, xi):
-        # (log e at x, its growth factor g toward x: 0 where it is finite)
-        v = float(log_exp_scale(x, p.mu, p.sigma, xi))
-        if math.isinf(x):
-            return v, -1.0 / xi if xi else math.copysign(math.inf, x)
-        # at the threshold itself, or off the support by rounding
-        t = p.upper_endpoint() if xi > 0.0 else p.lower_endpoint()
-        return v, 1.0 / xi if x == t or not math.isfinite(v) else 0.0
-
-    xi_x = 0.0 if mx.is_gumbel else mx.xi
-    xi_y = 0.0 if my.is_gumbel else my.xi
-    x_star = (mx.sigma - my.sigma + xi_x * mx.mu - xi_y * my.mu) \
-        / (xi_x - xi_y)
-    found = []
-    with np.errstate(all="ignore"):
-        for x in [lo, hi, x_star] if lo < x_star < hi else [lo, hi]:
-            (ex, gx), (ey, gy) = at(x, mx, xi_x), at(x, my, xi_y)
-            found.append(math.copysign(math.inf, gx - gy) if gx != gy
-                         else ex - ey)
-    return min(found)

@@ -152,6 +152,19 @@ def test_structure_table_tracks_dependence():
     assert float(np.median(rel)) <= 0.1
 
 
+@pytest.mark.parametrize("row", ["1.0,2.0,3.0", "1.0", "abc,2.0", "1.0,"])
+def test_read_table_rejects_a_malformed_row(row):
+    # a ragged or non-numeric row once raised a bare ValueError; a NaN,
+    # which write_table writes, still reads back
+    buf = io.StringIO()
+    write_table(CurveTable("t", np.array([0.0, 0.5]),
+                           np.array([math.nan, 2.0])), buf)
+    back = read_table(io.StringIO(buf.getvalue()))
+    assert np.isnan(back.values[0]) and back.values[1] == 2.0
+    with pytest.raises(InputError, match="data row 3"):
+        read_table(io.StringIO(buf.getvalue() + row + "\n"))
+
+
 def test_pp_qq_rejects_mismatched_fit():
     series, fit = make_model_series(30, seed=3)
     short = stub_fit(series.t[:10], np.zeros(10), np.full(10, 50.0), 1.0, 1.0, 0.0)
@@ -231,6 +244,16 @@ def test_svg_leaves_infinite_vertices_out_without_a_warning():
             text = render_svg([clean, dirty])
         assert "inf" not in text
         assert text == render_svg([clean, kept])
+
+
+def test_svg_spans_the_whole_float_range():
+    # x1 - x0 once overflowed: a warning, and every vertex on the left edge
+    wide = CurveTable("wide", np.array([-1e308, 0.0, 1e308]),
+                      np.array([0.0, 1.0, 2.0]), xname="x")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = render_svg([wide])
+    assert 'points="50.00,550.00 400.00,300.00 750.00,50.00"' in text
 
 
 def test_shared_columns_write_the_per_value_formulas():

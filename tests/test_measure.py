@@ -386,6 +386,22 @@ def test_unequal_shape_boundary_takes_exact_limits():
     assert c == pytest.approx(1.0 / (1.0 + math.exp(0.5)), abs=1e-15)
 
 
+@pytest.mark.parametrize("window", [(), (-100.0, 100.0)])
+@pytest.mark.parametrize("xi", [1e-9, -1e-9, 5e-9, -5e-9])
+def test_gumbel_band_boundary_is_gumbel(xi, window):
+    # a shared shape inside XI_ZERO_TOL is Gumbel, as in log_exp_scale:
+    # at equal scales log D = 1/2 all along the line, where the tail
+    # log(sigma_x/sigma_y)/xi once gave c = 1/2 over the whole line
+    gumbel = c_from_margins(GevmParams(0.0, 2.0, 0.0),
+                            GevmParams(1.0, 2.0, 0.0), *window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = c_from_margins(GevmParams(0.0, 2.0, xi),
+                           GevmParams(1.0, 2.0, xi), *window)
+    assert c == gumbel == pytest.approx(1.0 / (1.0 + math.exp(0.5)),
+                                        rel=1e-15)
+
+
 def _scan_least_ratio(mx, my, lo, hi):
     """Least D(x, x) on [lo, hi]: log-spaced from each end and evenly
     spaced, then zoomed three times around the least point."""
