@@ -2,9 +2,11 @@
 over CSV files with reproducible seeds.
 
 Input CSV schema: header row with columns t,x,y (a missing t column is
-treated as equally spaced times on [0, 1]).  Outputs are deterministic
-given the seed, so identical invocations produce byte-identical files.
-Relative output paths are rooted at $ORDEXT_OUT_DIR when it is set.
+treated as equally spaced times on [0, 1]); a '# scale:' line, if any,
+must name the scale the command needs (diagnostics.read_csv's dialect).
+Outputs are deterministic given the seed, so identical invocations
+produce byte-identical files.  Relative output paths are rooted at
+$ORDEXT_OUT_DIR when it is set.
 
 Options may also come from a config file of 'key = value' lines (given
 with --config); explicit command-line flags override file values, and
@@ -22,7 +24,8 @@ import warnings
 import numpy as np
 
 from . import dependence as dep
-from .diagnostics import depfn_curves, pp_qq_tables, render_svg, write_table
+from .diagnostics import (depfn_curves, pp_qq_tables, read_csv, render_svg,
+                          write_csv, write_table, write_tables)
 from .errors import InputError, NumericError, OrdextError
 from .estimation import (FitConfig, FitResult, estimate_c_hat, fit_restricted,
                          pickands_curve)
@@ -42,6 +45,13 @@ _STR, _FLOAT, _INT, _BOOL = str, float, int, lambda v: str(v).lower() in ("1", "
 
 # parameters of every dependence family, as make_model takes them
 FAMILY_KEYS = ("c", "s", "theta1", "theta2", "c1", "c2")
+
+# the scalars of a fit, as params.csv and replicate_fits.csv hold them
+# (the first six have medians in summary.csv), and a fit trace's columns
+FIT_SCALARS = ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
+               "loglik", "converged")
+TRACE_COLUMNS = ("iteration", "s", "sigma_x", "sigma_y", "xi",
+                 "penalized_loglik")
 
 
 def _family_options(s_default):
@@ -227,65 +237,40 @@ def _out_path(path):
 
 
 def read_csv_columns(path, required):
-    """Read a numeric CSV with a header row into {column name: array}.
-
-    Blank lines and '#' lines are skipped.  A missing required column, a
-    row whose cell count differs from the header's, a non-numeric cell or
-    a non-finite value raises InputError.
-    """
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()
-                and not line.startswith("#")]
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    header = [h.strip().lower() for h in rows[0].split(",")]
-    if any(name not in header for name in required):
+    """The metadata and {lower-cased name: column} of a numeric CSV read
+    by read_csv (which refuses ragged rows and non-numeric cells); a
+    missing required column, no data row or a non-finite value raises
+    InputError."""
+    meta, header, columns = read_csv(path)
+    names = [name.lower() for name in header]
+    if any(name not in names for name in required):
         raise InputError(f"{path}: need columns {', '.join(required)} "
-                         f"(got {header})")
-    data = []
-    for k, row in enumerate(rows[1:], 1):
-        cells = row.split(",")
-        if len(cells) != len(header):
-            raise InputError(f"{path}: data row {k} has {len(cells)} cells, "
-                             f"the header has {len(header)}")
-        try:
-            values = [float(v) for v in cells]
-        except ValueError:
-            raise InputError(f"{path}: data row {k} has a non-numeric "
-                             f"cell") from None
-        if not all(math.isfinite(v) for v in values):
-            raise InputError(f"{path}: data row {k} has a non-finite value")
-        data.append(values)
-    if not data:
+                         f"(got {names})")
+    if not len(columns[0]):
         raise InputError(f"{path}: no data rows")
-    return dict(zip(header, np.array(data).T))
+    bad = np.flatnonzero(~np.all(np.isfinite(columns), axis=0))
+    if bad.size:
+        raise InputError(f"{path}: data row {bad[0] + 1} has a non-finite "
+                         "value")
+    return meta, dict(zip(names, columns))
 
 
-def read_series_csv(path, expected_scale="original") -> BivariateSeries:
-    """Read a t,x,y (or x,y) CSV into a series."""
-    cols = read_csv_columns(path, ("x", "y"))
-    x, y = cols["x"], cols["y"]
-    if "t" in cols:
-        t = cols["t"]
-    else:
-        t = np.linspace(0.0, 1.0, len(x)) if len(x) > 1 else np.zeros(1)
-    return BivariateSeries(t, x, y, scale=expected_scale)
+def read_series_csv(path, expected_scale=None) -> BivariateSeries:
+    """Read a t,x,y (or x,y) CSV into a series on the scale its 'scale'
+    line names, else on expected_scale or the original scale; a scale
+    line that names another scale than expected_scale raises InputError."""
+    meta, cols = read_csv_columns(path, ("x", "y"))
+    scale = meta.get("scale", expected_scale or "original")
+    if expected_scale not in (None, scale):
+        raise InputError(f"{path}: needs {expected_scale}-scale data, the "
+                         f"file's scale line says {scale}")
+    t = cols.get("t", np.linspace(0.0, 1.0, len(cols["x"])))
+    return BivariateSeries(t, cols["x"], cols["y"], scale=scale)
 
 
-def write_series_csv(series: BivariateSeries, path):
-    _write_rows_csv(path, ("t", "x", "y"), zip(series.t, series.x, series.y),
-                    meta=[f"scale: {series.scale}"])
-
-
-def _write_rows_csv(path, header, rows, meta=()):
-    with open(path, "w", newline="\n") as fh:
-        for line in meta:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              and not isinstance(v, bool) else str(v)
-                              for v in row) + "\n")
+def _columns(records, names):
+    """The named float columns of a list of dicts, one row per dict."""
+    return [np.array([r[k] for r in records], dtype=float) for k in names]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +279,7 @@ def _write_rows_csv(path, header, rows, meta=()):
 
 def _cmd_simulate(cfg):
     model = cfg.model
-    times = np.linspace(0.0, 1.0, cfg["n"]) if cfg["n"] > 1 else np.zeros(1)
+    times = np.linspace(0.0, 1.0, cfg["n"])
     if cfg["mu_x"] is None:
         from .simulate import sample_pairs, replicate_rngs
         rng = replicate_rngs(cfg["seed"], 1)[0]
@@ -310,47 +295,39 @@ def _cmd_simulate(cfg):
             trend_y=TrendSpec.linear(cfg["mu_y"], cfg["slope_y"]),
             seed=cfg["seed"])
         series = run_study(study)[0][0]
-    write_series_csv(series, _out_path(cfg["out"]))
+    write_csv(_out_path(cfg["out"]), ("t", "x", "y"),
+              (series.t, series.x, series.y), {"scale": series.scale})
     print(f"wrote {len(series)} pairs to {_out_path(cfg['out'])}")
     return 0
 
 
 def _fit_to_files(fit: FitResult, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    _write_rows_csv(
-        os.path.join(out_dir, "params.csv"),
-        ["s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
-         "loglik", "converged"],
-        [[fit.s, fit.sigma_x, fit.sigma_y, fit.xi, fit.c_hat,
-          fit.c_hat_pickands, fit.loglik, int(fit.converged)]])
-    _write_rows_csv(
-        os.path.join(out_dir, "trends.csv"), ["t", "g_x", "g_y"],
-        [[t, gx, gy] for t, gx, gy in zip(fit.times, fit.g_x, fit.g_y)])
-    _write_rows_csv(
-        os.path.join(out_dir, "trace.csv"),
-        ["iteration", "s", "sigma_x", "sigma_y", "xi", "penalized_loglik"],
-        [[r["iteration"], r["s"], r["sigma_x"], r["sigma_y"], r["xi"],
-          r["penalized_loglik"]] for r in fit.trace])
+    write_csv(os.path.join(out_dir, "params.csv"), FIT_SCALARS,
+              _columns([vars(fit)], FIT_SCALARS))
+    write_csv(os.path.join(out_dir, "trends.csv"), ("t", "g_x", "g_y"),
+              (fit.times, fit.g_x, fit.g_y))
+    write_csv(os.path.join(out_dir, "trace.csv"), TRACE_COLUMNS,
+              _columns(fit.trace, TRACE_COLUMNS))
 
 
 def _fit_from_files(fit_dir, series: BivariateSeries):
     """FitResult written by _fit_to_files, checked against the data times."""
-    scalars = ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
-               "loglik", "converged")
-    params = read_csv_columns(os.path.join(fit_dir, "params.csv"), scalars)
-    trends = read_csv_columns(os.path.join(fit_dir, "trends.csv"),
-                              ("t", "g_x", "g_y"))
+    _, params = read_csv_columns(os.path.join(fit_dir, "params.csv"),
+                                 FIT_SCALARS)
+    _, trends = read_csv_columns(os.path.join(fit_dir, "trends.csv"),
+                                 ("t", "g_x", "g_y"))
     if not np.array_equal(trends["t"], series.t):
         raise InputError(f"fit trend times ({len(trends['t'])} rows) do not "
                          f"match the data times ({len(series)} rows)")
-    vals = {k: float(params[k][0]) for k in scalars}
+    vals = {k: float(params[k][0]) for k in FIT_SCALARS}
     converged = bool(vals.pop("converged"))
     return FitResult(**vals, g_x=trends["g_x"], g_y=trends["g_y"],
                      times=trends["t"], trace=[], converged=converged)
 
 
 def _cmd_fit(cfg):
-    series = read_series_csv(cfg["data"])
+    series = read_series_csv(cfg["data"], "original")
     fit = fit_restricted(series, cfg["lambda_x"], cfg["lambda_y"],
                          FitConfig(max_outer=cfg["max_outer"]))
     out_dir = _out_path(cfg["out_dir"])
@@ -376,21 +353,19 @@ def _cmd_depfn(cfg):
 
 
 def _cmd_estimate_c(cfg):
-    series = read_series_csv(cfg["data"], expected_scale="exponential")
+    series = read_series_csv(cfg["data"], "exponential")
     print(repr(estimate_c_hat(series.x, series.y)))
     return 0
 
 
 def _cmd_diagnose(cfg):
     # fit_restricted writes its trends in this order
-    series = read_series_csv(cfg["data"]).sorted_by_time()
+    series = read_series_csv(cfg["data"], "original").sorted_by_time()
     fit = _fit_from_files(_out_path(cfg["fit_dir"]), series)
     model = dep.make_model("restricted", c=fit.c_hat, s=fit.s)
     tables = pp_qq_tables(series, fit, model)
     out_dir = _out_path(cfg["out_dir"])
-    os.makedirs(out_dir, exist_ok=True)
-    for table in tables.all_tables():
-        write_table(table, os.path.join(out_dir, f"{table.label}.csv"))
+    write_tables(tables.all_tables(), out_dir)
     print(f"wrote diagnostic tables to {out_dir}")
     return 0
 
@@ -470,44 +445,31 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
         raise NumericError(f"all {len(fits)} replicate fits failed")
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_rows_csv(
-        os.path.join(out_dir, "replicate_fits.csv"),
-        ["replicate", "s", "sigma_x", "sigma_y", "xi", "c_hat",
-         "c_hat_pickands", "loglik", "converged"],
-        [[i, f.s, f.sigma_x, f.sigma_y, f.xi, f.c_hat, f.c_hat_pickands,
-          f.loglik, int(f.converged)] for i, f in enumerate(fits)])
+    names = ("replicate", *FIT_SCALARS)
+    write_csv(os.path.join(out_dir, "replicate_fits.csv"), names, _columns(
+        [{"replicate": i, **vars(f)} for i, f in enumerate(fits)], names))
 
-    med = _medians(fits, ("s", "sigma_x", "sigma_y", "xi", "c_hat",
-                          "c_hat_pickands"))
-    _write_rows_csv(
-        os.path.join(out_dir, "summary.csv"),
-        ["statistic", "s", "sigma_x", "sigma_y", "xi", "c_hat",
-         "c_hat_pickands"],
-        [["median", med["s"], med["sigma_x"], med["sigma_y"], med["xi"],
-          med["c_hat"], med["c_hat_pickands"]],
-         ["truth", d["s"], d["sigma_x"], d["sigma_y"], d["xi"], c_true,
-          float("nan")]],
-        meta=[f"parametric boundary at true margins: {c_true!r}"])
+    med = _medians(fits, FIT_SCALARS[:6])
+    truth = (d["s"], d["sigma_x"], d["sigma_y"], d["xi"], c_true, math.nan)
+    write_csv(os.path.join(out_dir, "summary.csv"), ("statistic", *med),
+              [["median", "truth"], *map(np.array, zip(med.values(), truth))],
+              {"parametric boundary at true margins": repr(c_true)})
 
     first, fit0 = series_list[fitted[0]], fits[fitted[0]]
-    _write_rows_csv(
-        os.path.join(out_dir, "fig5_series.csv"),
-        ["t", "x", "y", "g_x", "g_y", "trend_x_true", "trend_y_true"],
-        [[t, x, y, gx, gy, d["mu_x0"] + d["slope"] * t,
-          d["mu_y0"] + d["slope"] * t]
-         for t, x, y, gx, gy in zip(first.t, first.x, first.y,
-                                    fit0.g_x, fit0.g_y)])
-    _write_rows_csv(
-        os.path.join(out_dir, "fig6_trace.csv"),
-        ["iteration", "s", "sigma_x", "sigma_y", "xi", "penalized_loglik"],
-        [[r["iteration"], r["s"], r["sigma_x"], r["sigma_y"], r["xi"],
-          r["penalized_loglik"]] for r in fit0.trace])
+    trend_x = d["mu_x0"] + d["slope"] * first.t
+    trend_y = d["mu_y0"] + d["slope"] * first.t
+    write_csv(os.path.join(out_dir, "fig5_series.csv"),
+              ("t", "x", "y", "g_x", "g_y", "trend_x_true", "trend_y_true"),
+              (first.t, first.x, first.y, fit0.g_x, fit0.g_y, trend_x,
+               trend_y))
+    write_csv(os.path.join(out_dir, "fig6_trace.csv"), TRACE_COLUMNS,
+              _columns(fit0.trace, TRACE_COLUMNS))
 
     # dependence curves: true and fitted parametric, true and fitted
     # non-parametric estimates from the first fitted replicate
-    xe_true = exp_scale(first.x - (d["mu_x0"] + d["slope"] * first.t),
+    xe_true = exp_scale(first.x - trend_x,
                         GevmParams(0.0, d["sigma_x"], d["xi"]))
-    ye_true = exp_scale(first.y - (d["mu_y0"] + d["slope"] * first.t),
+    ye_true = exp_scale(first.y - trend_y,
                         GevmParams(0.0, d["sigma_y"], d["xi"]))
     # clipped: fitted margins can put a point near a support endpoint
     xe_fit = np.exp(np.clip(log_exp_scale(first.x, fit0.g_x, fit0.sigma_x,
@@ -522,16 +484,10 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
         ("estimate_fitted_margins", pickands_curve(xe_fit, ye_fit)),
     ])
     fig7 = os.path.join(out_dir, "fig7")
-    os.makedirs(fig7, exist_ok=True)
-    for table in curves:
-        write_table(table, os.path.join(fig7, f"{table.label}.csv"))
+    write_tables(curves, fig7)
     render_svg(curves, os.path.join(fig7, "curves.svg"))
-
-    diag = pp_qq_tables(first, fit0, fitted_model)
-    fig8 = os.path.join(out_dir, "fig8")
-    os.makedirs(fig8, exist_ok=True)
-    for table in diag.all_tables():
-        write_table(table, os.path.join(fig8, f"{table.label}.csv"))
+    write_tables(pp_qq_tables(first, fit0, fitted_model).all_tables(),
+                 os.path.join(out_dir, "fig8"))
 
     return fits, summary, c_true
 

@@ -1,16 +1,19 @@
 """Plot-ready tables: dependence curves, fit traces, and P-P/Q-Q data.
 
-Everything is emitted as plain CSV with a '#'-prefixed metadata header
-(LF line endings, '.' decimal point) so the tables can be re-read by the
-CLI and rendered by any plotting tool.  A minimal SVG polyline renderer
-is included for quick visual checks without a plotting dependency; it
-draws a long curve at the SVG's resolution, at most four vertices per
-unit column of the viewBox, and leaves non-finite values out; the CSV
-keeps every value.
+Every ordext file is CSV in one dialect, written by write_csv and read
+by read_csv: '#'-prefixed metadata, a header, rows of float reprs that
+read back exactly, '.' decimal points and LF line endings.  A minimal
+SVG polyline renderer is included for quick visual checks without a
+plotting dependency; it draws a long curve at the SVG's resolution, at
+most four vertices per unit column of the viewBox, and leaves non-finite
+values out; the CSV keeps every value.
 """
 
 from __future__ import annotations
 
+import io
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +40,13 @@ class CurveTable:
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        x = self.x = np.asarray(self.x, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.x) != len(self.values):
+        if len(x) != len(self.values):
             raise InputError("x and value columns must have equal length")
-        if self.xname == "omega":
-            if np.any(np.diff(self.x) < 0) or self.x.min() < 0 or self.x.max() > 1:
-                raise InputError("omega column must be sorted within [0, 1]")
+        if self.xname == "omega" and not (
+                x.size and (x[1:] >= x[:-1]).all() and 0 <= x[0] <= x[-1] <= 1):
+            raise InputError("omega column must be nonempty, sorted in [0, 1]")
 
 
 def depfn_curves(entries, grid=None):
@@ -172,70 +175,121 @@ class _ColumnText:
         """The reprs of the block that starts at row k."""
         if k in self.blocks:
             return self.blocks[k].split("\n")
-        reprs = [f"{v!r}" for v in self.x[k:k + _ROWS].tolist()]
+        reprs = _cells(self.x, k)
         self.blocks[k] = "\n".join(reprs)
         return reprs
 
 
-def write_table(table: CurveTable, path_or_buf):
-    """Write one table as CSV with a '#'-metadata header (round-trippable)."""
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w", newline="\n") if own else path_or_buf
-    shared = table._x_text
-    if shared is not None and shared.x is not table.x:
-        shared = None
+def _cells(column, k):
+    """A column's text in rows k to k + _ROWS (a float's repr round-trips)."""
+    if isinstance(column, _ColumnText):
+        return column.rows(k)
+    if isinstance(column, list):
+        return column[k:k + _ROWS]
+    return [f"{v!r}" for v in column[k:k + _ROWS].tolist()]
+
+
+def _opened(path_or_buf, mode):
+    """A path (str, bytes or os.PathLike) opened, or a buffer left open."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        # a byte that is not UTF-8 reads as a lone surrogate, which no
+        # number or column name matches, and is written back as it was
+        return open(path_or_buf, mode, newline="\n" if mode == "w" else None,
+                    errors="surrogateescape")
+    return nullcontext(path_or_buf)
+
+
+def write_csv(path_or_buf, header, columns, meta=None):
+    """Write a '# key: value' line per meta item, the header, then rows of
+    columns: float arrays (each value's repr), _ColumnTexts or lists of
+    words (no comma, space or leading '#').  Metadata or names that would
+    not read back as given raise InputError before a byte is written."""
+    meta = {key: f"{value}" for key, value in (meta or {}).items()}
+    header = list(header)
+    head = "".join(f"# {key}: {value}\n" for key, value in meta.items()) \
+        + ",".join(header) + "\n"
     try:
-        buf.write(f"# label: {table.label}\n")
-        for key in sorted(table.meta):
-            buf.write(f"# {key}: {table.meta[key]}\n")
-        buf.write(f"{table.xname},{table.yname}\n")
-        # repr of a float is its shortest round-tripping form
-        if shared is None:
-            for rows in _row_blocks(table.x, table.values):
-                buf.write("".join(f"{xv!r},{yv!r}\n" for xv, yv in rows))
-        else:
-            for k in range(0, len(table.x), _ROWS):
-                rows = zip(shared.rows(k), table.values[k:k + _ROWS].tolist())
-                buf.write("".join(f"{xv},{yv!r}\n" for xv, yv in rows))
-    finally:
-        if own:
-            buf.close()
+        same = read_csv(io.StringIO(head, newline=None))[:2] == (meta, header)
+    except InputError:
+        same = False
+    columns = [c if isinstance(c, (_ColumnText, list))
+               else np.asarray(c, dtype=float) for c in columns]
+    sizes = {len(getattr(c, "x", c)) for c in columns}
+    if not (same and len(sizes) == 1 and len(columns) == len(header)):
+        raise InputError(f"header {header}, metadata {meta} or columns "
+                         f"of lengths {sorted(sizes)} would not read back")
+    with _opened(path_or_buf, "w") as buf:
+        buf.write(head)
+        for k in range(0, sizes.pop(), _ROWS):
+            rows = zip(*(_cells(c, k) for c in columns))
+            buf.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def read_csv(path_or_buf, text=()):
+    """(meta, header, columns) of write_csv's dialect, a column a float
+    array or, if named in text, a list of strings.  No header, a repeated
+    name (in any case), a ragged row or a non-numeric cell (bytes that are
+    not UTF-8 included) raises InputError naming the file and data row."""
+    meta, header, values, k = {}, None, [], 0
+    with _opened(path_or_buf, "r") as buf:
+        name = getattr(buf, "name", None)
+        where = f"{name}: " if isinstance(name, str) else ""
+        for line in buf:
+            if line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                meta[key.strip()] = value.strip()
+            elif not line.strip():
+                continue
+            elif header is None:
+                header = [h.strip() for h in line.split(",")]
+                if len({h.lower() for h in header}) < len(header):
+                    raise InputError(f"{where}repeated column name in "
+                                     f"{header}")
+                parse = [str.strip if h in text else float for h in header]
+            else:
+                cells, k = line.split(","), k + 1
+                if len(cells) != len(header):
+                    raise InputError(f"{where}data row {k} has {len(cells)} "
+                                     f"cells, the header has {len(header)}")
+                # one flat list, row after row: a list per row would hold
+                # about twice the memory
+                try:
+                    values.extend([f(v) for f, v in zip(parse, cells)]
+                                  if text else map(float, cells))
+                except ValueError:
+                    raise InputError(f"{where}data row {k} has a "
+                                     "non-numeric cell") from None
+    if header is None:
+        raise InputError(f"{where}no column header")
+    n = len(header)
+    return meta, header, [values[j::n] if h in text
+                          else np.array(values[j::n], dtype=float)
+                          for j, h in enumerate(header)]
+
+
+def write_table(table: CurveTable, path_or_buf):
+    """Write one table by write_csv, its label the first metadata item."""
+    shared = table._x_text
+    x = shared if shared is not None and shared.x is table.x else table.x
+    write_csv(path_or_buf, (table.xname, table.yname), (x, table.values),
+              {"label": table.label,
+               **{key: table.meta[key] for key in sorted(table.meta)}})
 
 
 def read_table(path_or_buf) -> CurveTable:
     """Parse write_table's CSV into a CurveTable; InputError on a bad row."""
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "r") if own else path_or_buf
-    try:
-        meta = {}
-        header = None
-        xs, ys = [], []
-        for line in buf:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line.split(",")
-                if len(header) != 2:
-                    raise InputError(f"expected two columns, got {header}")
-            else:
-                try:
-                    a, b = line.split(",")
-                    xs.append(float(a))
-                    ys.append(float(b))
-                except ValueError:
-                    raise InputError(f"data row {len(ys) + 1} is not two "
-                                     "numbers") from None
-        if header is None:
-            raise InputError("no column header found")
-        return CurveTable(meta.pop("label", ""), np.array(xs), np.array(ys),
-                          xname=header[0], yname=header[1], meta=meta)
-    finally:
-        if own:
-            buf.close()
+    meta, header, columns = read_csv(path_or_buf)
+    if len(header) != 2:
+        raise InputError(f"expected two columns, got {header}")
+    return CurveTable(meta.pop("label", ""), *columns, xname=header[0],
+                      yname=header[1], meta=meta)
+
+
+def write_tables(tables, out_dir):
+    """Write each table as <label>.csv in out_dir, made if missing."""
+    os.makedirs(out_dir, exist_ok=True)
+    for table in tables:
+        write_table(table, os.path.join(out_dir, f"{table.label}.csv"))
 
 
 SVG_WIDTH, SVG_HEIGHT = 800, 600

@@ -378,3 +378,43 @@ def test_scipy_loads_at_the_first_fit(tmp_path):
     assert result["codes"] == [0, 0, 0]
     assert result["before"] == []
     assert {"scipy.optimize", "scipy.linalg"} <= set(result["after"])
+
+
+DATA_SCALE = ["--mu-x", "100", "--sigma-x", "4", "--xi-x", "0.2",
+              "--mu-y", "150", "--sigma-y", "2", "--xi-y", "0.2"]
+
+
+@pytest.mark.parametrize("command, margins, file_scale, needed", [
+    ("estimate-c", DATA_SCALE, "original", "exponential"),
+    ("fit", [], "exponential", "original"),
+    ("diagnose", [], "exponential", "original"),
+], ids=["estimate_c_on_data_scale", "fit_on_exponential_scale",
+        "diagnose_on_exponential_scale"])
+def test_command_refuses_data_on_another_scale(tmp_path, capsys, command,
+                                               margins, file_scale, needed):
+    # the scale line simulate writes was once dropped on reading:
+    # estimate-c printed a meaningless number for data-scale pairs, and
+    # fit blamed exponential-scale pairs for being unordered
+    data = tmp_path / "data.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--n", "50", "--seed", "7",
+                         "--out", str(data), *margins)
+    assert code == 0
+    out_dirs = {"estimate-c": [],
+                "fit": ["--out-dir", str(tmp_path / "out")],
+                "diagnose": ["--fit-dir", str(tmp_path / "fit"),
+                             "--out-dir", str(tmp_path / "out")]}
+    code, out, err = run_cli(capsys, command, "--data", str(data),
+                             *out_dirs[command])
+    assert code == 2 and out == ""
+    assert f"needs {needed}-scale data" in err
+    assert f"scale line says {file_scale}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_c_refuses_bytes_that_are_not_utf8(tmp_path, capsys):
+    # once an uncaught UnicodeDecodeError and a traceback
+    data = tmp_path / "pairs.csv"
+    data.write_bytes(b"t,x,y\n0.0,0.7,0.3\n1.0,0.5,\xff\n")
+    code, out, err = run_cli(capsys, "estimate-c", "--data", str(data))
+    assert code == 2 and out == ""
+    assert "data row 2 has a non-numeric cell" in err

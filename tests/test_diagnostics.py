@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import pathlib
 import warnings
 
 import numpy as np
@@ -9,6 +11,8 @@ from ordext import (BivariateSeries, CurveTable, FitResult, GevmParams,
                     InputError, StudyConfig, depfn_curves, make_model,
                     pickands_curve, pp_qq_tables, read_table, render_svg,
                     run_study, sample_pairs, write_table)
+from ordext.cli import read_series_csv
+from ordext.diagnostics import read_csv, write_csv
 from ordext.margins import exp_scale_inverse
 
 
@@ -276,3 +280,59 @@ def test_shared_columns_write_the_per_value_formulas():
     write_table(tables.pp_y, buf)
     assert buf.getvalue().split("\n")[-2].startswith(
         repr(float(tables.pp_y.x[-1])) + ",")
+
+
+@pytest.mark.parametrize("as_path", [str, os.fsencode, pathlib.Path],
+                         ids=["str", "bytes", "pathlib"])
+def test_files_take_any_path_type(tmp_path, as_path):
+    # a pathlib.Path once raised AttributeError in write_table and
+    # TypeError in read_table
+    table = CurveTable("demo", np.linspace(0.0, 1.0, 5), np.arange(5.0),
+                       meta={"kind": "model"})
+    path = as_path(tmp_path / "demo.csv")
+    write_table(table, path)
+    back = read_table(path)
+    assert (back.label, back.meta) == ("demo", {"kind": "model"})
+    assert np.array_equal(back.values, table.values)
+    write_csv(path, ["t"], [np.array([0.5])], {"scale": "original"})
+    assert read_csv(path)[:2] == ({"scale": "original"}, ["t"])
+
+
+@pytest.mark.parametrize("body, read", [
+    ("t,x,y,x\n0.0,1.0,2.0,3.0\n", read_series_csv),
+    ("t,X,y,x\n0.0,1.0,2.0,3.0\n", read_series_csv),
+    ("omega,omega\n0.0,1.0\n", read_table),
+], ids=["series_repeat", "series_repeat_in_other_case", "table_repeat"])
+def test_repeated_column_name_is_refused(tmp_path, body, read):
+    # the series reader once kept the last of two x columns silently
+    path = tmp_path / "repeat.csv"
+    path.write_text(body)
+    with pytest.raises(InputError, match="repeat.csv: repeated column name"):
+        read(str(path))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: read_table(io.StringIO("# label: t\nomega,value\n")),
+    lambda: CurveTable("t", [], []),
+], ids=["header_only_file", "empty_columns"])
+def test_empty_omega_column_is_refused(make):
+    # once a bare ValueError: a zero-size array has no minimum
+    with pytest.raises(InputError, match="omega column must be nonempty"):
+        make()
+
+
+@pytest.mark.parametrize("label, meta", [
+    ("two\nlines", {}),
+    ("t", {"note": "two\nlines"}),
+    ("t", {"note": "carriage\rreturn"}),
+    ("t", {"a:b": "c"}),
+    ("t", {"note": "padded "}),
+], ids=["label_line_break", "value_line_break", "value_carriage_return",
+        "key_colon", "value_padded"])
+def test_writer_refuses_metadata_that_would_not_read_back(label, meta):
+    # each of these once wrote a file that read back as another table
+    buf = io.StringIO()
+    with pytest.raises(InputError, match="would not read back"):
+        write_table(CurveTable(label, [0.0, 1.0], [1.0, 1.0], meta=meta),
+                    buf)
+    assert buf.getvalue() == ""

@@ -1,13 +1,15 @@
 """Property tests of the restricted / upper / interval family and the
-asymmetric logistic, the sampler, the quadrature oracle for V, and the
-fit files.
+asymmetric logistic, the sampler, the quadrature oracle for V, the fit
+files and the CSV dialect they are written in.
 
 The first three families are one class on (c1, c2, s); the properties
 below are those of any dependence function, checked over random
 parameters.
 """
 
+import io
 import math
+import string
 import tempfile
 
 import numpy as np
@@ -19,14 +21,16 @@ from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
 from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
-                    CurveTable, ExpPair, FitResult, NumericError, make_model,
+                    CurveTable, ExpPair, FitResult, InputError,
+                    NumericError, make_model,
                     pickands_modified, pickands_raw, sample_pairs, v_closed,
                     v_from_a, v_numeric,
                     validate_dependence)
 from ordext import simulate  # noqa: E402
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
 from ordext.diagnostics import (_SVG_COLORS as SVG_COLORS,  # noqa: E402
-                                _column_vertices, render_svg)
+                                _column_vertices, read_csv, render_svg,
+                                write_csv)
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -348,6 +352,63 @@ def test_fit_files_round_trip(fit):
         assert getattr(back, name) == getattr(fit, name), name
     for name in ("g_x", "g_y", "times"):
         assert np.array_equal(getattr(back, name), getattr(fit, name)), name
+
+
+# a NaN is written as "nan", which reads back as the canonical NaN
+AWKWARD_FLOATS = [math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf]
+
+
+@st.composite
+def dialect_files(draw):
+    """Up to 30 rows of one to four columns, floats or (one column at
+    most) words, and metadata of any text."""
+    n = draw(st.integers(0, 30))
+    header = draw(st.lists(st.text(string.ascii_letters + "_", min_size=1,
+                                   max_size=6),
+                           min_size=1, max_size=4, unique_by=str.lower))
+    text = draw(st.sampled_from([(), (header[-1],)]))
+    floats = st.one_of(st.sampled_from(AWKWARD_FLOATS),
+                       st.floats(allow_nan=False))
+    words = st.text(string.ascii_letters + "._-", min_size=1, max_size=6)
+    columns = [draw(st.lists(words, min_size=n, max_size=n)) if h in text
+               else np.array(draw(st.lists(floats, min_size=n, max_size=n)),
+                             dtype=float) for h in header]
+    meta = draw(st.dictionaries(st.text(max_size=8), st.text(max_size=8),
+                                max_size=3))
+    return header, columns, meta, text
+
+
+def on_one_line(s):
+    return s == s.strip() and "\n" not in s and "\r" not in s
+
+
+@given(dialect_files())
+@example((["x", "y"], [np.array(AWKWARD_FLOATS),
+                       np.array(AWKWARD_FLOATS[::-1])],
+          {"label": "awkward", "kind": "a: b"}, ()))
+def test_dialect_round_trips_bitwise(file):
+    header, columns, meta, text = file
+    buf = io.StringIO()
+    try:
+        write_csv(buf, header, columns, meta)
+    except InputError:
+        # refused only where a '# key: value' line cannot carry an item
+        assert not all(":" not in k and on_one_line(k) and on_one_line(v)
+                       for k, v in meta.items())
+        assert buf.getvalue() == ""
+        return
+    back_meta, back_header, back_columns = read_csv(
+        io.StringIO(buf.getvalue()), text)
+    assert back_meta == meta and back_header == header
+    for a, b in zip(columns, back_columns):
+        if isinstance(a, list):
+            assert b == a
+        else:
+            assert b.tobytes() == a.tobytes()
+    again = io.StringIO()
+    write_csv(again, back_header, back_columns, back_meta)
+    assert again.getvalue() == buf.getvalue()
 
 
 def full_resolution_svg(tables):
