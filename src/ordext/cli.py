@@ -218,10 +218,6 @@ def _validate_ranges(cfg: RunConfig):
         if given:
             GevmParams(cfg["mu_x"], cfg["sigma_x"], cfg["xi_x"])
             GevmParams(cfg["mu_y"], cfg["sigma_y"], cfg["xi_y"])
-    if cfg.command in ("fit", "study"):
-        for key in ("lambda_x", "lambda_y"):
-            if cfg[key] is not None and cfg[key] < 0:
-                raise InputError(f"{key} must be nonnegative")
     if cfg.command == "study" and not cfg["paper_defaults"]:
         raise InputError("study requires --paper-defaults (override pieces "
                          "of the design with the other flags)")

@@ -15,6 +15,11 @@ The argument w is the y-fraction: with exponential-scale coordinates
 Ordering X < Y forces h(w) = 0 on [0, c] for a boundary constant c, which
 is what the restricted family encodes.
 
+The four logistic families are one placement of the general logistic-type
+measure with end atoms (_LogisticModel): asymmetric on [0, 1], restricted
+on [c, 1], upper on [0, c] and interval on [c1, c2]; nadarajah_density is
+the density of that measure.
+
 Conventions: A'(w) at a kink is the right derivative (so that H stays the
 right-continuous measure function of [0, w]); H(1) is the total mass 2,
 so A'(1) = 1.
@@ -430,7 +435,61 @@ class DependenceModel:
 
 
 class _LogisticModel(DependenceModel):
-    """A family whose A, A' and h come from one kernel evaluation, _views."""
+    """The general logistic-type measure placed on [c1, c2], c1 < 1/2 < c2:
+    the asymmetric-logistic kernel L on u = w - c1 and v = c2 - w with
+    weights (al, be), and end atoms with the mass the weights leave,
+    (2 c2 - 1 - al)/(c2 - c1) at c1 and (1 - 2 c1 - be)/(c2 - c1) at c2.
+    On [c1, c2] A = ((c2 - al) u + (1 - c1 - be) v + L)/(c2 - c1), below
+    it 1 - w and above it w.  At s = 1, or with a weight 0, L is linear:
+    all the mass sits at the ends and A runs straight between them.
+    """
+
+    _scale = 1.0    # a power of two the kernel's weights are divided by
+
+    def __init__(self, c1, c2, al, be, s):
+        self.c1, self.c2, self.s = c1, c2, s
+        if al > 0.0 and be > 0.0:   # al u = be v; a cut at s = 1 too
+            self._turnover = ((al * c1 + be * c2) / (al + be),)
+        self._flat = s == 1.0 or al == 0.0 or be == 0.0
+        if self._flat:      # the weights carry nothing, the atoms all
+            al = be = 0.0
+        # the end atoms, A's linear part in (u, v), A' and H less the
+        # kernel's slope, each times c2 - c1
+        k1, k2 = 2.0 * c2 - 1.0 - al, 1.0 - 2.0 * c1 - be
+        self._atoms = (k1 / (c2 - c1), k2 / (c2 - c1))
+        self._lin = ((1.0 - c2) + k1, c1 + k2)
+        self._ap0, self._h0 = self._lin[0] - self._lin[1], k1 + be
+        # A' right of c1 when an atom sits there, and on all of [c1, c2)
+        # in the flat case; H = A' + 1
+        self._ap_c1 = self._atoms[0] - 1.0
+        self.al, self.be = al / self._scale, be / self._scale
+
+    def _kernel(self, u, v, density=False):
+        out = _logistic(u, v, self.al, self.be, self.s, density)
+        return out if self._scale == 1.0 else [self._scale * k for k in out]
+
+    def _views(self, w):
+        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
+        # one kernel evaluation gives A, A' and h.  It runs at every w,
+        # clipped onto [c1, c2], and the linear tails are written over the
+        # few points outside: A = 1 - w up to and at c1, w from c2 on.  No
+        # subset of w goes to the kernel, whose size would vary from call
+        # to call.  L is homogeneous, so A, A' and H pick up one factor
+        # 1/(c2 - c1), and h the factor c2 - c1.
+        u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
+        if self._flat:
+            part, ap, h = 0.0, np.full_like(w, self._ap_c1), np.zeros_like(w)
+        else:
+            part, slope, h = self._kernel(u, v, density=True)
+            ap = (self._ap0 + slope) / span
+            h *= span
+        a = (self._lin[0] * u + self._lin[1] * v + part) / span
+        lo, hi = w <= c1, w >= c2
+        a[lo], ap[lo], h[lo] = 1.0 - w[lo], -1.0, 0.0
+        a[hi], ap[hi], h[hi] = w[hi], 1.0, 0.0
+        if self._atoms[0]:
+            ap[w == c1] = self._ap_c1
+        return a, ap, h
 
     @_array_method
     def a(self, w):
@@ -448,133 +507,55 @@ class _LogisticModel(DependenceModel):
     def a_a_prime_h(self, w):
         return self._views(w)
 
-
-class AsymLogisticModel(_LogisticModel):
-    """Asymmetric logistic dependence.
-
-    At s = 1, or when either weight vanishes, the continuous part
-    degenerates and the family collapses to independence (A == 1 with unit
-    atoms at both endpoints).  The kernel is of degree 1 in the weights,
-    so it runs on the weights over the larger one, m, and its outputs are
-    scaled back by m: subnormal weights leave the kernel's maximum nonzero.
-    """
-
-    def __init__(self, params: AsymLogisticParams):
-        if not isinstance(params, AsymLogisticParams):
-            params = AsymLogisticParams(*params)
-        self.params = params
-        self._degenerate = params.s == 1.0 or params.theta1 == 0.0 or params.theta2 == 0.0
-        self._m = max(params.theta1, params.theta2)
-        if not self._degenerate:
-            self._turnover = (params.theta2 / (params.theta1 + params.theta2),)
-
-    def _kernel(self, w, density=False):
-        p, m = self.params, self._m
-        return [m * k for k in _logistic(w, 1.0 - w, p.theta1 / m,
-                                         p.theta2 / m, p.s, density)]
-
-    def _views(self, w):
-        p = self.params
-        if self._degenerate:
-            a, ap, h = np.ones_like(w), np.zeros_like(w), np.zeros_like(w)
-        else:
-            part, slope, h = self._kernel(w, density=True)
-            ends = (w == 0.0) | (w == 1.0)
-            a = (1.0 - p.theta1) * w + (1.0 - p.theta2) * (1.0 - w) + part
-            a[ends] = 1.0
-            ap = p.theta2 - p.theta1 + slope
-            h[ends] = 0.0
-        ap[w == 1.0] = 1.0      # H(1) = 2 counts the atom at 1
-        return a, ap, h
-
-    @_array_method
-    def H(self, w):
-        p = self.params
-        if self._degenerate:
-            out = np.ones_like(w)
-        else:
-            out = p.theta2 - p.theta1 + self._kernel(w)[1] + 1.0
-        out[w >= 1.0] = 2.0
-        return out
-
-    def support(self):
-        return (0.0, 1.0)
-
-    def point_masses(self):
-        p = self.params
-        if self._degenerate:
-            return [(0.0, 1.0), (1.0, 1.0)]
-        masses = []
-        if p.theta1 < 1.0:
-            masses.append((0.0, 1.0 - p.theta1))
-        if p.theta2 < 1.0:
-            masses.append((1.0, 1.0 - p.theta2))
-        return masses
-
-
-class AffineLogisticModel(_LogisticModel):
-    """Logistic spectral density confined to (c1, c2), c1 < 1/2 < c2.
-
-    The asymmetric logistic with theta1 = 2 c2 - 1, theta2 = 1 - 2 c1,
-    mapped onto (c1, c2) by u = (w - c1)/(c2 - c1).  The logistic kernel
-    is homogeneous, so it is evaluated at the distances w - c1 and c2 - w
-    themselves: A, A' and H pick up one factor 1/(c2 - c1), and h the
-    factor c2 - c1.  Outside the interval A follows its linear tails 1 - w
-    and w.  c2 = 1 is the restricted family, c1 = 0 the upper one.  Build
-    it through one of those three subclasses, whose parameter records
-    check (c1, c2, s).
-    """
-
-    def __init__(self, c1, c2, s):
-        self.c1, self.c2, self.s = c1, c2, s
-        self.al, self.be = 2.0 * c2 - 1.0, 1.0 - 2.0 * c1
-        # al (w - c1) = be (c2 - w): 1/2 for the restricted and upper ones
-        self._turnover = ((self.al * c1 + self.be * c2) / (self.al + self.be),)
-
-    def _views(self, w):
-        c1, c2, span = self.c1, self.c2, self.c2 - self.c1
-        # the kernel runs at every w, clipped onto [c1, c2], and the linear
-        # tails are written over the few points outside: A = 1 - w up to
-        # and at c1, w from c2 on.  No subset of w goes to the kernel,
-        # whose size would vary from call to call.
-        u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
-        part, slope, h = _logistic(u, v, self.al, self.be, self.s,
-                                   density=True)
-        a = ((1.0 - c2) * u + c1 * v + part) / span
-        ap = (1.0 - c2 - c1 + slope) / span
-        h *= span
-        lo, hi = w <= c1, w >= c2
-        a[lo], ap[lo], h[lo] = 1.0 - w[lo], -1.0, 0.0
-        a[hi], ap[hi], h[hi] = w[hi], 1.0, 0.0
-        if self.s == 1.0:   # right derivative at c1: the atomic case's slope
-            ap[w == c1] = (1.0 - c2 - c1 + self.al - self.be) / span
-        return a, ap, h
-
-    # at s = 1 the kernel's powers are all 1: H is constant on [c1, c2)
-    # (the atom at c1)
-
     @_array_method
     def H(self, w):
         # on clipped distances, as in _views: 0 below c1, 2 from c2 on
         c1, c2 = self.c1, self.c2
-        slope = _logistic(np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0),
-                          self.al, self.be, self.s)[1]
-        return np.where(w < c1, 0.0,
-                        np.where(w >= c2, 2.0, (self.be + slope) / (c2 - c1)))
+        if self._flat:
+            inner = self._ap_c1 + 1.0
+        else:
+            slope = self._kernel(np.maximum(w - c1, 0.0),
+                                 np.maximum(c2 - w, 0.0))[1]
+            inner = (self._h0 + slope) / (c2 - c1)
+        out = np.where(w < c1, 0.0, np.where(w >= c2, 2.0, inner))
+        if self._atoms[0]:
+            out[w == c1] = self._ap_c1 + 1.0
+        return out
 
     def support(self):
         return (self.c1, self.c2)
 
     def point_masses(self):
-        c1, c2 = self.c1, self.c2
-        if self.s > 1.0:
-            return []
-        # s = 1: all mass sits in two atoms, at the interval ends
-        span = c2 - c1
-        return [(c1, (2.0 * c2 - 1.0) / span), (c2, (1.0 - 2.0 * c1) / span)]
+        return [(q, m) for q, m in zip((self.c1, self.c2), self._atoms)
+                if m > 0.0]
 
     def ordering_floor(self):
         return self.c1
+
+
+class AsymLogisticModel(_LogisticModel):
+    """Tawn's asymmetric logistic: the general measure on [0, 1] with
+    weights theta1, theta2, so atoms 1 - theta1 and 1 - theta2."""
+
+    def __init__(self, params: AsymLogisticParams):
+        if not isinstance(params, AsymLogisticParams):
+            params = AsymLogisticParams(*params)
+        self.params = params
+        # the kernel is of degree 1 in its weights: it runs on them over
+        # the power of two just above the larger one, an exact scaling,
+        # so subnormal weights leave its maximum nonzero
+        self._scale = math.ldexp(
+            1.0, math.frexp(max(params.theta1, params.theta2))[1])
+        super().__init__(0.0, 1.0, params.theta1, params.theta2, params.s)
+
+
+class AffineLogisticModel(_LogisticModel):
+    """Logistic density confined to (c1, c2): weights 2 c2 - 1 and 1 - 2 c1,
+    which leave no atoms at s > 1.  c2 = 1 is the restricted family, c1 = 0
+    the upper one; their classes and the interval one check (c1, c2, s)."""
+
+    def __init__(self, c1, c2, s):
+        super().__init__(c1, c2, 2.0 * c2 - 1.0, 1.0 - 2.0 * c1, s)
 
 
 class RestrictedLogisticModel(AffineLogisticModel):
@@ -666,13 +647,17 @@ class PointMassModel(DependenceModel):
 # ---------------------------------------------------------------------------
 
 def nadarajah_density(w, params: NadarajahGeneralParams):
-    """General logistic-type spectral density on (a, b), zero elsewhere.
-
-    With a = 0, b = 1 this is the asymmetric-logistic density at
-    theta1 = theta2 = 1; with a = c, b = 1 it is the restricted density.
-    """
+    """General logistic-type spectral density on (a, b), zero elsewhere:
+    that of the measure with atoms gamma1 at a and gamma2 at b.  At a = 0,
+    b = 1 it is the asymmetric density at theta = 1 - gamma; with b = 1
+    and no atoms, the restricted one."""
     _check_unit_interval(w)
-    return AffineLogisticModel(params.a, params.b, params.s).h(w)
+    a, b, span = params.a, params.b, params.b - params.a
+    # the weights the atoms leave; the records let an atom exceed its
+    # bound by 1e-12
+    return _LogisticModel(a, b, max(2.0 * b - 1.0 - params.gamma1 * span, 0.0),
+                          max(1.0 - 2.0 * a - params.gamma2 * span, 0.0),
+                          params.s).h(w)
 
 
 def a_numeric_oracle(w, h, atom0=0.0, atom1=0.0, *, interior_atoms=(),

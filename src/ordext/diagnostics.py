@@ -295,6 +295,8 @@ def write_tables(tables, out_dir):
 SVG_WIDTH, SVG_HEIGHT = 800, 600
 _SVG_COLORS = ["#000000", "#d62728", "#1f77b4", "#2ca02c", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f"]
+# a label is XML character data: its markup characters are escaped
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _column_vertices(px, py, budget):
@@ -364,8 +366,9 @@ def render_svg(tables, path=None):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
+        label = t.label.translate(_XML_ESCAPES)
         parts.append(f'<text x="{pad + 8:.0f}" y="{pad + 16 * (i + 1):.0f}" '
-                     f'fill="{color}" font-size="12">{t.label}</text>')
+                     f'fill="{color}" font-size="12">{label}</text>')
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     if path is not None:

@@ -210,11 +210,14 @@ def pickands_modified(xe, ye, w):
 
 
 def pickands_curve(xe, ye, omegas=None, variant="modified") -> PickandsCurve:
-    """Estimate a full dependence curve on a grid (201 points by default)."""
+    """Estimate a full dependence curve on a grid (201 points by default)
+    with the "raw" or the "modified" estimator."""
+    fn = {"raw": pickands_raw, "modified": pickands_modified}.get(variant)
+    if fn is None:
+        raise ParameterError(f"unknown estimator variant {variant!r}")
     if omegas is None:
         omegas = np.linspace(0.0, 1.0, 201)
     omegas = np.asarray(omegas, dtype=float)
-    fn = pickands_modified if variant == "modified" else pickands_raw
     return PickandsCurve(omegas, fn(xe, ye, omegas), variant)
 
 
@@ -280,8 +283,8 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
     lam = 0 interpolates the per-time maximisers; lam -> inf approaches
     the best straight line under the objective.
     """
-    if lam < 0:
-        raise InputError("smoothing weight must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise InputError("smoothing weight must be nonnegative and finite")
     times = np.asarray(times, dtype=float)
     m = len(times)
     if m < 3:
@@ -367,6 +370,11 @@ class FitConfig:
     max_outer: int = 60
     outer_tol: float = 1e-8
     start: dict | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.max_outer, (int, np.integer)) \
+                or self.max_outer < 1:
+            raise ParameterError("max_outer must be a positive integer")
 
 
 @dataclass
@@ -640,8 +648,8 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     the fitted exponential scale) and counts of the work done.
     """
     config = config or FitConfig()
-    if lam_x < 0 or lam_y < 0:
-        raise InputError("smoothing weights must be nonnegative")
+    if not (0.0 <= lam_x < math.inf and 0.0 <= lam_y < math.inf):
+        raise InputError("smoothing weights must be nonnegative and finite")
     if not series.is_ordered():
         raise InputError("fit requires x_i < y_i for every observation")
     series = series.sorted_by_time()

@@ -230,10 +230,10 @@ def _v_model(xe, ye, model: DependenceModel):
 
 def joint_survival_gevm(x, y, mx: GevmParams, my: GevmParams,
                         model: DependenceModel):
-    """Pr(X > x, Y > y) = exp(-V(e_x, e_y)) on data-scale margins."""
-    xe = exp_scale(x, mx)
-    ye = exp_scale(y, my)
-    return float(np.exp(-_v_model(xe, ye, model)))
+    """Pr(X > x, Y > y) = exp(-V(e_x, e_y)) on data-scale margins: a
+    float for scalar x and y, else an array."""
+    out = np.exp(-_v_model(exp_scale(x, mx), exp_scale(y, my), model))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _joint_log_density_exp(xe, ye, model: DependenceModel):

@@ -209,7 +209,10 @@ class StudySummary:
 
 
 def replicate_rngs(seed, n_reps):
-    """Independent per-replicate generators from one master seed."""
+    """Independent per-replicate generators from one master seed, a
+    nonnegative integer (else ParameterError)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(n_reps)]
 

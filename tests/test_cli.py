@@ -418,3 +418,32 @@ def test_estimate_c_refuses_bytes_that_are_not_utf8(tmp_path, capsys):
     code, out, err = run_cli(capsys, "estimate-c", "--data", str(data))
     assert code == 2 and out == ""
     assert "data row 2 has a non-numeric cell" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--c", "0.25", "--s", "2", "--n", "50", "--seed", "-1"),
+    ("study", "--paper-defaults", "--reps", "1", "--n-times", "60",
+     "--seed", "-3"),
+    ("fit", "--lambda-x", "nan"),
+    ("fit", "--lambda-x", "inf"),
+    ("fit", "--max-outer", "0"),
+    ("fit", "--max-outer", "-1"),
+], ids=["simulate_seed", "study_seed", "lambda_nan", "lambda_inf",
+        "max_outer_0", "max_outer_negative"])
+def test_bad_numbers_exit_2_before_any_file(tmp_path, capsys, argv):
+    # once numpy's or scipy's ValueError with a traceback, or for
+    # max_outer < 1 the starting state written as the fit
+    out = tmp_path / "out"
+    where = {"simulate": ["--out", str(out)], "study": ["--out-dir", str(out)],
+             "fit": ["--data", str(tmp_path / "data.csv"),
+                     "--out-dir", str(out)]}[argv[0]]
+    if argv[0] == "fit":
+        code, _, _ = run_cli(capsys, "simulate", "--n", "50", "--seed", "7",
+                             "--out", str(tmp_path / "data.csv"),
+                             "--mu-x", "100", "--sigma-x", "4", "--xi-x", "0.2",
+                             "--mu-y", "150", "--sigma-y", "2", "--xi-y", "0.2")
+        assert code == 0
+    code, stdout, err = run_cli(capsys, *argv, *where)
+    assert code == 2 and stdout == "", err
+    assert "must" in err
+    assert not out.exists()

@@ -141,6 +141,30 @@ def test_nadarajah_density_reductions():
         nadarajah_density(1.5, res_p)
 
 
+def test_nadarajah_density_counts_its_atoms():
+    # the density once ignored gamma1 and gamma2: with the atoms added,
+    # its measure had mass 2.25-3.88 instead of 2
+    from scipy.integrate import quad
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a, b = rng.uniform(0.0, 0.45), rng.uniform(0.55, 1.0)
+        span = b - a
+        g1 = rng.uniform(0.0, 0.9) * (2.0 * b - 1.0) / span
+        g2 = rng.uniform(0.0, 0.9) * (1.0 - 2.0 * a) / span
+        p = NadarajahGeneralParams(a, b, g1, g2, rng.uniform(1.5, 6.0))
+        moments = [quad(lambda q: f(q) * nadarajah_density(q, p), a, b,
+                        epsabs=1e-11, limit=200)[0]
+                   for f in (lambda q: 1.0, lambda q: q)]
+        assert moments[0] + g1 + g2 == pytest.approx(2.0, abs=1e-7), p
+        assert moments[1] + a * g1 + b * g2 == pytest.approx(1.0, abs=1e-7), p
+    grid = np.linspace(0.0, 1.0, 101)
+    for g1, g2, s in ((0.3, 0.6, 2.5), (0.0, 0.9, 1.5), (1.0, 0.2, 4.0)):
+        asym = AsymLogisticModel(AsymLogisticParams(1.0 - g1, 1.0 - g2, s))
+        general = NadarajahGeneralParams(0.0, 1.0, g1, g2, s)
+        assert np.allclose(nadarajah_density(grid, general), asym.h(grid),
+                           rtol=1e-12, atol=0.0)
+
+
 def test_a_numeric_oracle_atoms_only():
     for w in np.linspace(0.0, 1.0, 11):
         assert a_numeric_oracle(float(w), lambda q: 0.0, 1.0, 1.0) == \

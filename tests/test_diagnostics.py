@@ -187,6 +187,17 @@ def test_render_svg():
         render_svg([])
 
 
+def test_render_svg_escapes_labels():
+    # an unescaped "<" or "&" once left the SVG not well-formed
+    from xml.dom import minidom
+    grid = np.linspace(0.0, 1.0, 5)
+    labels = ["a<b & c", "x > y"]
+    doc = minidom.parseString(render_svg(
+        [CurveTable(label, grid, grid) for label in labels]))
+    assert [node.firstChild.data for node in
+            doc.getElementsByTagName("text")] == labels
+
+
 def test_writers_match_the_per_value_formulas():
     # the writers format whole blocks of rows; the bytes must be those of
     # the per-value formulas on numpy scalars they replace, across blocks

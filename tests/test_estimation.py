@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ordext
 from ordext import (BivariateSeries, DomainError, FitConfig, GevmParams,
-                    InputError, NumericError, TrendSpec, StudyConfig,
-                    estimate_c_hat, fit_restricted, make_model,
+                    InputError, NumericError, ParameterError, TrendSpec,
+                    StudyConfig, estimate_c_hat, fit_restricted, make_model,
                     pickands_curve, pickands_modified, pickands_raw,
                     run_study, sample_pairs, trend_penalized)
 from ordext import estimation
@@ -171,6 +171,14 @@ def test_pickands_curve_object():
     assert len(curve.omegas) == 201
     assert curve.variant == "modified"
     assert curve.values[0] == 1.0
+
+
+@pytest.mark.parametrize("variant", ["exact", "Modified", "mod"])
+def test_pickands_curve_refuses_other_variants(variant):
+    # "exact" once gave the raw estimate labelled exact; the variant is
+    # refused before any work, so an empty sample is never looked at
+    with pytest.raises(ParameterError, match="variant"):
+        pickands_curve([], [], variant=variant)
 
 
 def test_estimate_c_hat_minimum():

@@ -266,6 +266,17 @@ def test_joint_survival():
         pytest.approx(sx * sy, rel=1e-12)
 
 
+def test_joint_survival_takes_arrays():
+    mx, my = GevmParams(100.0, 4.0, 0.2), GevmParams(150.0, 2.0, 0.2)
+    model = make_model("restricted", c=1.0 / 33.0, s=2.0)
+    x, y = np.array([20.0, 95.0, 99.0]), np.array([80.0, 149.0, 151.0])
+    got = joint_survival_gevm(x, y, mx, my, model)
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    for i in range(3):
+        assert got[i] == joint_survival_gevm(x[i], y[i], mx, my, model)
+    assert isinstance(joint_survival_gevm(95.0, 149.0, mx, my, model), float)
+
+
 def test_joint_log_density():
     mx, my = GevmParams(100.0, 4.0, 0.2), GevmParams(150.0, 2.0, 0.2)
     model = make_model("restricted", c=1.0 / 33.0, s=2.0)
