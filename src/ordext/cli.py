@@ -203,14 +203,31 @@ def parse_and_validate(argv) -> RunConfig:
     return cfg
 
 
+# the largest size a command accepts, and the most pairs a study draws
+# (reps x n_times, held at once): 1e7 pairs take ~0.3 GB, and a size far
+# past it would fail in numpy's allocation with a traceback
+SIZE_CEILING = 10 ** 7
+# the least size of each command's sizes
+SIZE_FLOORS = {"simulate": {"n": 1}, "depfn": {"grid": 3},
+               "validate": {"grid": 3}, "study": {"reps": 1, "n_times": 1}}
+
+
 def _validate_ranges(cfg: RunConfig):
     """Build the parameter objects once so bad values fail before any work."""
+    for key, floor in SIZE_FLOORS.get(cfg.command, {}).items():
+        if cfg[key] is not None and not floor <= cfg[key] <= SIZE_CEILING:
+            raise InputError(f"--{key.replace('_', '-')} must be between "
+                             f"{floor} and {SIZE_CEILING}")
+    if cfg.command == "study":
+        reps, n_times = (STUDY_DESIGN[k] if cfg[k] is None else cfg[k]
+                         for k in ("reps", "n_times"))
+        if reps * n_times > SIZE_CEILING:
+            raise InputError(f"--reps times --n-times must be at most "
+                             f"{SIZE_CEILING}")
     if "family" in cfg:
         cfg.model = dep.make_model(cfg["family"],
                                    **{k: cfg[k] for k in FAMILY_KEYS})
     if cfg.command == "simulate":
-        if cfg["n"] < 1:
-            raise InputError("n must be positive")
         margin_keys = ("mu_x", "sigma_x", "xi_x", "mu_y", "sigma_y", "xi_y")
         given = [k for k in margin_keys if cfg[k] is not None]
         if given and len(given) != len(margin_keys):
@@ -221,8 +238,6 @@ def _validate_ranges(cfg: RunConfig):
     if cfg.command == "study" and not cfg["paper_defaults"]:
         raise InputError("study requires --paper-defaults (override pieces "
                          "of the design with the other flags)")
-    if cfg.command in ("depfn", "validate") and cfg["grid"] < 3:
-        raise InputError("grid must have at least 3 points")
 
 
 def _out_path(path):

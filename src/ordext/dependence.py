@@ -104,7 +104,9 @@ class IntervalRestrictedParams:
 
 @dataclass(frozen=True)
 class NadarajahGeneralParams:
-    """General logistic-type spectral density on (a, b) with endpoint atoms."""
+    """General logistic-type spectral density on (a, b), a < 1/2 < b, with
+    endpoint atoms; at b = 1/2 the density would vanish and the atoms carry
+    all the mass, as at a = 1/2."""
 
     a: float
     b: float
@@ -113,8 +115,8 @@ class NadarajahGeneralParams:
     s: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a < 0.5 <= self.b <= 1.0):
-            raise ParameterError("need 0 <= a < 1/2 <= b <= 1")
+        if not (0.0 <= self.a < 0.5 < self.b <= 1.0):
+            raise ParameterError("need 0 <= a < 1/2 < b <= 1")
         if not self.s > 1.0:
             raise ParameterError("the general density requires s > 1")
         if self.gamma1 < 0 or self.gamma2 < 0:

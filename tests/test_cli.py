@@ -447,3 +447,28 @@ def test_bad_numbers_exit_2_before_any_file(tmp_path, capsys, argv):
     assert code == 2 and stdout == "", err
     assert "must" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("depfn", "--grid", "100000000000"),
+    ("validate", "--grid", "100000000000"),
+    ("simulate", "--c", "0.25", "--s", "2", "--n", "100000000000"),
+    ("study", "--paper-defaults", "--n-times", "100000000000"),
+    ("study", "--paper-defaults", "--reps", "100000000000"),
+    ("study", "--paper-defaults", "--reps", "10000", "--n-times", "10000"),
+    ("study", "--paper-defaults", "--n-times", "-5"),
+], ids=["depfn_grid", "validate_grid", "simulate_n", "study_n_times",
+        "study_reps", "study_pairs", "study_negative_n_times"])
+def test_sizes_past_their_bounds_exit_2_before_any_work(tmp_path, capsys,
+                                                        argv):
+    # once numpy's _ArrayMemoryError (or, for a negative n_times, its
+    # ValueError) with a traceback and exit 1; the check refuses these
+    # sizes before anything is allocated
+    out = tmp_path / "out"
+    where = {"depfn": ["--out", str(out)], "validate": [],
+             "simulate": ["--out", str(out)],
+             "study": ["--out-dir", str(out)]}[argv[0]]
+    code, stdout, err = run_cli(capsys, *argv, *where)
+    assert code == 2 and stdout == "", err
+    assert "must be" in err and str(cli.SIZE_CEILING) in err
+    assert not out.exists()

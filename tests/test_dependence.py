@@ -42,6 +42,14 @@ def test_parameter_invariants():
         NadarajahGeneralParams(0.1, 0.9, 1.5, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.2, 0.5), (0.5, 0.8), (0.0, 0.5)])
+def test_general_density_needs_its_support_across_one_half(a, b):
+    # at b = 1/2 (or a = 1/2) the density is 0 on [0, 1] and the atoms
+    # alone carry the mass 2: not a member of the general family
+    with pytest.raises(ParameterError):
+        NadarajahGeneralParams(a, b, 0.0, 1.0, 2.0)
+
+
 def test_asym_boundary_values():
     for p in (AsymLogisticParams(0.3, 0.9, 2.5), AsymLogisticParams(1.0, 1.0, 4.0)):
         assert AsymLogisticModel(p).evaluate(0.0).a_val == 1.0

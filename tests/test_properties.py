@@ -27,6 +27,7 @@ from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
                     v_from_a, v_numeric,
                     validate_dependence)
 from ordext import simulate  # noqa: E402
+from test_dependence import ALL_FAMILY_CASES  # noqa: E402
 from ordext.cli import _fit_from_files, _fit_to_files  # noqa: E402
 from ordext.diagnostics import (_SVG_COLORS as SVG_COLORS,  # noqa: E402
                                 _column_vertices, read_csv, render_svg,
@@ -269,6 +270,42 @@ def test_sample_pairs_never_raises(model, seed, n):
     xe, ye = sample_pairs(model, n, np.random.default_rng(seed))
     assert np.isfinite(xe).all() and np.isfinite(ye).all()
     assert np.all(ye / (xe + ye) > model.ordering_floor())
+
+
+@given(st.one_of(
+    st.sampled_from(ALL_FAMILY_CASES),
+    family_models(any_strength),
+    st.builds(lambda t1, t2, s: make_model("asymmetric", theta1=t1,
+                                           theta2=t2, s=s),
+              st.floats(0.0, 1.0), st.floats(0.0, 1.0), any_strength)),
+       st.integers(0, 2 ** 32 - 1))
+@example(SUBNORMAL_WEIGHTS, 0)
+@example(make_model("restricted", c=0.25, s=1.0), 0)
+def test_inverse_table_is_certified(model, seed):
+    # at random u in certified panels: the u-error within _U_TOL, or w
+    # within _W_TOL w of the inverse (F(w -+ d) bracket u); on a polynomial
+    # panel A within _U_TOL relative and p within _U_TOL beyond its
+    # rounding.  The build checks these at the u-midpoints of the nodes
+    # only, so the bounds here are twice its tolerances.
+    inverse = simulate._build_inverse(model)
+    if any(model is case for case in ALL_FAMILY_CASES):
+        assert not inverse.newton[1:].any()     # no panel left uncertified
+    u = np.random.default_rng(seed).random(2000)
+    j = simulate._cell(inverse.panel_guide, inverse.edges, u)
+    u, j = u[~inverse.newton[j]], j[~inverse.newton[j]]
+    w, a, p = simulate._evaluate(lambda k: inverse.columns[k][j], u)
+    d = 2.0 * simulate._W_TOL * w
+    with np.errstate(all="ignore"):
+        f, _, a_w, p_w, p_round = simulate._checked_law(model, w)
+        below = simulate._angular_law(model, w - d)[0]
+        above = simulate._angular_law(model, w + d)[0]
+    u_ok = ((np.abs(f - u) <= 2.0 * simulate._U_TOL)
+            | ((below <= u) & (u <= above)))
+    assert u_ok.all(), (w[~u_ok], u[~u_ok], f[~u_ok])
+    poly = inverse.columns[1][j] != 0.0
+    assert np.all(np.abs(a - a_w)[poly] <= 2.0 * simulate._U_TOL * a_w[poly])
+    assert np.all(np.abs(p - p_w)[poly]
+                  <= 2.0 * (simulate._U_TOL + p_round[poly]))
 
 
 # exponential-scale values: 0 or a normal float (the reference rounds

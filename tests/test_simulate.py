@@ -14,7 +14,7 @@ import ordext
 from ordext import (GevmParams, ParameterError, PointMassModel, StudyConfig,
                     TrendSpec, joint_log_density_gevm, make_model, run_study,
                     sample_pair, sample_pairs, simulate)
-from ordext.dependence import _GRADING
+from ordext.dependence import _GRADING, _LogisticModel
 from ordext.simulate import _angular_law
 from test_dependence import ALL_FAMILY_CASES
 
@@ -78,6 +78,74 @@ def test_draws_do_not_depend_on_the_block_size(monkeypatch):
             monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
             draws.append(sample_pairs(model, 1000, np.random.default_rng(6)))
         assert np.array_equal(draws[0][1], draws[1][1])
+
+
+def test_table_draws_do_not_depend_on_the_block_size(monkeypatch):
+    # a panel budget below the cells' count splits no panel, so the cells
+    # that fail their first check take the Newton steps, and a block mixes
+    # table and Newton pairs (restricted (0.3, 1.3) leaves 19 % of its
+    # u-mass so, interval (0.25, 0.75, 2) none)
+    monkeypatch.setattr(simulate, "_MAX_PANELS", 0)
+    for model in (make_model("restricted", c=0.3, s=1.3),
+                  make_model("interval", c1=0.25, c2=0.75, s=2.0)):
+        draws = []
+        for block in (7, 1000):
+            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
+            draws.append(sample_pairs(model, simulate._TABLE_MIN_PAIRS,
+                                      np.random.default_rng(6)))
+        assert np.array_equal(draws[0][0], draws[1][0])
+        assert np.array_equal(draws[0][1], draws[1][1])
+        inverse = simulate._inverse_table(model)
+        share = np.diff(inverse.edges)[inverse.newton[1:]].sum()
+        assert share > 1e-3 if model.s == 1.3 else share == 0.0
+
+
+def counted_points(monkeypatch):
+    """The sizes of the a_a_prime_h calls of the logistic models, as a
+    list that grows with each call."""
+    points, kernel = [], _LogisticModel.a_a_prime_h
+
+    def counted(self, w):
+        points.append(np.size(w))
+        return kernel(self, w)
+
+    monkeypatch.setattr(_LogisticModel, "a_a_prime_h", counted)
+    return points
+
+
+@pytest.mark.parametrize("family, params", [
+    ("restricted", {"c": 1.0 / 33.0, "s": 2.0}),
+    ("interval", {"c1": 0.25, "c2": 0.75, "s": 2.0}),
+])
+def test_table_draws_evaluate_no_kernel_point(monkeypatch, family, params):
+    # the benchmark models: a large call on a fresh model evaluates the
+    # kernel only to build its table, and the next evaluates it nowhere
+    points = counted_points(monkeypatch)
+    simulate._build_inverse(make_model(family, **params))
+    build = sum(points)
+    model = make_model(family, **params)
+    points.clear()
+    sample_pairs(model, 100_000, np.random.default_rng(3))
+    assert sum(points) == build > 0
+    points.clear()
+    sample_pairs(model, simulate._TABLE_MIN_PAIRS, np.random.default_rng(4))
+    assert sum(points) == 0
+    # a smaller call takes the Newton steps, ~3 points per pair
+    sample_pairs(model, simulate._TABLE_MIN_PAIRS - 1,
+                 np.random.default_rng(4))
+    assert sum(points) > 2 * simulate._TABLE_MIN_PAIRS
+
+
+@pytest.mark.parametrize("n", [simulate._TABLE_MIN_PAIRS - 1,
+                               simulate._TABLE_MIN_PAIRS,
+                               3 * simulate._TABLE_MIN_PAIRS])
+def test_a_kept_table_draws_what_a_fresh_model_draws(n):
+    held = make_model("restricted", c=0.3, s=1.3)
+    sample_pairs(held, simulate._TABLE_MIN_PAIRS, np.random.default_rng(0))
+    fresh = make_model("restricted", c=0.3, s=1.3)
+    for mine, ref in zip(sample_pairs(held, n, np.random.default_rng(9)),
+                         sample_pairs(fresh, n, np.random.default_rng(9))):
+        assert np.array_equal(mine, ref)
 
 
 @pytest.mark.parametrize("family, params, fractions", [
