@@ -212,6 +212,13 @@ SIZE_FLOORS = {"simulate": {"n": 1}, "depfn": {"grid": 3},
                "validate": {"grid": 3}, "study": {"reps": 1, "n_times": 1}}
 
 
+def _study_sizes(reps, n_times):
+    """The study's replicate count and series length: the given ones, or
+    STUDY_DESIGN's where None."""
+    return (STUDY_DESIGN["reps"] if reps is None else reps,
+            STUDY_DESIGN["n_times"] if n_times is None else n_times)
+
+
 def _validate_ranges(cfg: RunConfig):
     """Build the parameter objects once so bad values fail before any work."""
     for key, floor in SIZE_FLOORS.get(cfg.command, {}).items():
@@ -219,8 +226,7 @@ def _validate_ranges(cfg: RunConfig):
             raise InputError(f"--{key.replace('_', '-')} must be between "
                              f"{floor} and {SIZE_CEILING}")
     if cfg.command == "study":
-        reps, n_times = (STUDY_DESIGN[k] if cfg[k] is None else cfg[k]
-                         for k in ("reps", "n_times"))
+        reps, n_times = _study_sizes(cfg["reps"], cfg["n_times"])
         if reps * n_times > SIZE_CEILING:
             raise InputError(f"--reps times --n-times must be at most "
                              f"{SIZE_CEILING}")
@@ -426,8 +432,7 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
     Returns (fits, study_summary, parametric_c).
     """
     d = STUDY_DESIGN
-    reps = d["reps"] if reps is None else reps
-    n_times = d["n_times"] if n_times is None else n_times
+    reps, n_times = _study_sizes(reps, n_times)
     lambda_x = d["lambda_x"] if lambda_x is None else lambda_x
     lambda_y = d["lambda_y"] if lambda_y is None else lambda_y
 

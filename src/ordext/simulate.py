@@ -64,10 +64,10 @@ _TABLE_MIN_PAIRS = 10_000
 # nodes, the u-error is within _U_TOL (or within what a w-error of _W_TOL w
 # gives), A within _U_TOL relative and p within _U_TOL beyond its rounding
 _U_TOL = 1e-12
-# the panel budget: the benchmark models take ~440 panels; a model that runs
-# out (s within ~1e-4 of 1) leaves its failing panels to the Newton steps
+# the panel budget, which also bounds the rounds: the benchmark models take
+# ~440 panels; a model that runs out (s within ~1e-4 of 1) leaves its
+# failing panels to the Newton steps
 _MAX_PANELS = 2048
-_MAX_ROUNDS = 40
 # the nodes of a panel in w: Chebyshev-Lobatto, an odd count, so the middle
 # node, where a panel that fails is split, sits exactly halfway
 _NODES = 0.5 - 0.5 * np.cos(np.pi * np.arange(7) / 6)
@@ -276,7 +276,7 @@ def _build_inverse(model: DependenceModel):
     lo, hi, u_lo, u_hi = lo[keep], hi[keep], u_lo[keep], u_hi[keep]
     total = cuts.size - 1
     with np.errstate(all="ignore"):
-        for rnd in range(_MAX_ROUNDS):
+        while True:
             w = lo[:, None] + (hi - lo)[:, None] * _NODES
             w[:, -1] = hi
             u, _, a, p, _ = _checked_law(model, w)
@@ -302,7 +302,7 @@ def _build_inverse(model: DependenceModel):
                   & (np.abs(pc - pw) <= _U_TOL + p_round)).all(axis=1)
             mid = w[:, _MID]
             split = ~ok & (mid > lo) & (mid < hi)
-            if total + split.sum() > _MAX_PANELS or rnd == _MAX_ROUNDS - 1:
+            if total + split.sum() > _MAX_PANELS:
                 split[:] = False
             # a row left to the Newton steps reads 0, no NaN to warn about
             newton = ~ok & ~split

@@ -272,6 +272,18 @@ def test_sample_pairs_never_raises(model, seed, n):
     assert np.all(ye / (xe + ye) > model.ordering_floor())
 
 
+def test_newton_steps_stop_where_the_cdf_is_flat(monkeypatch):
+    # the 20,000-pair example above on the Newton path, which the calls of
+    # fewer than _TABLE_MIN_PAIRS pairs take: its draw at u = 0.99999918
+    # stops on its residual, within F's rounding
+    monkeypatch.setattr(simulate, "_TABLE_MIN_PAIRS", 10 ** 12)
+    model = make_model("restricted", c=0.03584706133560239,
+                       s=12.960043900521248)
+    xe, ye = sample_pairs(model, 20_000, np.random.default_rng(225))
+    assert np.isfinite(xe).all() and np.isfinite(ye).all()
+    assert np.all(ye / (xe + ye) > model.ordering_floor())
+
+
 @given(st.one_of(
     st.sampled_from(ALL_FAMILY_CASES),
     family_models(any_strength),

@@ -189,6 +189,13 @@ def test_draws_follow_the_joint_survival():
         assert np.max(np.abs(z)) <= 4.0, (model.params, z)
 
 
+def test_newton_draws_follow_the_joint_survival(monkeypatch):
+    # the same check on the Newton path, which calls of fewer than
+    # _TABLE_MIN_PAIRS pairs and uncertified panels take
+    monkeypatch.setattr(simulate, "_TABLE_MIN_PAIRS", 10 ** 12)
+    test_draws_follow_the_joint_survival()
+
+
 def old_graded_cuts(model):
     edges = np.array([0.0, *model.split_points(), 1.0])
     lo, hi = edges[:-1, None], edges[1:, None]
@@ -247,6 +254,12 @@ def test_sample_pairs_heap_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 5.21 * 2 ** 20
+
+
+def test_newton_sample_pairs_heap_peak(monkeypatch):
+    # the same bound on the Newton path
+    monkeypatch.setattr(simulate, "_TABLE_MIN_PAIRS", 10 ** 12)
+    test_sample_pairs_heap_peak()
 
 
 def test_sampler_size_validation():
