@@ -637,7 +637,8 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
                    config: FitConfig | None = None) -> FitResult:
     """Fit the restricted model with penalized location trends.
 
-    Requires strictly ordered observations (x_i < y_i).  One outer map
+    Requires strictly ordered observations (x_i < y_i) and smoothing
+    weights in [0, 2^47], else InputError before any work.  One outer map
     runs a penalized trend update for each margin and then a bounded
     quasi-Newton pass over (s, sigma_x, sigma_y, xi); SQUAREM extrapolates
     along the path of every two maps, and the fit stops when a map no
@@ -648,8 +649,12 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     the fitted exponential scale) and counts of the work done.
     """
     config = config or FitConfig()
-    if not (0.0 <= lam_x < math.inf and 0.0 <= lam_y < math.inf):
-        raise InputError("smoothing weights must be nonnegative and finite")
+    # the ridge start solves I + 2 lam D'D, whose eigenvalues run from 1 to
+    # below 1 + 32 lam: past lam = 2^47 = 1/(32 eps) its identity is lost to
+    # rounding and its Cholesky factor fails
+    if not (0.0 <= lam_x <= 2.0 ** 47 and 0.0 <= lam_y <= 2.0 ** 47):
+        raise InputError("smoothing weights must be between 0 and 2^47 "
+                         f"(1.4e14), got {lam_x:g} and {lam_y:g}")
     if not series.is_ordered():
         raise InputError("fit requires x_i < y_i for every observation")
     series = series.sorted_by_time()

@@ -426,10 +426,14 @@ def test_estimate_c_refuses_bytes_that_are_not_utf8(tmp_path, capsys):
      "--seed", "-3"),
     ("fit", "--lambda-x", "nan"),
     ("fit", "--lambda-x", "inf"),
+    ("fit", "--lambda-y", "1e308"),
+    ("study", "--paper-defaults", "--reps", "1", "--n-times", "20",
+     "--max-outer", "1", "--lambda-x", "1e308"),
     ("fit", "--max-outer", "0"),
     ("fit", "--max-outer", "-1"),
 ], ids=["simulate_seed", "study_seed", "lambda_nan", "lambda_inf",
-        "max_outer_0", "max_outer_negative"])
+        "lambda_huge", "study_lambda_huge", "max_outer_0",
+        "max_outer_negative"])
 def test_bad_numbers_exit_2_before_any_file(tmp_path, capsys, argv):
     # once numpy's or scipy's ValueError with a traceback, or for
     # max_outer < 1 the starting state written as the fit

@@ -248,6 +248,27 @@ def test_fit_rejects_bad_input():
         fit_restricted(series, -1.0, 10.0)
 
 
+@pytest.mark.parametrize("lam", [np.nextafter(2.0 ** 47, np.inf), 3e14, 1e16,
+                                 1e100, 1e308])
+@pytest.mark.parametrize("margin", ["x", "y"])
+def test_fit_refuses_a_weight_past_2_to_the_47(monkeypatch, lam, margin):
+    # once numpy's LinAlgError, scipy's ValueError, a NumericError from the
+    # trend stage, or a fit that only rounding let through; the refusal
+    # comes before any work
+    series = make_series(60)
+    monkeypatch.setattr(estimation, "ridge_trend", None)
+    weights = {"x": (lam, 1000.0), "y": (1000.0, lam)}[margin]
+    with pytest.raises(InputError, match="between 0 and 2"):
+        fit_restricted(series, *weights, FitConfig(max_outer=2))
+
+
+@pytest.mark.filterwarnings("ignore:fit stopped at the iteration cap")
+def test_fit_takes_the_largest_weight():
+    fit = fit_restricted(make_series(60), 2.0 ** 47, 2.0 ** 47,
+                         FitConfig(max_outer=2))
+    assert np.isfinite(fit.loglik)
+
+
 @pytest.mark.parametrize("column", ["t", "x", "y"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_series_rejects_non_finite_values(column, value):

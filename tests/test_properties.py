@@ -262,8 +262,8 @@ any_strength = st.one_of(st.floats(1.0, 61.0),
               st.floats(0.0, 1.0), st.floats(0.0, 1.0), any_strength)),
        st.integers(0, 2 ** 32 - 1), st.integers(1, 500))
 @example(SUBNORMAL_WEIGHTS, 0, 300)
-# a draw at u = 0.99999918, where F' = 5.6e-5 and F's rounding keeps each
-# Newton step at 2e-12: a test on the step alone never stops it
+# a draw at u = 0.99999918, where F' = 5.6e-5 and F is flat to within
+# its rounding over the last steps of a root search
 @example(make_model("restricted", c=0.03584706133560239, s=12.960043900521248),
          225, 20_000)
 def test_sample_pairs_never_raises(model, seed, n):
@@ -273,10 +273,10 @@ def test_sample_pairs_never_raises(model, seed, n):
 
 
 def test_newton_steps_stop_where_the_cdf_is_flat(monkeypatch):
-    # the 20,000-pair example above on the Newton path, which the calls of
-    # fewer than _TABLE_MIN_PAIRS pairs take: its draw at u = 0.99999918
-    # stops on its residual, within F's rounding
-    monkeypatch.setattr(simulate, "_TABLE_MIN_PAIRS", 10 ** 12)
+    # the 20,000-pair example above with the fallback forced: a zero panel
+    # budget leaves 62 % of its u-mass, and 12,317 of its draws, to
+    # bisection
+    monkeypatch.setattr(simulate, "_MAX_PANELS", 0)
     model = make_model("restricted", c=0.03584706133560239,
                        s=12.960043900521248)
     xe, ye = sample_pairs(model, 20_000, np.random.default_rng(225))
@@ -301,14 +301,14 @@ def test_inverse_table_is_certified(model, seed):
     # only, so the bounds here are twice its tolerances.
     inverse = simulate._build_inverse(model)
     if any(model is case for case in ALL_FAMILY_CASES):
-        assert not inverse.newton[1:].any()     # no panel left uncertified
+        assert not inverse.uncertified[1:].any()
     u = np.random.default_rng(seed).random(2000)
     j = simulate._cell(inverse.panel_guide, inverse.edges, u)
-    u, j = u[~inverse.newton[j]], j[~inverse.newton[j]]
+    u, j = u[~inverse.uncertified[j]], j[~inverse.uncertified[j]]
     w, a, p = simulate._evaluate(lambda k: inverse.columns[k][j], u)
     d = 2.0 * simulate._W_TOL * w
     with np.errstate(all="ignore"):
-        f, _, a_w, p_w, p_round = simulate._checked_law(model, w)
+        f, _, a_w, p_w, p_round = simulate._angular_law(model, w)
         below = simulate._angular_law(model, w - d)[0]
         above = simulate._angular_law(model, w + d)[0]
     u_ok = ((np.abs(f - u) <= 2.0 * simulate._U_TOL)

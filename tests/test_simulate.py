@@ -80,23 +80,32 @@ def test_draws_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(draws[0][1], draws[1][1])
 
 
-def test_table_draws_do_not_depend_on_the_block_size(monkeypatch):
-    # a panel budget below the cells' count splits no panel, so the cells
-    # that fail their first check take the Newton steps, and a block mixes
-    # table and Newton pairs (restricted (0.3, 1.3) leaves 19 % of its
-    # u-mass so, interval (0.25, 0.75, 2) none)
+def force_bisection(monkeypatch, models=()):
+    """A panel budget below the cells' count splits no panel, so the cells
+    that fail their first check are left uncertified and their draws are
+    found by bisection; the given models, which may hold a table, build
+    theirs afresh, and get back what they held after the test."""
     monkeypatch.setattr(simulate, "_MAX_PANELS", 0)
+    for model in models:
+        monkeypatch.setitem(model.__dict__, "_inverse", None)
+
+
+def test_table_draws_do_not_depend_on_the_block_size(monkeypatch):
+    # with the fallback forced a block mixes table and bisection pairs
+    # (restricted (0.3, 1.3) leaves 19 % of its u-mass to bisection,
+    # interval (0.25, 0.75, 2) none)
+    force_bisection(monkeypatch)
     for model in (make_model("restricted", c=0.3, s=1.3),
                   make_model("interval", c1=0.25, c2=0.75, s=2.0)):
         draws = []
         for block in (7, 1000):
             monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
-            draws.append(sample_pairs(model, simulate._TABLE_MIN_PAIRS,
+            draws.append(sample_pairs(model, 10_000,
                                       np.random.default_rng(6)))
         assert np.array_equal(draws[0][0], draws[1][0])
         assert np.array_equal(draws[0][1], draws[1][1])
         inverse = simulate._inverse_table(model)
-        share = np.diff(inverse.edges)[inverse.newton[1:]].sum()
+        share = np.diff(inverse.edges)[inverse.uncertified[1:]].sum()
         assert share > 1e-3 if model.s == 1.3 else share == 0.0
 
 
@@ -118,8 +127,9 @@ def counted_points(monkeypatch):
     ("interval", {"c1": 0.25, "c2": 0.75, "s": 2.0}),
 ])
 def test_table_draws_evaluate_no_kernel_point(monkeypatch, family, params):
-    # the benchmark models: a large call on a fresh model evaluates the
-    # kernel only to build its table, and the next evaluates it nowhere
+    # the benchmark models: the first call on a fresh model evaluates the
+    # kernel only to build its table, and the next ones, of any size,
+    # evaluate it nowhere
     points = counted_points(monkeypatch)
     simulate._build_inverse(make_model(family, **params))
     build = sum(points)
@@ -128,20 +138,15 @@ def test_table_draws_evaluate_no_kernel_point(monkeypatch, family, params):
     sample_pairs(model, 100_000, np.random.default_rng(3))
     assert sum(points) == build > 0
     points.clear()
-    sample_pairs(model, simulate._TABLE_MIN_PAIRS, np.random.default_rng(4))
+    for n in (1, 300, 10_000):
+        sample_pairs(model, n, np.random.default_rng(4))
     assert sum(points) == 0
-    # a smaller call takes the Newton steps, ~3 points per pair
-    sample_pairs(model, simulate._TABLE_MIN_PAIRS - 1,
-                 np.random.default_rng(4))
-    assert sum(points) > 2 * simulate._TABLE_MIN_PAIRS
 
 
-@pytest.mark.parametrize("n", [simulate._TABLE_MIN_PAIRS - 1,
-                               simulate._TABLE_MIN_PAIRS,
-                               3 * simulate._TABLE_MIN_PAIRS])
+@pytest.mark.parametrize("n", [1, 300, 30_000])
 def test_a_kept_table_draws_what_a_fresh_model_draws(n):
     held = make_model("restricted", c=0.3, s=1.3)
-    sample_pairs(held, simulate._TABLE_MIN_PAIRS, np.random.default_rng(0))
+    sample_pairs(held, 10_000, np.random.default_rng(0))
     fresh = make_model("restricted", c=0.3, s=1.3)
     for mine, ref in zip(sample_pairs(held, n, np.random.default_rng(9)),
                          sample_pairs(fresh, n, np.random.default_rng(9))):
@@ -190,9 +195,9 @@ def test_draws_follow_the_joint_survival():
 
 
 def test_newton_draws_follow_the_joint_survival(monkeypatch):
-    # the same check on the Newton path, which calls of fewer than
-    # _TABLE_MIN_PAIRS pairs and uncertified panels take
-    monkeypatch.setattr(simulate, "_TABLE_MIN_PAIRS", 10 ** 12)
+    # the same check with the fallback forced: every cell that fails its
+    # first check is left to bisection
+    force_bisection(monkeypatch, LAW_MODELS)
     test_draws_follow_the_joint_survival()
 
 
@@ -244,8 +249,8 @@ def test_sampler_estimator_and_oracle_leave_numpy_ma_unloaded():
 
 
 def test_sample_pairs_heap_peak():
-    # the four random numbers per pair take 3.05 MiB; a block's steps, the
-    # table of F and its guide table add at most 2.16 MiB to them
+    # the four random numbers per pair take 3.05 MiB; a block's draws and
+    # the build of the inverse table add at most 2.16 MiB to them
     model = make_model("restricted", c=1.0 / 33.0, s=2.0)
     tracemalloc.start()
     try:
@@ -257,8 +262,9 @@ def test_sample_pairs_heap_peak():
 
 
 def test_newton_sample_pairs_heap_peak(monkeypatch):
-    # the same bound on the Newton path
-    monkeypatch.setattr(simulate, "_TABLE_MIN_PAIRS", 10 ** 12)
+    # the same bound with the fallback forced, where a block's bisection
+    # steps replace its table reads
+    force_bisection(monkeypatch)
     test_sample_pairs_heap_peak()
 
 
