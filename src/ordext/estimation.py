@@ -28,6 +28,15 @@ infinitely unlikely, which keeps the implied boundary constant below the
 smallest observed y-fraction.  Data reach the exponential scale only
 through margins.log_exp_scale.
 
+The likelihood keeps the last few results of its terms, of each margin's
+log scale, of the boundary constant and of the penalty, keyed by the
+exact bytes of their arguments.  The fit asks again for points it has
+seen: L-BFGS-B for the one two evaluations back, each stage for the point
+the one before it ended on, and a trend backtrack that no longer moves g
+for g itself.  Every one of these results is a deterministic function of
+those bytes and of the series, so a kept result is bitwise the one the
+call would compute, and keeping it cannot change a fit.
+
 The trend penalty lam * g'D'Dg (D the second-difference operator) is the
 Whittaker smoother's.  D'D is pentadiagonal, so the trend stage and the
 starting trends use only its band and np.diff: O(n) per step and no BLAS
@@ -48,6 +57,7 @@ accepted one and a fit restarted from its own result returns it unchanged.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -237,6 +247,12 @@ def estimate_c_hat(xe, ye):
 # ---------------------------------------------------------------------------
 
 _STENCIL = (1.0, -2.0, 1.0)     # one row of the second-difference operator D
+# largest smoothing weight: the ridge start solves I + 2 lam D'D, whose
+# eigenvalues run from 1 to below 1 + 32 lam, so past 2^47 = 1/(32 eps) its
+# identity is lost to rounding and its Cholesky factor fails; the trend
+# stage takes the same bound (at 1e200 its Newton system is singular at
+# every damping level, and at 1e308 2 lam D'D overflows)
+MAX_SMOOTHING = 2.0 ** 47
 
 
 def _penalty_band(n, lam):
@@ -256,7 +272,9 @@ def _penalty_band(n, lam):
 
 def _dtd_dot(g):
     """D'D g in O(n): D' applied to the second differences of g."""
-    return np.diff(np.pad(np.diff(g, 2), 2), 2)
+    padded = np.zeros(len(g) + 2)
+    padded[2:-2] = np.diff(g, 2)
+    return np.diff(padded, 2)
 
 
 def roughness(g):
@@ -264,7 +282,7 @@ def roughness(g):
     g = np.asarray(g, dtype=float)
     if len(g) < 3:
         return 0.0
-    return float(np.sum((g[:-2] - 2.0 * g[1:-1] + g[2:]) ** 2))
+    return float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) ** 2).sum())
 
 
 def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
@@ -280,11 +298,13 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
     solved at any damping level or gives a non-finite step; a line search
     that finds no ascent ends the stage normally.
 
-    lam = 0 interpolates the per-time maximisers; lam -> inf approaches
-    the best straight line under the objective.
+    lam = 0 interpolates the per-time maximisers; large lam approaches
+    the best straight line under the objective.  A weight outside
+    [0, MAX_SMOOTHING] raises InputError before any work.
     """
-    if not 0.0 <= lam < math.inf:
-        raise InputError("smoothing weight must be nonnegative and finite")
+    if not 0.0 <= lam <= MAX_SMOOTHING:
+        raise InputError("smoothing weight must be between 0 and 2^47 "
+                         f"(1.4e14), got {lam:g}")
     times = np.asarray(times, dtype=float)
     m = len(times)
     if m < 3:
@@ -295,11 +315,11 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
     def value(vec, terms=None):
         if terms is None:
             terms = np.asarray(objective(vec), dtype=float)
-        total = float(np.sum(terms)) - lam * roughness(vec)
-        return (total if np.isfinite(total) else -np.inf), terms
+        total = float(terms.sum()) - lam * roughness(vec)
+        return (total if math.isfinite(total) else -np.inf), terms
 
     current, terms = value(g)
-    if not np.isfinite(current):
+    if not math.isfinite(current):
         raise NumericError("trend update started from an infeasible point")
 
     for _ in range(max_iter):
@@ -328,7 +348,7 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
         else:
             raise NumericError("trend Newton system is singular at every "
                                "damping level")
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise NumericError("trend Newton step is not finite")
 
         improved = False
@@ -395,8 +415,10 @@ class FitResult:
     converged: bool
     message: str = ""
     # maps, extrapolations_tried, extrapolations_accepted, rescued;
-    # evaluations (likelihood calls) and infeasible (the -inf ones, by
-    # reason, see INFEASIBLE_REASONS)
+    # evaluations (likelihood calls computed), repeated (calls that
+    # repeated one of the last few bitwise, answered from its kept result,
+    # which is what computing it again would give) and infeasible (the
+    # computed -inf ones, by reason, see INFEASIBLE_REASONS)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -416,7 +438,34 @@ def _trial_boundary(mu_x, mu_y, sig_x, sig_y, xi, data_lo, data_hi,
 
 def _y_fraction(log_ex, log_ey):
     """y-fraction ey / (ex + ey) from log scales, safe from overflow."""
-    return 1.0 / (1.0 + np.exp(np.clip(log_ex - log_ey, -700.0, 700.0)))
+    return 1.0 / (1.0 + np.exp(np.minimum(np.maximum(log_ex - log_ey, -700.0),
+                                          700.0)))
+
+
+# results _RestrictedLikelihood keeps of each quantity: L-BFGS-B asks again
+# for the point two evaluations back
+_KEPT = 4
+
+
+def _recall(store, key, compute, grad=True):
+    """The value kept in store at key, else compute()'s, which store keeps.
+
+    store lists (key, value, with_grad), newest first and at most _KEPT
+    long; grad=False takes a value kept with or without its gradient,
+    grad=True only one kept with it.  Returns (value, whether computed).
+    """
+    for k, value, with_grad in store:
+        if k == key and (with_grad or not grad):
+            return value, False
+    value = compute()
+    store.insert(0, (key, value, grad))
+    del store[_KEPT:]
+    return value, True
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 class _RestrictedLikelihood:
@@ -431,6 +480,13 @@ class _RestrictedLikelihood:
     gradient), and infeasibility always returns both; the gradient is
     taken with respect to the scalar parameters (s, sigma_x, sigma_y, xi)
     at fixed trends (for boundary, (sigma_x, sigma_y, xi)).
+
+    terms, each margin's log scale, the boundary constant and the penalty
+    keep their last _KEPT results, keyed by the exact bytes of their
+    arguments, and a repeated call returns the kept result; a value call
+    also takes the value of a kept gradient call.  Each is a function of
+    those bytes and the series alone, so a kept result is the one the
+    call would compute.  Kept arrays are read-only.
     """
 
     def __init__(self, series: BivariateSeries, lam_x, lam_y):
@@ -440,41 +496,59 @@ class _RestrictedLikelihood:
         self.lam_y = lam_y
         self.data_lo = float(min(np.min(self.x), np.min(self.y)))
         self.data_hi = float(max(np.max(self.x), np.max(self.y)))
-        # terms calls, and their -inf returns by reason
+        # terms calls computed and answered from kept results, and the
+        # computed -inf returns by reason
         self.evaluations = 0
+        self.repeated = 0
         self.infeasible = dict.fromkeys(INFEASIBLE_REASONS, 0)
+        self._bad = _read_only(np.full(len(self.x), -np.inf))
+        self._kept = {name: [] for name in ("terms", "x", "y", "boundary",
+                                            "penalty")}
 
     def terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
         """Per-observation log density; -inf entries flag zero-mass points.
 
         grad=True also returns the gradient of their sum (None when a
-        term is -inf).  Each call is counted, and each -inf return under
-        its reason in INFEASIBLE_REASONS.
+        term is -inf).  A call answered from a kept result counts as
+        repeated; a computed one counts as an evaluation, and its -inf
+        return under its reason in INFEASIBLE_REASONS.
         """
-        self.evaluations += 1
+        key = (g_x.tobytes(), g_y.tobytes(),
+               struct.pack("4d", sig_x, sig_y, xi, s))
+        kept, computed = _recall(
+            self._kept["terms"], key,
+            lambda: self._terms(g_x, g_y, sig_x, sig_y, xi, s, grad), grad)
+        if computed:
+            self.evaluations += 1
+        else:
+            self.repeated += 1
+        return kept if grad else kept[0]
+
+    def _terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad):
+        # (terms, their gradient or None)
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
-            return self._infeasible("support", grad)
+            return self._infeasible("support")
         log_ex, log_ey = self.log_scales(g_x, g_y, sig_x, sig_y, xi)
-        if not (np.all(np.isfinite(log_ex)) and np.all(np.isfinite(log_ey))):
-            return self._infeasible("support", grad)
+        if not (np.isfinite(log_ex).all() and np.isfinite(log_ey).all()):
+            return self._infeasible("support")
         c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
         if grad:
             c, dc = c
         if c >= 0.5:
-            return self._infeasible("boundary", grad)
-        if np.any(_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN):
-            return self._infeasible("ordering", grad)
+            return self._infeasible("boundary")
+        if (_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN).any():
+            return self._infeasible("ordering")
         with np.errstate(all="ignore"):
             ex, ey = np.exp(log_ex), np.exp(log_ey)
             dens = _log_density(ex, ey, c, s, grad=grad)
         if grad:
             dens, (f_x, f_y, f_c, f_s) = dens
-        if not np.all(np.isfinite(dens)):
-            return self._infeasible("density", grad)
-        t = (dens + (1.0 + xi) * (log_ex + log_ey)
-             - math.log(sig_x) - math.log(sig_y))
+        if not np.isfinite(dens).all():
+            return self._infeasible("density")
+        t = _read_only(dens + (1.0 + xi) * (log_ex + log_ey)
+                       - math.log(sig_x) - math.log(sig_y))
         if not grad:
-            return t
+            return t, None
         # chain rule: the density's (x, y, c, s) partials, the margins'
         # (sigma, xi) partials and the boundary's dc
         dx_sig, dx_xi = log_exp_scale_grad(self.x, g_x, sig_x, xi)
@@ -483,27 +557,29 @@ class _RestrictedLikelihood:
         wx = f_x * ex + (1.0 + xi)
         wy = f_y * ey + (1.0 + xi)
         n = len(self.x)
-        return t, np.array([
-            np.sum(f_s),
-            np.sum(wx * dx_sig) - n / sig_x,
-            np.sum(wy * dy_sig) - n / sig_y,
-            np.sum(wx * dx_xi + wy * dy_xi + log_ex + log_ey),
-        ]) + np.sum(f_c) * np.concatenate(([0.0], dc))
+        return t, _read_only(np.array([
+            f_s.sum(),
+            (wx * dx_sig).sum() - n / sig_x,
+            (wy * dy_sig).sum() - n / sig_y,
+            (wx * dx_xi + wy * dy_xi + log_ex + log_ey).sum(),
+        ]) + f_c.sum() * np.concatenate(([0.0], dc)))
 
-    def _infeasible(self, reason, grad):
+    def _infeasible(self, reason):
         self.infeasible[reason] += 1
-        bad = np.full(len(self.x), -np.inf)
-        return (bad, None) if grad else bad
+        return self._bad, None
 
     def penalty(self, g_x, g_y):
-        return self.lam_x * roughness(g_x) + self.lam_y * roughness(g_y)
+        return _recall(
+            self._kept["penalty"], (g_x.tobytes(), g_y.tobytes()),
+            lambda: self.lam_x * roughness(g_x) + self.lam_y * roughness(g_y)
+        )[0]
 
     def penalized(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
         t = self.terms(g_x, g_y, sig_x, sig_y, xi, s, grad=grad)
         if grad:
             t, dt = t
-        total = float(np.sum(t))
-        if not np.isfinite(total):
+        total = float(t.sum())
+        if not math.isfinite(total):
             return (-np.inf, None) if grad else -np.inf
         total -= self.penalty(g_x, g_y)
         return (total, dt) if grad else total
@@ -522,11 +598,11 @@ class _RestrictedLikelihood:
             return 1e6, np.zeros(4)
         bx = 1.0 + base_minus_one(self.x, g_x, sig_x, xi)
         by = 1.0 + base_minus_one(self.y, g_y, sig_y, xi)
-        score = float(np.sum(np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)))
+        score = float((np.maximum(-bx, 0.0) + np.maximum(-by, 0.0)).sum())
         if score > 0:
             # -b = xi u - 1 with u = (z - g) / sigma, over the violations
-            ux = np.sum(np.where(bx < 0.0, (self.x - g_x) / sig_x, 0.0))
-            uy = np.sum(np.where(by < 0.0, (self.y - g_y) / sig_y, 0.0))
+            ux = np.where(bx < 0.0, (self.x - g_x) / sig_x, 0.0).sum()
+            uy = np.where(by < 0.0, (self.y - g_y) / sig_y, 0.0).sum()
             return 1.0 + score, np.array([0.0, -xi * ux / sig_x,
                                           -xi * uy / sig_y, ux + uy])
         c, dc = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=True)
@@ -535,7 +611,7 @@ class _RestrictedLikelihood:
                 np.concatenate(([0.0], 10.0 * dc))
         frac = _y_fraction(*self.log_scales(g_x, g_y, sig_x, sig_y, xi))
         gap = c + BOUNDARY_MARGIN - frac
-        value = 100.0 * float(np.sum(np.maximum(gap, 0.0)))
+        value = 100.0 * float(np.maximum(gap, 0.0).sum())
         # d frac = -frac (1 - frac) d(log e_x - log e_y)
         active = gap > 0.0
         slope = (frac * (1.0 - frac))[active]
@@ -546,21 +622,33 @@ class _RestrictedLikelihood:
         m = np.count_nonzero(active)
         return value, 100.0 * np.array([
             0.0,
-            m * dc[0] + np.sum(slope * dx_sig),
-            m * dc[1] - np.sum(slope * dy_sig),
-            m * dc[2] + np.sum(slope * (dx_xi - dy_xi)),
+            m * dc[0] + (slope * dx_sig).sum(),
+            m * dc[1] - (slope * dy_sig).sum(),
+            m * dc[2] + (slope * (dx_xi - dy_xi)).sum(),
         ])
 
     def boundary(self, g_x, g_y, sig_x, sig_y, xi, grad=False):
-        return _trial_boundary(g_x, g_y, sig_x, sig_y, xi, self.data_lo,
-                               self.data_hi, grad=grad)
+        def compute():
+            c = _trial_boundary(g_x, g_y, sig_x, sig_y, xi, self.data_lo,
+                                self.data_hi, grad=grad)
+            return (c[0], _read_only(c[1])) if grad else (c, None)
+        key = (g_x.tobytes(), g_y.tobytes(),
+               struct.pack("3d", sig_x, sig_y, xi))
+        kept = _recall(self._kept["boundary"], key, compute, grad)[0]
+        return kept if grad else kept[0]
 
     def log_scales(self, g_x, g_y, sig_x, sig_y, xi):
         """log of the data on the trial exponential scales (nan or inf
         off the support)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (log_exp_scale(self.x, g_x, sig_x, xi),
-                    log_exp_scale(self.y, g_y, sig_y, xi))
+        return (self._log_scale("x", self.x, g_x, sig_x, xi),
+                self._log_scale("y", self.y, g_y, sig_y, xi))
+
+    def _log_scale(self, margin, z, g, sig, xi):
+        def compute():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return _read_only(log_exp_scale(z, g, sig, xi))
+        key = (g.tobytes(), struct.pack("2d", sig, xi))
+        return _recall(self._kept[margin], key, compute)[0]
 
 
 def _initial_state(series, lam_x, lam_y, lik, start):
@@ -627,7 +715,7 @@ def _scalar_objective(phi, lik, g_x, g_y):
     # d/d phi = (s - 1, sigma_x, sigma_y, 1) * d/d(s, sigma_x, sigma_y, xi)
     scale = np.array([strength_m1, sx, sy, 1.0])
     val, grad = lik.penalized(g_x, g_y, sx, sy, phi[3], strength, grad=True)
-    if np.isfinite(val):
+    if math.isfinite(val):
         return -val, -grad * scale
     wall, grad = lik.infeasibility(g_x, g_y, sx, sy, phi[3], strength)
     return 1e12 * (1.0 + wall), 1e12 * grad * scale
@@ -649,10 +737,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     the fitted exponential scale) and counts of the work done.
     """
     config = config or FitConfig()
-    # the ridge start solves I + 2 lam D'D, whose eigenvalues run from 1 to
-    # below 1 + 32 lam: past lam = 2^47 = 1/(32 eps) its identity is lost to
-    # rounding and its Cholesky factor fails
-    if not (0.0 <= lam_x <= 2.0 ** 47 and 0.0 <= lam_y <= 2.0 ** 47):
+    if not (0.0 <= lam_x <= MAX_SMOOTHING and 0.0 <= lam_y <= MAX_SMOOTHING):
         raise InputError("smoothing weights must be between 0 and 2^47 "
                          f"(1.4e14), got {lam_x:g} and {lam_y:g}")
     if not series.is_ordered():
@@ -773,7 +858,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
             trial = theta0 - 2.0 * alpha * r + alpha * alpha * v
             trial = with_scalars(trial[:n], trial[n:2 * n],
                                  np.clip(trial[2 * n:], lo, hi))
-            if np.isfinite(lik.penalized(*trial)):
+            if math.isfinite(lik.penalized(*trial)):
                 diagnostics["maps"] += 1
                 try:
                     trial = outer_map(trial)
@@ -807,6 +892,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
 
     g_x, g_y, sig_x, sig_y, xi, s = state
     diagnostics["evaluations"] = lik.evaluations
+    diagnostics["repeated"] = lik.repeated
     diagnostics["infeasible"] = dict(lik.infeasible)
     c_hat = lik.boundary(*state[:5])
     # smallest y-fraction of the data on the fitted exponential scale

@@ -133,7 +133,7 @@ def log_exp_scale(z, mu, sigma, xi):
 # a series: its closed form cancels to a relative error of about 2 eps / |q|
 _XI_SERIES_TOL = 1e-3
 # (k - 1) / k for k = 6, ..., 2: the series coefficients, highest power first
-_XI_SERIES = np.array([5.0 / 6.0, 4.0 / 5.0, 3.0 / 4.0, 2.0 / 3.0, 0.5])
+_XI_SERIES = (5.0 / 6.0, 4.0 / 5.0, 3.0 / 4.0, 2.0 / 3.0, 0.5)
 
 
 def log_exp_scale_grad(z, mu, sigma, xi):
@@ -156,8 +156,13 @@ def log_exp_scale_grad(z, mu, sigma, xi):
         d_sigma = -u / (sigma * b)
         d_xi = np.array((q / b + np.log1p(-q)) / (xi * xi))
     small = np.abs(q) < _XI_SERIES_TOL
-    if np.any(small):
-        d_xi[small] = u[small] ** 2 * np.polyval(_XI_SERIES, q[small])
+    if small.any():
+        qs = q[small]
+        # Horner's rule, as np.polyval runs it
+        series = _XI_SERIES[0]
+        for coef in _XI_SERIES[1:]:
+            series = series * qs + coef
+        d_xi[small] = u[small] ** 2 * series
     return d_sigma, d_xi
 
 

@@ -87,8 +87,9 @@ def _closed_form_parts(x, y, c, s):
     low = np.log(np.minimum(R, kx) / top)
     log_p = np.log1p(np.exp(s * low)) / s
     L = top * np.exp(log_p)
-    la = np.where(R < kx, low, 0.0) - log_p
-    lb = np.where(R < kx, 0.0, low) - log_p
+    r_low = R < kx
+    la = np.where(r_low, low, 0.0) - log_p
+    lb = np.where(r_low, 0.0, low) - log_p
     eb = np.exp((s - 1.0) * lb)                 # b^(s-1)
     one_ea = -np.expm1((s - 1.0) * la)          # 1 - a^(s-1)
     vx = (c * one_ea + K * eb) / (1.0 - c)

@@ -193,8 +193,9 @@ def _build_inverse(model: DependenceModel):
     and a panel no u falls in is left out.  Each round evaluates the
     kernel once at _NODES of every open panel and once at the u-midpoints
     of the nodes, where it checks the interpolants; a panel that fails is
-    split at its middle node while the panel budget lasts, and is left
-    uncertified when it runs out."""
+    split at its middle node while the panel budget lasts.  A round whose
+    splits would pass the budget splits the failing panels of most u-mass
+    that fit, and leaves the rest uncertified."""
     cuts, f, a_cut, jump = _cdf_table(model)
     lo, hi, u_lo, u_hi = cuts[:-1], cuts[1:], f[:-1], f[1:]
     rows = np.zeros((np.count_nonzero(jump[1:]), _P.stop))
@@ -231,8 +232,12 @@ def _build_inverse(model: DependenceModel):
                   & (np.abs(pc - pw) <= _U_TOL + p_round)).all(axis=1)
             mid = w[:, _MID]
             split = ~ok & (mid > lo) & (mid < hi)
-            if total + split.sum() > _MAX_PANELS:
-                split[:] = False
+            over = total + split.sum() - max(_MAX_PANELS, total)
+            if over > 0:
+                # the budget left splits the failing panels of most u-mass
+                which = np.flatnonzero(split)
+                split[which[np.argsort(u_hi[which] - u_lo[which],
+                                       kind="stable")[:over]]] = False
             # an uncertified row is constant at its upper end in w: no NaN
             # to warn about, and bisection reads its w-interval
             uncertified = ~ok & ~split

@@ -228,6 +228,23 @@ def test_trend_penalized_raises_on_non_finite_step():
         trend_penalized(obj, 10.0, np.arange(20.0), np.zeros(20))
 
 
+@pytest.mark.parametrize("lam", [np.nextafter(2.0 ** 47, np.inf), 1e200,
+                                 1e308])
+def test_trend_penalized_refuses_a_weight_past_2_to_the_47(lam):
+    # once a returned stage (just past 2^47), "singular at every damping
+    # level" (1e200) or numpy's overflow warning (1e308); the refusal comes
+    # before the objective is called
+    calls = []
+
+    def obj(g):
+        calls.append(g)
+        return -0.5 * g ** 2
+
+    with pytest.raises(InputError, match="between 0 and 2"):
+        trend_penalized(obj, lam, np.arange(20.0), np.zeros(20))
+    assert calls == []
+
+
 def make_series(n=120, seed=8, s=2.0):
     mx = GevmParams(100.0, 4.0, 0.2)
     my = GevmParams(150.0, 2.0, 0.2)
@@ -525,6 +542,58 @@ def test_fit_calls_scipy_through_module_names(monkeypatch):
         monkeypatch.setattr(estimation, name, counting(name))
     fit_restricted(make_series(40, seed=3), 10.0, 10.0, FitConfig(max_outer=1))
     assert min(calls.values()) >= 1, calls
+
+
+def with_kept_cleared(method):
+    """method with the likelihood's kept results cleared before each call."""
+    def cleared(self, *args, **kwargs):
+        for store in self._kept.values():
+            store.clear()
+        return method(self, *args, **kwargs)
+    return cleared
+
+
+@pytest.mark.filterwarnings("ignore:fit stopped at the iteration cap")
+def test_kept_results_change_no_fit(monkeypatch):
+    lik, calls = estimation._RestrictedLikelihood, []
+    terms = lik.terms
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return terms(self, *args, **kwargs)
+
+    series = make_series(60, seed=4)
+    monkeypatch.setattr(lik, "terms", counted)
+    kept = fit_restricted(series, 10.0, 10.0, FitConfig(max_outer=6))
+    n_calls = len(calls)
+    for name in ("terms", "boundary", "log_scales", "penalty"):
+        monkeypatch.setattr(lik, name, with_kept_cleared(getattr(lik, name)))
+    fresh = fit_restricted(series, 10.0, 10.0, FitConfig(max_outer=6))
+    for name in ("g_x", "g_y"):
+        assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
+    assert kept.trace == fresh.trace and kept.loglik == fresh.loglik
+    # every terms call is computed or answered from a kept result
+    diag = kept.diagnostics
+    assert diag["repeated"] > 0 == fresh.diagnostics["repeated"]
+    assert diag["evaluations"] + diag["repeated"] == n_calls == \
+        fresh.diagnostics["evaluations"]
+
+
+def test_kept_arrays_are_read_only():
+    series = make_series(40, seed=3)
+    lik = estimation._RestrictedLikelihood(series, 10.0, 10.0)
+    state = estimation._initial_state(series, 10.0, 10.0, lik, None)
+    point = tuple(state[k] for k in ("g_x", "g_y", "sigma_x", "sigma_y",
+                                     "xi", "s"))
+    t, dt = lik.terms(*point, grad=True)
+    arrays = [t, dt, lik.terms(*point), *lik.log_scales(*point[:5]),
+              lik.boundary(*point[:5], grad=True)[1],
+              lik.terms(*point[:5], 0.5)]   # s <= 1 is infeasible
+    # the value call takes the kept gradient call's terms
+    assert lik.repeated == 1
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 @pytest.mark.filterwarnings("error:fit stopped at the iteration cap")

@@ -109,6 +109,22 @@ def test_table_draws_do_not_depend_on_the_block_size(monkeypatch):
         assert share > 1e-3 if model.s == 1.3 else share == 0.0
 
 
+def test_a_build_out_of_budget_uses_all_of_it(monkeypatch):
+    # restricted (0.3, 1.3) starts from its cells and certifies after 30
+    # splits; with k < 30 splits left in the budget the build makes k more
+    # panels, where a round that would pass the budget once split none
+    cells = simulate._cdf_table(make_model("restricted", c=0.3, s=1.3))[0]
+    panels, shares = [], []
+    for k in (0, 1, 7, 29):
+        monkeypatch.setattr(simulate, "_MAX_PANELS", cells.size - 1 + k)
+        inverse = simulate._build_inverse(make_model("restricted", c=0.3,
+                                                     s=1.3))
+        panels.append(inverse.columns.shape[1] - 1)
+        shares.append(np.diff(inverse.edges)[inverse.uncertified[1:]].sum())
+    assert panels == [panels[0] + k for k in (0, 1, 7, 29)]
+    assert shares[0] > shares[1] > shares[2] > shares[3] > 0.0
+
+
 def counted_points(monkeypatch):
     """The sizes of the a_a_prime_h calls of the logistic models, as a
     list that grows with each call."""
