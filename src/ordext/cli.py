@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,11 +41,19 @@ STUDY_DESIGN = {
     "reps": 50, "n_times": 300, "lambda_x": 1000.0, "lambda_y": 1000.0,
 }
 
-# dest -> (parser, default, help); parser None means str
 _STR, _FLOAT, _INT, _BOOL = str, float, int, lambda v: str(v).lower() in ("1", "true", "yes", "on")
 
-# parameters of every dependence family, as make_model takes them
-FAMILY_KEYS = ("c", "s", "theta1", "theta2", "c1", "c2")
+
+class Option(NamedTuple):
+    """One option of a command: its parser, default and help, whether a
+    run needs it, and for a size its least value (>= 1, <= SIZE_CEILING)."""
+
+    parse: Callable
+    default: object
+    help: str
+    required: bool = False
+    floor: int | None = None
+
 
 # the scalars of a fit, as params.csv and replicate_fits.csv hold them
 # (the first six have medians in summary.csv), and a fit trace's columns
@@ -53,80 +62,82 @@ FIT_SCALARS = ("s", "sigma_x", "sigma_y", "xi", "c_hat", "c_hat_pickands",
 TRACE_COLUMNS = ("iteration", "s", "sigma_x", "sigma_y", "xi",
                  "penalized_loglik")
 
+# the family option and its parameters, as make_model takes them
+_FAMILY_OPTIONS = {
+    "family": Option(_STR, "restricted", "dependence family"),
+    "c": Option(_FLOAT, 0.25, "ordering boundary (restricted, upper)"),
+    "s": Option(_FLOAT, None, "dependence strength"),
+    "theta1": Option(_FLOAT, 1.0, "asymmetric weight 1"),
+    "theta2": Option(_FLOAT, 1.0, "asymmetric weight 2"),
+    "c1": Option(_FLOAT, 0.25, "interval lower boundary"),
+    "c2": Option(_FLOAT, 0.75, "interval upper boundary"),
+}
+
 
 def _family_options(s_default):
-    """The family option and its parameters; only s's default varies."""
-    return {
-        "family": (_STR, "restricted", "dependence family"),
-        "c": (_FLOAT, 0.25, "ordering boundary (restricted, upper)"),
-        "s": (_FLOAT, s_default, "dependence strength"),
-        "theta1": (_FLOAT, 1.0, "asymmetric weight 1"),
-        "theta2": (_FLOAT, 1.0, "asymmetric weight 2"),
-        "c1": (_FLOAT, 0.25, "interval lower boundary"),
-        "c2": (_FLOAT, 0.75, "interval upper boundary"),
-    }
+    """The family options; only s's default varies."""
+    return {**_FAMILY_OPTIONS,
+            "s": _FAMILY_OPTIONS["s"]._replace(default=s_default)}
 
 
 COMMAND_OPTIONS = {
     "simulate": {
         **_family_options(2.0),
-        "n": (_INT, 100, "number of pairs"),
-        "seed": (_INT, 0, "random seed"),
-        "mu_x": (_FLOAT, None, "X location (omit for exponential scale)"),
-        "sigma_x": (_FLOAT, None, "X scale"),
-        "xi_x": (_FLOAT, None, "X shape"),
-        "mu_y": (_FLOAT, None, "Y location"),
-        "sigma_y": (_FLOAT, None, "Y scale"),
-        "xi_y": (_FLOAT, None, "Y shape"),
-        "slope_x": (_FLOAT, 0.0, "linear trend slope for X location"),
-        "slope_y": (_FLOAT, 0.0, "linear trend slope for Y location"),
-        "out": (_STR, None, "output CSV path (required)"),
+        "n": Option(_INT, 100, "number of pairs", floor=1),
+        "seed": Option(_INT, 0, "random seed"),
+        "mu_x": Option(_FLOAT, None,
+                       "X location (omit for exponential scale)"),
+        "sigma_x": Option(_FLOAT, None, "X scale"),
+        "xi_x": Option(_FLOAT, None, "X shape"),
+        "mu_y": Option(_FLOAT, None, "Y location"),
+        "sigma_y": Option(_FLOAT, None, "Y scale"),
+        "xi_y": Option(_FLOAT, None, "Y shape"),
+        "slope_x": Option(_FLOAT, 0.0, "linear trend slope for X location"),
+        "slope_y": Option(_FLOAT, 0.0, "linear trend slope for Y location"),
+        "out": Option(_STR, None, "output CSV path (required)", True),
     },
     "fit": {
-        "data": (_STR, None, "input CSV (required)"),
-        "lambda_x": (_FLOAT, 1000.0, "smoothing weight for the X trend"),
-        "lambda_y": (_FLOAT, 1000.0, "smoothing weight for the Y trend"),
-        "max_outer": (_INT, 60, "outer map cap"),
-        "out_dir": (_STR, None, "output directory (required)"),
+        "data": Option(_STR, None, "input CSV (required)", True),
+        "lambda_x": Option(_FLOAT, 1000.0, "smoothing weight for the X trend"),
+        "lambda_y": Option(_FLOAT, 1000.0, "smoothing weight for the Y trend"),
+        "max_outer": Option(_INT, 60, "outer map cap"),
+        "out_dir": Option(_STR, None, "output directory (required)", True),
     },
     "depfn": {
         **_family_options(1.0),
-        "grid": (_INT, 201, "grid size"),
-        "out": (_STR, None, "output CSV path (default stdout)"),
-        "svg": (_STR, None, "optional SVG path"),
+        "grid": Option(_INT, 201, "grid size", floor=3),
+        "out": Option(_STR, None, "output CSV path (default stdout)"),
+        "svg": Option(_STR, None, "optional SVG path"),
     },
     "estimate-c": {
-        "data": (_STR, None, "input CSV of exponential-scale pairs (required)"),
+        "data": Option(_STR, None,
+                       "input CSV of exponential-scale pairs (required)", True),
     },
     "diagnose": {
-        "data": (_STR, None, "input CSV (required)"),
-        "fit_dir": (_STR, None, "directory written by 'fit' (required)"),
-        "out_dir": (_STR, None, "output directory (required)"),
+        "data": Option(_STR, None, "input CSV (required)", True),
+        "fit_dir": Option(_STR, None, "directory written by 'fit' (required)",
+                          True),
+        "out_dir": Option(_STR, None, "output directory (required)", True),
     },
     "validate": {
         **_family_options(1.5),
-        "grid": (_INT, 101, "grid size"),
+        "grid": Option(_INT, 101, "grid size", floor=3),
     },
     "study": {
-        "paper_defaults": (_BOOL, False, "pin the reference study design"),
-        "seed": (_INT, 1, "master seed"),
-        "reps": (_INT, None, "number of replicates"),
-        "n_times": (_INT, None, "observations per replicate"),
-        "lambda_x": (_FLOAT, None, "smoothing weight for the X trend"),
-        "lambda_y": (_FLOAT, None, "smoothing weight for the Y trend"),
-        "max_outer": (_INT, 60, "outer map cap per fit"),
-        "out_dir": (_STR, None, "output directory (required)"),
+        "paper_defaults": Option(_BOOL, False,
+                                 "pin the reference study design"),
+        "seed": Option(_INT, 1, "master seed"),
+        "reps": Option(_INT, STUDY_DESIGN["reps"], "number of replicates",
+                       floor=1),
+        "n_times": Option(_INT, STUDY_DESIGN["n_times"],
+                          "observations per replicate", floor=1),
+        "lambda_x": Option(_FLOAT, STUDY_DESIGN["lambda_x"],
+                           "smoothing weight for the X trend"),
+        "lambda_y": Option(_FLOAT, STUDY_DESIGN["lambda_y"],
+                           "smoothing weight for the Y trend"),
+        "max_outer": Option(_INT, 60, "outer map cap per fit"),
+        "out_dir": Option(_STR, None, "output directory (required)", True),
     },
-}
-
-REQUIRED = {
-    "simulate": ("out",),
-    "fit": ("data", "out_dir"),
-    "depfn": (),
-    "estimate-c": ("data",),
-    "diagnose": ("data", "fit_dir", "out_dir"),
-    "validate": (),
-    "study": ("out_dir",),
 }
 
 
@@ -137,6 +148,7 @@ class RunConfig(dict):
         super().__init__(values)
         self.command = command
         self.model = None       # set by validation for family commands
+        self.margins = None     # and for simulate on the data scale
 
 
 def _parse_config_file(path, options):
@@ -156,11 +168,15 @@ def _parse_config_file(path, options):
         if key not in options:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = options[key][0](value.strip())
+            values[key] = options[key].parse(value.strip())
         except ValueError:
             raise InputError(
                 f"{path}:{lineno}: bad value for {key!r}") from None
     return values
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser():
@@ -172,14 +188,11 @@ def build_parser():
         p = sub.add_parser(command, help=f"{command} pipeline step")
         p.add_argument("--config", default=None,
                        help="config file of key = value lines")
-        for dest, (typ, _default, help_text) in options.items():
-            flag = "--" + dest.replace("_", "-")
-            if typ is _BOOL:
-                p.add_argument(flag, dest=dest, action="store_const",
-                               const=True, default=None, help=help_text)
-            else:
-                p.add_argument(flag, dest=dest, type=typ, default=None,
-                               help=help_text)
+        for dest, option in options.items():
+            kind = ({"action": "store_const", "const": True}
+                    if option.parse is _BOOL else {"type": option.parse})
+            p.add_argument(_flag(dest), dest=dest, default=None,
+                           help=option.help, **kind)
     return parser
 
 
@@ -188,16 +201,14 @@ def parse_and_validate(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     command = args.command
     options = COMMAND_OPTIONS[command]
-    values = {dest: spec[1] for dest, spec in options.items()}
+    values = {dest: option.default for dest, option in options.items()}
     if args.config:
         values.update(_parse_config_file(args.config, options))
-    for dest in options:
-        cli_value = getattr(args, dest)
-        if cli_value is not None:
-            values[dest] = cli_value
-    for dest in REQUIRED[command]:
-        if values.get(dest) is None:
-            raise InputError(f"{command}: --{dest.replace('_', '-')} is required")
+    for dest, option in options.items():
+        if getattr(args, dest) is not None:
+            values[dest] = getattr(args, dest)
+        if option.required and values[dest] is None:
+            raise InputError(f"{command}: {_flag(dest)} is required")
     cfg = RunConfig(command, values)
     _validate_ranges(cfg)
     return cfg
@@ -207,40 +218,31 @@ def parse_and_validate(argv) -> RunConfig:
 # (reps x n_times, held at once): 1e7 pairs take ~0.3 GB, and a size far
 # past it would fail in numpy's allocation with a traceback
 SIZE_CEILING = 10 ** 7
-# the least size of each command's sizes
-SIZE_FLOORS = {"simulate": {"n": 1}, "depfn": {"grid": 3},
-               "validate": {"grid": 3}, "study": {"reps": 1, "n_times": 1}}
-
-
-def _study_sizes(reps, n_times):
-    """The study's replicate count and series length: the given ones, or
-    STUDY_DESIGN's where None."""
-    return (STUDY_DESIGN["reps"] if reps is None else reps,
-            STUDY_DESIGN["n_times"] if n_times is None else n_times)
 
 
 def _validate_ranges(cfg: RunConfig):
     """Build the parameter objects once so bad values fail before any work."""
-    for key, floor in SIZE_FLOORS.get(cfg.command, {}).items():
-        if cfg[key] is not None and not floor <= cfg[key] <= SIZE_CEILING:
-            raise InputError(f"--{key.replace('_', '-')} must be between "
-                             f"{floor} and {SIZE_CEILING}")
-    if cfg.command == "study":
-        reps, n_times = _study_sizes(cfg["reps"], cfg["n_times"])
-        if reps * n_times > SIZE_CEILING:
-            raise InputError(f"--reps times --n-times must be at most "
+    options = COMMAND_OPTIONS[cfg.command]
+    sizes = {dest: opt.floor for dest, opt in options.items() if opt.floor}
+    for dest, floor in sizes.items():
+        if not floor <= cfg[dest] <= SIZE_CEILING:
+            raise InputError(f"{_flag(dest)} must be between {floor} and "
                              f"{SIZE_CEILING}")
+    if math.prod(cfg[dest] for dest in sizes) > SIZE_CEILING:
+        raise InputError(f"{' times '.join(map(_flag, sizes))} must be at "
+                         f"most {SIZE_CEILING}")
     if "family" in cfg:
-        cfg.model = dep.make_model(cfg["family"],
-                                   **{k: cfg[k] for k in FAMILY_KEYS})
+        cfg.model = dep.make_model(**{k: cfg[k] for k in _FAMILY_OPTIONS})
     if cfg.command == "simulate":
-        margin_keys = ("mu_x", "sigma_x", "xi_x", "mu_y", "sigma_y", "xi_y")
-        given = [k for k in margin_keys if cfg[k] is not None]
-        if given and len(given) != len(margin_keys):
+        given = {cfg[f"{k}_{m}"] is not None
+                 for k in ("mu", "sigma", "xi") for m in "xy"}
+        if len(given) > 1:
             raise InputError("give all six margin parameters or none")
-        if given:
-            GevmParams(cfg["mu_x"], cfg["sigma_x"], cfg["xi_x"])
-            GevmParams(cfg["mu_y"], cfg["sigma_y"], cfg["xi_y"])
+        if True in given:   # each margin's law and location trend
+            cfg.margins = [
+                (GevmParams(cfg[f"mu_{m}"], cfg[f"sigma_{m}"], cfg[f"xi_{m}"]),
+                 TrendSpec.linear(cfg[f"mu_{m}"], cfg[f"slope_{m}"]))
+                for m in "xy"]
     if cfg.command == "study" and not cfg["paper_defaults"]:
         raise InputError("study requires --paper-defaults (override pieces "
                          "of the design with the other flags)")
@@ -295,23 +297,18 @@ def _columns(records, names):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg):
-    model = cfg.model
     times = np.linspace(0.0, 1.0, cfg["n"])
-    if cfg["mu_x"] is None:
+    if cfg.margins is None:
         from .simulate import sample_pairs, replicate_rngs
         rng = replicate_rngs(cfg["seed"], 1)[0]
-        xe, ye = sample_pairs(model, cfg["n"], rng)
+        xe, ye = sample_pairs(cfg.model, cfg["n"], rng)
         series = BivariateSeries(times, xe, ye, scale="exponential")
     else:
-        study = StudyConfig(
-            n_reps=1, times=times,
-            margin_x=GevmParams(cfg["mu_x"], cfg["sigma_x"], cfg["xi_x"]),
-            margin_y=GevmParams(cfg["mu_y"], cfg["sigma_y"], cfg["xi_y"]),
-            model=model,
-            trend_x=TrendSpec.linear(cfg["mu_x"], cfg["slope_x"]),
-            trend_y=TrendSpec.linear(cfg["mu_y"], cfg["slope_y"]),
-            seed=cfg["seed"])
-        series = run_study(study)[0][0]
+        (margin_x, trend_x), (margin_y, trend_y) = cfg.margins
+        series = run_study(StudyConfig(
+            n_reps=1, times=times, margin_x=margin_x, margin_y=margin_y,
+            model=cfg.model, trend_x=trend_x, trend_y=trend_y,
+            seed=cfg["seed"]))[0][0]
     write_csv(_out_path(cfg["out"]), ("t", "x", "y"),
               (series.t, series.x, series.y), {"scale": series.scale})
     print(f"wrote {len(series)} pairs to {_out_path(cfg['out'])}")
@@ -419,8 +416,10 @@ def _medians(fits, keys):
     return {k: float(np.median([getattr(f, k) for f in done])) for k in keys}
 
 
-def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
-                       lambda_x=None, lambda_y=None, max_outer=60):
+def run_study_pipeline(seed, out_dir, reps=STUDY_DESIGN["reps"],
+                       n_times=STUDY_DESIGN["n_times"],
+                       lambda_x=STUDY_DESIGN["lambda_x"],
+                       lambda_y=STUDY_DESIGN["lambda_y"], max_outer=60):
     """End-to-end reference study: simulate, fit every replicate, emit
     the parameter summary, both boundary estimates, and all figure data.
 
@@ -432,10 +431,6 @@ def run_study_pipeline(seed, out_dir, reps=None, n_times=None,
     Returns (fits, study_summary, parametric_c).
     """
     d = STUDY_DESIGN
-    reps, n_times = _study_sizes(reps, n_times)
-    lambda_x = d["lambda_x"] if lambda_x is None else lambda_x
-    lambda_y = d["lambda_y"] if lambda_y is None else lambda_y
-
     margin_x = GevmParams(d["mu_x0"], d["sigma_x"], d["xi"])
     margin_y = GevmParams(d["mu_y0"], d["sigma_y"], d["xi"])
     c_true = c_from_margins(margin_x, margin_y)

@@ -31,7 +31,7 @@ import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +44,11 @@ DEFAULT_QUAD_TOL = 1e-10
 # parameter records
 # ---------------------------------------------------------------------------
 
+def _check_strength(s):
+    if not 1.0 <= s < math.inf:
+        raise ParameterError("dependence strength s must be finite and >= 1")
+
+
 @dataclass(frozen=True)
 class AsymLogisticParams:
     """Asymmetric logistic family: weights theta1, theta2 and strength s."""
@@ -55,8 +60,7 @@ class AsymLogisticParams:
     def __post_init__(self):
         if not (0.0 <= self.theta1 <= 1.0 and 0.0 <= self.theta2 <= 1.0):
             raise ParameterError("theta1 and theta2 must lie in [0, 1]")
-        if not self.s >= 1.0:
-            raise ParameterError("dependence strength s must be >= 1")
+        _check_strength(self.s)
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,7 @@ class RestrictedLogisticParams:
     def __post_init__(self):
         if not (0.0 <= self.c < 0.5):
             raise ParameterError("ordering boundary c must lie in [0, 1/2)")
-        if not self.s >= 1.0:
-            raise ParameterError("dependence strength s must be >= 1")
+        _check_strength(self.s)
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,7 @@ class UpperRestrictedParams:
     def __post_init__(self):
         if not (0.5 < self.c <= 1.0):
             raise ParameterError("upper boundary c must lie in (1/2, 1]")
-        if not self.s >= 1.0:
-            raise ParameterError("dependence strength s must be >= 1")
+        _check_strength(self.s)
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,7 @@ class IntervalRestrictedParams:
     def __post_init__(self):
         if not (0.0 <= self.c1 < 0.5 < self.c2 <= 1.0):
             raise ParameterError("need 0 <= c1 < 1/2 < c2 <= 1")
-        if not self.s >= 1.0:
-            raise ParameterError("dependence strength s must be >= 1")
+        _check_strength(self.s)
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,9 @@ class NadarajahGeneralParams:
     def __post_init__(self):
         if not (0.0 <= self.a < 0.5 < self.b <= 1.0):
             raise ParameterError("need 0 <= a < 1/2 < b <= 1")
-        if not self.s > 1.0:
-            raise ParameterError("the general density requires s > 1")
-        if self.gamma1 < 0 or self.gamma2 < 0:
+        if not 1.0 < self.s < math.inf:
+            raise ParameterError("the general density requires a finite s > 1")
+        if not (self.gamma1 >= 0.0 and self.gamma2 >= 0.0):   # NaN fails too
             raise ParameterError("atom masses must be nonnegative")
         if self.gamma1 + self.gamma2 >= 2.0:
             raise ParameterError("atom masses must sum below 2")
@@ -535,20 +536,23 @@ class _LogisticModel(DependenceModel):
         return self.c1
 
 
+def _record(params, record):
+    """params as a record of the given type; a tuple holds its fields."""
+    return params if isinstance(params, record) else record(*params)
+
+
 class AsymLogisticModel(_LogisticModel):
     """Tawn's asymmetric logistic: the general measure on [0, 1] with
     weights theta1, theta2, so atoms 1 - theta1 and 1 - theta2."""
 
     def __init__(self, params: AsymLogisticParams):
-        if not isinstance(params, AsymLogisticParams):
-            params = AsymLogisticParams(*params)
-        self.params = params
+        p = self.params = _record(params, AsymLogisticParams)
         # the kernel is of degree 1 in its weights: it runs on them over
-        # the power of two just above the larger one, an exact scaling,
-        # so subnormal weights leave its maximum nonzero
-        self._scale = math.ldexp(
-            1.0, math.frexp(max(params.theta1, params.theta2))[1])
-        super().__init__(0.0, 1.0, params.theta1, params.theta2, params.s)
+        # the power of two that puts the larger in [1, 2), an exact scaling
+        # that divides no weight by more than 1, so a subnormal weight
+        # stays what it is
+        self._scale = 2.0 ** (math.frexp(max(p.theta1, p.theta2))[1] - 1)
+        super().__init__(0.0, 1.0, p.theta1, p.theta2, p.s)
 
 
 class AffineLogisticModel(_LogisticModel):
@@ -564,30 +568,24 @@ class RestrictedLogisticModel(AffineLogisticModel):
     """Logistic dependence whose density vanishes on [0, c], encoding X < Y."""
 
     def __init__(self, params: RestrictedLogisticParams):
-        if not isinstance(params, RestrictedLogisticParams):
-            params = RestrictedLogisticParams(*params)
-        super().__init__(params.c, 1.0, params.s)
-        self.params = params
+        p = self.params = _record(params, RestrictedLogisticParams)
+        super().__init__(p.c, 1.0, p.s)
 
 
 class UpperRestrictedModel(AffineLogisticModel):
     """Mirror image of the restricted family: density on (0, c), c > 1/2."""
 
     def __init__(self, params: UpperRestrictedParams):
-        if not isinstance(params, UpperRestrictedParams):
-            params = UpperRestrictedParams(*params)
-        super().__init__(0.0, params.c, params.s)
-        self.params = params
+        p = self.params = _record(params, UpperRestrictedParams)
+        super().__init__(0.0, p.c, p.s)
 
 
 class IntervalRestrictedModel(AffineLogisticModel):
     """Density confined to (c1, c2); linear tails 1 - w and w outside."""
 
     def __init__(self, params: IntervalRestrictedParams):
-        if not isinstance(params, IntervalRestrictedParams):
-            params = IntervalRestrictedParams(*params)
-        super().__init__(params.c1, params.c2, params.s)
-        self.params = params
+        p = self.params = _record(params, IntervalRestrictedParams)
+        super().__init__(p.c1, p.c2, p.s)
 
 
 class PointMassModel(DependenceModel):
@@ -770,25 +768,24 @@ def validate_dependence(model: DependenceModel, n=101,
     return ValidationReport(checks)
 
 
-FAMILY_BUILDERS = {
-    "asymmetric": lambda **kw: AsymLogisticModel(
-        AsymLogisticParams(kw["theta1"], kw["theta2"], kw["s"])),
-    "restricted": lambda **kw: RestrictedLogisticModel(
-        RestrictedLogisticParams(kw["c"], kw["s"])),
-    "upper": lambda **kw: UpperRestrictedModel(
-        UpperRestrictedParams(kw["c"], kw["s"])),
-    "interval": lambda **kw: IntervalRestrictedModel(
-        IntervalRestrictedParams(kw["c1"], kw["c2"], kw["s"])),
+# each family's model class and parameter record, by name
+FAMILIES = {
+    "asymmetric": (AsymLogisticModel, AsymLogisticParams),
+    "restricted": (RestrictedLogisticModel, RestrictedLogisticParams),
+    "upper": (UpperRestrictedModel, UpperRestrictedParams),
+    "interval": (IntervalRestrictedModel, IntervalRestrictedParams),
 }
 
 
 def make_model(family, **kwargs) -> DependenceModel:
-    """Build a family by name; unknown names raise ParameterError."""
+    """Build a family by name from the keywords its record's fields name
+    (others are ignored); an unknown name raises ParameterError."""
     try:
-        builder = FAMILY_BUILDERS[family]
+        model, record = FAMILIES[family]
     except KeyError:
         raise ParameterError(f"unknown dependence family {family!r}") from None
     try:
-        return builder(**kwargs)
+        values = [kwargs[f.name] for f in fields(record)]
     except KeyError as exc:
         raise ParameterError(f"family {family!r} needs parameter {exc}") from None
+    return model(record(*values))

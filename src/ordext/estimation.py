@@ -481,12 +481,12 @@ class _RestrictedLikelihood:
     taken with respect to the scalar parameters (s, sigma_x, sigma_y, xi)
     at fixed trends (for boundary, (sigma_x, sigma_y, xi)).
 
-    terms, each margin's log scale, the boundary constant and the penalty
-    keep their last _KEPT results, keyed by the exact bytes of their
-    arguments, and a repeated call returns the kept result; a value call
-    also takes the value of a kept gradient call.  Each is a function of
-    those bytes and the series alone, so a kept result is the one the
-    call would compute.  Kept arrays are read-only.
+    terms, each margin's log scale with its exponential, the boundary
+    constant and the penalty keep their last _KEPT results, keyed by the
+    exact bytes of their arguments, and a repeated call returns the kept
+    result; a value call also takes the value of a kept gradient call.
+    Each is a function of those bytes and the series alone, so a kept
+    result is the one the call would compute.  Kept arrays are read-only.
     """
 
     def __init__(self, series: BivariateSeries, lam_x, lam_y):
@@ -528,7 +528,8 @@ class _RestrictedLikelihood:
         # (terms, their gradient or None)
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
             return self._infeasible("support")
-        log_ex, log_ey = self.log_scales(g_x, g_y, sig_x, sig_y, xi)
+        log_ex, ex = self._scale("x", self.x, g_x, sig_x, xi)
+        log_ey, ey = self._scale("y", self.y, g_y, sig_y, xi)
         if not (np.isfinite(log_ex).all() and np.isfinite(log_ey).all()):
             return self._infeasible("support")
         c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
@@ -539,7 +540,6 @@ class _RestrictedLikelihood:
         if (_y_fraction(log_ex, log_ey) <= c + BOUNDARY_MARGIN).any():
             return self._infeasible("ordering")
         with np.errstate(all="ignore"):
-            ex, ey = np.exp(log_ex), np.exp(log_ey)
             dens = _log_density(ex, ey, c, s, grad=grad)
         if grad:
             dens, (f_x, f_y, f_c, f_s) = dens
@@ -640,13 +640,16 @@ class _RestrictedLikelihood:
     def log_scales(self, g_x, g_y, sig_x, sig_y, xi):
         """log of the data on the trial exponential scales (nan or inf
         off the support)."""
-        return (self._log_scale("x", self.x, g_x, sig_x, xi),
-                self._log_scale("y", self.y, g_y, sig_y, xi))
+        return (self._scale("x", self.x, g_x, sig_x, xi)[0],
+                self._scale("y", self.y, g_y, sig_y, xi)[0])
 
-    def _log_scale(self, margin, z, g, sig, xi):
+    def _scale(self, margin, z, g, sig, xi):
+        # (log scale, scale) of one margin, kept together: a trend stage
+        # moves one margin, and the other's exponential is not taken again
         def compute():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return _read_only(log_exp_scale(z, g, sig, xi))
+            with np.errstate(all="ignore"):
+                log = _read_only(log_exp_scale(z, g, sig, xi))
+                return log, _read_only(np.exp(log))
         key = (g.tobytes(), struct.pack("2d", sig, xi))
         return _recall(self._kept[margin], key, compute)[0]
 

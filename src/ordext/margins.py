@@ -78,6 +78,10 @@ class TrendSpec:
             if self.values is None:
                 raise ParameterError("tabulated trend requires a value vector")
             object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+            if not np.isfinite(self.values).all():
+                raise ParameterError("tabulated trend values must be finite")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ParameterError("trend coefficients a and b must be finite")
 
     @classmethod
     def constant(cls, a):
@@ -97,7 +101,11 @@ class TrendSpec:
         if self.kind == "constant":
             return np.full(times.shape, self.a)
         if self.kind == "linear":
-            return self.a + self.b * times
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu = self.a + self.b * times
+            if not np.isfinite(mu).all():
+                raise ParameterError("linear trend overflows the float range")
+            return mu
         if len(self.values) != len(times):
             raise ParameterError(
                 f"tabulated trend has {len(self.values)} values for "
@@ -203,12 +211,15 @@ def exp_scale_inverse(e, p: GevmParams):
     if np.any(e <= 0.0) or np.any(~np.isfinite(e)):
         raise DomainError("exponential-scale values must be positive and finite")
     loge = np.log(e)
-    if p.is_gumbel:
-        out = p.mu + p.sigma * loge
-    else:
-        # z = mu + (sigma/xi) * (1 - e**(-xi)), written via expm1 so the
-        # xi -> 0 limit is smooth.
-        out = p.mu - p.sigma * np.expm1(-p.xi * loge) / p.xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.is_gumbel:
+            out = p.mu + p.sigma * loge
+        else:
+            # z = mu + (sigma/xi) * (1 - e**(-xi)), written via expm1 so the
+            # xi -> 0 limit is smooth.
+            out = p.mu - p.sigma * np.expm1(-p.xi * loge) / p.xi
+    if not np.isfinite(out).all():
+        raise DomainError("data value overflows the float range")
     return float(out[0]) if scalar else out
 
 

@@ -392,8 +392,11 @@ def run_study(cfg: StudyConfig):
     series = []
     for rng in replicate_rngs(cfg.seed, cfg.n_reps):
         xe, ye = sample_pairs(cfg.model, n, rng)
-        x = mu_x + exp_scale_inverse(xe, base_x)
-        y = mu_y + exp_scale_inverse(ye, base_y)
+        # a location near the float limit can overflow here: the series
+        # refuses an infinite value
+        with np.errstate(over="ignore"):
+            x = mu_x + exp_scale_inverse(xe, base_x)
+            y = mu_y + exp_scale_inverse(ye, base_y)
         series.append(BivariateSeries(cfg.times, x, y, scale="original"))
 
     xs = np.stack([s.x for s in series])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import ordext
 from ordext import InputError, NumericError, cli
-from ordext.cli import main, parse_and_validate, read_series_csv
+from ordext.cli import build_parser, main, parse_and_validate, read_series_csv
 
 
 def run_cli(capsys, *argv):
@@ -475,4 +476,124 @@ def test_sizes_past_their_bounds_exit_2_before_any_work(tmp_path, capsys,
     code, stdout, err = run_cli(capsys, *argv, *where)
     assert code == 2 and stdout == "", err
     assert "must be" in err and str(cli.SIZE_CEILING) in err
+    assert not out.exists()
+
+
+# every subcommand's options as (flag, the value a run takes when the flag
+# is omitted, help), in order; "(required)" in the help marks a flag a
+# run needs.  These are the options the command line had when each
+# option's rules moved into one table, and no option may change.
+PINNED_OPTIONS = {
+    'simulate': (
+        ('--family', 'restricted', 'dependence family'),
+        ('--c', 0.25, 'ordering boundary (restricted, upper)'),
+        ('--s', 2.0, 'dependence strength'),
+        ('--theta1', 1.0, 'asymmetric weight 1'),
+        ('--theta2', 1.0, 'asymmetric weight 2'),
+        ('--c1', 0.25, 'interval lower boundary'),
+        ('--c2', 0.75, 'interval upper boundary'),
+        ('--n', 100, 'number of pairs'),
+        ('--seed', 0, 'random seed'),
+        ('--mu-x', None, 'X location (omit for exponential scale)'),
+        ('--sigma-x', None, 'X scale'),
+        ('--xi-x', None, 'X shape'),
+        ('--mu-y', None, 'Y location'),
+        ('--sigma-y', None, 'Y scale'),
+        ('--xi-y', None, 'Y shape'),
+        ('--slope-x', 0.0, 'linear trend slope for X location'),
+        ('--slope-y', 0.0, 'linear trend slope for Y location'),
+        ('--out', None, 'output CSV path (required)'),
+    ),
+    'fit': (
+        ('--data', None, 'input CSV (required)'),
+        ('--lambda-x', 1000.0, 'smoothing weight for the X trend'),
+        ('--lambda-y', 1000.0, 'smoothing weight for the Y trend'),
+        ('--max-outer', 60, 'outer map cap'),
+        ('--out-dir', None, 'output directory (required)'),
+    ),
+    'depfn': (
+        ('--family', 'restricted', 'dependence family'),
+        ('--c', 0.25, 'ordering boundary (restricted, upper)'),
+        ('--s', 1.0, 'dependence strength'),
+        ('--theta1', 1.0, 'asymmetric weight 1'),
+        ('--theta2', 1.0, 'asymmetric weight 2'),
+        ('--c1', 0.25, 'interval lower boundary'),
+        ('--c2', 0.75, 'interval upper boundary'),
+        ('--grid', 201, 'grid size'),
+        ('--out', None, 'output CSV path (default stdout)'),
+        ('--svg', None, 'optional SVG path'),
+    ),
+    'estimate-c': (
+        ('--data', None, 'input CSV of exponential-scale pairs (required)'),
+    ),
+    'diagnose': (
+        ('--data', None, 'input CSV (required)'),
+        ('--fit-dir', None, "directory written by 'fit' (required)"),
+        ('--out-dir', None, 'output directory (required)'),
+    ),
+    'validate': (
+        ('--family', 'restricted', 'dependence family'),
+        ('--c', 0.25, 'ordering boundary (restricted, upper)'),
+        ('--s', 1.5, 'dependence strength'),
+        ('--theta1', 1.0, 'asymmetric weight 1'),
+        ('--theta2', 1.0, 'asymmetric weight 2'),
+        ('--c1', 0.25, 'interval lower boundary'),
+        ('--c2', 0.75, 'interval upper boundary'),
+        ('--grid', 101, 'grid size'),
+    ),
+    'study': (
+        ('--paper-defaults', False, 'pin the reference study design'),
+        ('--seed', 1, 'master seed'),
+        ('--reps', 50, 'number of replicates'),
+        ('--n-times', 300, 'observations per replicate'),
+        ('--lambda-x', 1000.0, 'smoothing weight for the X trend'),
+        ('--lambda-y', 1000.0, 'smoothing weight for the Y trend'),
+        ('--max-outer', 60, 'outer map cap per fit'),
+        ('--out-dir', None, 'output directory (required)'),
+    ),
+}
+
+
+def test_options_flags_defaults_and_help_are_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PINNED_OPTIONS)
+    for command, pinned in PINNED_OPTIONS.items():
+        actions = [a for a in sub.choices[command]._actions
+                   if a.dest not in ("help", "config")]
+        assert [(a.option_strings, a.help) for a in actions] == [
+            ([flag], text) for flag, _, text in pinned], command
+        assert all(a.default is None for a in actions), command
+        # a run with only the required flags (and study's design flag)
+        # takes every other option's default
+        given = [flag for flag, _, text in pinned if "(required)" in text]
+        argv = [command, *(arg for flag in given for arg in (flag, "x"))]
+        cfg = parse_and_validate(
+            argv + ["--paper-defaults"] * (command == "study"))
+        for flag, default, _ in pinned:
+            dest = flag[2:].replace("-", "_")
+            if flag not in given and dest != "paper_defaults":
+                assert cfg[dest] == default, (command, flag)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--slope-x", "inf"), "trend coefficients a and b must be finite"),
+    (("--slope-y", "nan"), "trend coefficients a and b must be finite"),
+    (("--mu-x", "-1e308", "--slope-x", "-1e308"),
+     "linear trend overflows the float range"),
+    (("--s", "inf"), "dependence strength s must be finite and >= 1"),
+], ids=["slope_inf", "slope_nan", "trend_overflow", "s_inf"])
+def test_records_refuse_non_finite_values(tmp_path, capsys, argv, message):
+    # once a numpy warning and a misleading "x has a NaN or infinite
+    # value", or for s = inf exit 0 with a density of +inf
+    margins = {"--mu-x": "100", "--sigma-x": "4", "--xi-x": "0.2",
+               "--mu-y": "150", "--sigma-y": "2", "--xi-y": "0.2"}
+    margins.update(zip(argv[::2], argv[1::2]))
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(
+        capsys, "simulate", *(f"{k}={v}" for k, v in margins.items()),
+        "--n", "50", "--out", str(out))
+    assert code == 2 and stdout == "", err
+    assert message in err
     assert not out.exists()

@@ -356,3 +356,42 @@ def test_dependence_strengthens_with_s():
 def test_eval_rejects_out_of_range_fraction():
     with pytest.raises(DomainError):
         RestrictedLogisticModel(RestrictedLogisticParams(0.25, 2.0)).evaluate(1.2)
+
+
+def test_subnormal_asymmetric_weight_is_the_zero_weight():
+    # the kernel's weights were once divided by 2, which took 5e-324 to 0
+    # after the model had been judged not flat: "invalid value" in every
+    # view, and in the validator and the sampler
+    tiny = AsymLogisticModel(AsymLogisticParams(5e-324, 1.0, 2.0))
+    zero = AsymLogisticModel(AsymLogisticParams(0.0, 1.0, 2.0))
+    w = np.linspace(0.0, 1.0, 1001)
+    for view in ("a", "a_prime", "h", "H"):
+        assert np.array_equal(getattr(tiny, view)(w),
+                              getattr(zero, view)(w)), view
+    assert validate_dependence(tiny).passed
+
+
+@pytest.mark.parametrize("record, args", [
+    (AsymLogisticParams, (0.5, 0.5, math.inf)),
+    (RestrictedLogisticParams, (0.25, math.inf)),
+    (UpperRestrictedParams, (0.75, math.inf)),
+    (IntervalRestrictedParams, (0.25, 0.75, math.inf)),
+    (NadarajahGeneralParams, (0.2, 0.8, 0.1, 0.1, math.inf)),
+    (NadarajahGeneralParams, (0.2, 0.8, math.nan, 0.1, 2.0)),
+    (NadarajahGeneralParams, (0.2, 0.8, 0.1, math.nan, 2.0)),
+], ids=["asymmetric_s", "restricted_s", "upper_s", "interval_s",
+        "nadarajah_s", "nadarajah_gamma1", "nadarajah_gamma2"])
+def test_records_refuse_non_finite_values(record, args):
+    # s = inf once built a model whose joint density is +inf
+    with pytest.raises(ParameterError):
+        record(*args)
+
+
+def test_make_model_builds_from_the_record_fields():
+    model = make_model("interval", c1=0.2, c2=0.7, s=3.0, c=0.9, theta1=5.0)
+    assert type(model) is IntervalRestrictedModel
+    assert model.params == IntervalRestrictedParams(0.2, 0.7, 3.0)
+    assert IntervalRestrictedModel((0.2, 0.7, 3.0)).params == model.params
+    with pytest.raises(ParameterError, match="family 'asymmetric' needs "
+                                             "parameter 'theta2'"):
+        make_model("asymmetric", theta1=0.5, s=2.0)

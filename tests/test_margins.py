@@ -159,3 +159,34 @@ def test_exp_scale_matches_high_precision_reference(xi):
     rel = max(abs(float((mpmath.mpf(float(g)) - w) / w))
               for g, w in zip(got, want))
     assert rel <= 1e-14
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "constant", "a": math.inf},
+    {"kind": "linear", "a": 1.0, "b": math.nan},
+    {"kind": "linear", "a": -math.inf, "b": 1.0},
+    {"kind": "tabulated", "values": [1.0, math.inf]},
+    {"kind": "tabulated", "values": [math.nan]},
+], ids=["constant_inf", "linear_nan_slope", "linear_inf_intercept",
+        "tabulated_inf", "tabulated_nan"])
+def test_trend_refuses_non_finite_values(kwargs):
+    with pytest.raises(ParameterError):
+        TrendSpec(**kwargs)
+
+
+def test_linear_trend_refuses_to_overflow():
+    trend = TrendSpec.linear(-1e308, -1e308)
+    assert trend.resolve([0.0, 0.5])[1] == -1.5e308
+    with pytest.raises(ParameterError):
+        trend.resolve([0.0, 1.0])
+
+
+@pytest.mark.parametrize("p", [GevmParams(0.0, 1e308, 0.25),
+                               GevmParams(0.0, 1e308, 0.0),
+                               GevmParams(0.0, 1.0, 1e308)],
+                         ids=["sigma", "sigma_gumbel", "xi"])
+def test_exp_scale_inverse_refuses_to_overflow(p):
+    # once an overflow warning, and a NaN or infinite value that the
+    # series refused later with a misleading message
+    with pytest.raises(DomainError):
+        exp_scale_inverse(np.array([1e-3, 1.0, 10.0]), p)

@@ -373,3 +373,14 @@ def test_sampler_reproduces_dependence_curve():
     from ordext import pickands_modified
     grid = np.linspace(0.0, 1.0, 101)
     assert float(np.max(np.abs(pickands_modified(xe, ye, grid) - model.a(grid)))) <= 0.05
+
+
+def test_data_past_the_float_range_are_refused():
+    # a location near the float limit plus a large draw once warned
+    # "overflow encountered in add" inside run_study
+    margin = GevmParams(1e308, 1e308, 0.0)
+    cfg = StudyConfig(n_reps=1, times=[0.0], margin_x=margin,
+                      margin_y=GevmParams(1e308, 1.0, 0.0),
+                      model=make_model("restricted", c=0.25, s=2.0), seed=7)
+    with pytest.raises(ordext.InputError, match="x has a NaN or infinite"):
+        run_study(cfg)
