@@ -175,46 +175,24 @@ def _check_unit_interval(w):
 # ---------------------------------------------------------------------------
 # internal: the logistic kernel.  Every logistic family is an affine image
 # of the asymmetric logistic, A = (1-t1) w + (1-t2)(1-w) + L with
-# L = (p^s + q^s)^(1/s), p = t1 w, q = t2 (1-w).  L is of order 1 in
-# (p, q), its slope of order 0 and its second derivative of order -3, so
-# all of A, A', h and H are taken from p and q divided by the larger one:
-# no power underflows where p^s or q^s would (weights near 1e-135, or c
-# within 1e-7 of 1/2 at large s).  One pass gives the sampler and the
-# joint density A, A' and h together.
+# L = (p^s + q^s)^(1/s), p = t1 w, q = t2 (1-w), and the fit's closed form
+# is the restricted one at p = R, q = Kx.  The kernel gives L, log a and
+# log b, a = p/L and b = q/L; the slopes of L are a^(s-1) and b^(s-1),
+# so every view and partial is a power of a or b, taken as an exponential
+# of its log.
 # ---------------------------------------------------------------------------
 
-def _logistic(u, v, t1, t2, s, density=False):
-    """L = (p^s + q^s)^(1/s) at p = t1 u, q = t2 v, and its slope
-    t1 L_p - t2 L_q along u - v, both from the same three powers.
-
-    density=True adds, from the same powers, the density
-    (s-1) (t1 t2)^2 (pq)^(s-2) (p^s + q^s)^(1/s-2) for u, v > 0: the
-    second derivative along u - v where u + v = 1.  It is 0 at s = 1, may
-    be inf next to u = 0 or v = 0 at s < 2, and is NaN at them.  All
-    three are of degree 1 in (t1, t2); in (u, v) L is of order 1, the
-    slope of order 0 and the density of order -3.
-    """
-    p, q = t1 * u, t2 * v
+def _logistic(p, q, s):
+    """(L, log a, log b) of L = (p^s + q^s)^(1/s), a = p/L, b = q/L, for
+    p, q >= 0 not both 0; log 0 is -inf.  The logs go through log1p,
+    relative to the larger of p and q: powers of p, q and L themselves
+    under- or overflow at large s long before a^(s-1) and b^(s-1) do."""
     top = np.maximum(p, q)
-    p, q = p / top, q / top
-    ps, qs = p ** (s - 1.0), q ** (s - 1.0)
-    tot = ps * p + qs * q
-    # the sampler calls this at every step; freeing p and q here and
-    # reusing top for L lower the peak memory of each call
-    del p, q
-    r = tot ** (1.0 / s)
-    slope = (t1 * ps - t2 * qs) * r / tot
-    if not density:
-        top *= r
-        return top, slope
-    if s > 1.0:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dens = ((s - 1.0) * (t1 / top) * (t2 / top) * top
-                    * (ps / u) * (qs / v) * r / (tot * tot))
-    else:   # the factor s - 1 is 0, also where 1/u or 1/v overflows
-        dens = np.zeros_like(top)
-    top *= r
-    return top, slope, dens
+    low = np.log(np.minimum(p, q) / top)
+    log_r = np.log1p(np.exp(s * low)) / s
+    p_low = p < q
+    return (top * np.exp(log_r), np.where(p_low, low, 0.0) - log_r,
+            np.where(p_low, 0.0, low) - log_r)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +334,14 @@ class DependenceModel:
     def a_prime(self, w):
         raise NotImplementedError
 
-    def a_a_prime_h(self, w):
-        """A(w), A'(w) and h(w) as a triple, for callers that need all
-        three at the same fractions."""
-        return self.a(w), self.a_prime(w), self.h(w)
+    def a_vx_vy_h(self, w):
+        """A(w), the partials V_x = A - w A' and V_y = A + (1-w) A' of
+        V = (x+y) A(y/(x+y)) at the y-fraction w, and h(w): what the
+        sampler and the joint density read.  A logistic family forms V_x
+        and V_y from its kernel, where these differences cancel."""
+        w = np.asarray(w, dtype=float)
+        a, ap = np.asarray(self.a(w)), np.asarray(self.a_prime(w))
+        return a, a - w * ap, a + (1.0 - w) * ap, np.asarray(self.h(w))
 
     def h(self, w):
         raise NotImplementedError
@@ -441,13 +423,21 @@ class _LogisticModel(DependenceModel):
     """The general logistic-type measure placed on [c1, c2], c1 < 1/2 < c2:
     the asymmetric-logistic kernel L on u = w - c1 and v = c2 - w with
     weights (al, be), and end atoms with the mass the weights leave,
-    (2 c2 - 1 - al)/(c2 - c1) at c1 and (1 - 2 c1 - be)/(c2 - c1) at c2.
-    On [c1, c2] A = ((c2 - al) u + (1 - c1 - be) v + L)/(c2 - c1), below
-    it 1 - w and above it w.  At s = 1, or with a weight 0, L is linear:
-    all the mass sits at the ends and A runs straight between them.
-    """
+    k1/(c2 - c1) at c1 and k2/(c2 - c1) at c2, k1 = 2 c2 - 1 - al and
+    k2 = 1 - 2 c1 - be.  On [c1, c2] A = ((c2 - al) u + (1 - c1 - be) v
+    + L)/(c2 - c1), below it 1 - w and above it w.  At s = 1, or with a
+    weight 0, L is linear: all the mass sits at the ends and A runs
+    straight between them.
 
-    _scale = 1.0    # a power of two the kernel's weights are divided by
+    With a = al u/L and b = be v/L, the partials of V = (x+y) A(y/(x+y))
+    are sums of terms of one sign,
+
+        (c2 - c1) V_x = c2 (k2 + be b^(s-1)) - c1 al expm1((s-1) log a)
+        (c2 - c1) V_y = (1-c1)(k1 + al a^(s-1)) - (1-c2) be expm1((s-1) log b),
+
+    where A - w A' cancels next to w = 1 and A + (1-w) A' next to the
+    floor; h = (s-1)(c2 - c1) al a^(s-1) be b^(s-1)/(u v L).
+    """
 
     def __init__(self, c1, c2, al, be, s):
         self.c1, self.c2, self.s = c1, c2, s
@@ -458,41 +448,70 @@ class _LogisticModel(DependenceModel):
             al = be = 0.0
         # the end atoms, A's linear part in (u, v), A' and H less the
         # kernel's slope, each times c2 - c1
-        k1, k2 = 2.0 * c2 - 1.0 - al, 1.0 - 2.0 * c1 - be
-        self._atoms = (k1 / (c2 - c1), k2 / (c2 - c1))
-        self._lin = ((1.0 - c2) + k1, c1 + k2)
-        self._ap0, self._h0 = self._lin[0] - self._lin[1], k1 + be
+        self._k = (2.0 * c2 - 1.0 - al, 1.0 - 2.0 * c1 - be)
+        self._atoms = tuple(k / (c2 - c1) for k in self._k)
+        self._lin = ((1.0 - c2) + self._k[0], c1 + self._k[1])
+        self._ap0, self._h0 = self._lin[0] - self._lin[1], self._k[0] + be
         # A' right of c1 when an atom sits there, and on all of [c1, c2)
         # in the flat case; H = A' + 1
         self._ap_c1 = self._atoms[0] - 1.0
-        self.al, self.be = al / self._scale, be / self._scale
+        self.al, self.be = al, be
+        # L is of degree 1 in the weights, log a and log b of degree 0: the
+        # kernel runs on them over the power of two that puts the larger in
+        # [1, 2), an exact scaling that leaves two subnormal weights' products
+        # with u and v clear of 0
+        self._scale = 2.0 ** (math.frexp(max(al, be))[1] - 1)
 
-    def _kernel(self, u, v, density=False):
-        out = _logistic(u, v, self.al, self.be, self.s, density)
-        return out if self._scale == 1.0 else [self._scale * k for k in out]
+    def _kernel_terms(self, w):
+        """u and v, clipped at 0, and there L over the kernel's scale,
+        log a, log b, a^(s-1) and b^(s-1); not for a flat model."""
+        # the kernel runs at every w, clipped onto [c1, c2], and the linear
+        # tails are written over the few points outside: no subset of w
+        # goes to it, whose size would vary from call to call.  Log 0 is
+        # -inf at u = 0 or v = 0, and at s near the float limit an
+        # exponent's product overflows to -inf, whose exponential is the 0
+        # it stands for
+        u, v = np.maximum(w - self.c1, 0.0), np.maximum(self.c2 - w, 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            big_l, la, lb = _logistic(self.al / self._scale * u,
+                                      self.be / self._scale * v, self.s)
+            return (u, v, big_l, la, lb, np.exp((self.s - 1.0) * la),
+                    np.exp((self.s - 1.0) * lb))
 
     def _views(self, w):
+        """A, V_x, V_y, h and A' at w, from one kernel evaluation.  L is
+        homogeneous, so A, A', V_x and V_y pick up one factor 1/(c2 - c1),
+        and h the factor c2 - c1."""
         c1, c2, span = self.c1, self.c2, self.c2 - self.c1
-        # one kernel evaluation gives A, A' and h.  It runs at every w,
-        # clipped onto [c1, c2], and the linear tails are written over the
-        # few points outside: A = 1 - w up to and at c1, w from c2 on.  No
-        # subset of w goes to the kernel, whose size would vary from call
-        # to call.  L is homogeneous, so A, A' and H pick up one factor
-        # 1/(c2 - c1), and h the factor c2 - c1.
-        u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
         if self._flat:
-            part, ap, h = 0.0, np.full_like(w, self._ap_c1), np.zeros_like(w)
+            u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
+            big_l = ta = tb = ma = mb = h = np.zeros_like(w)
+            ap = np.full_like(w, self._ap_c1)
         else:
-            part, slope, h = self._kernel(u, v, density=True)
-            ap = (self._ap0 + slope) / span
-            h *= span
-        a = (self._lin[0] * u + self._lin[1] * v + part) / span
+            u, v, big_l, la, lb, ea, eb = self._kernel_terms(w)
+            ta, tb = self.al * ea, self.be * eb
+            ap = (self._ap0 + ta - tb) / span
+            # h is 0/0 at u = 0 or v = 0, and may overflow next to them at
+            # s < 2, as may an exponent's product at s near the float
+            # limit (see _kernel_terms); the tails are written over them
+            with np.errstate(invalid="ignore", over="ignore"):
+                h = ((self.s - 1.0) * span * (self.al / self._scale * ea / u)
+                     * (tb / v) / big_l)
+                ma = -self.al * np.expm1((self.s - 1.0) * la)
+                mb = -self.be * np.expm1((self.s - 1.0) * lb)
+            big_l = big_l * self._scale
+        a = (self._lin[0] * u + self._lin[1] * v + big_l) / span
+        vx = (c2 * (self._k[1] + tb) + c1 * ma) / span
+        vy = ((1.0 - c1) * (self._k[0] + ta) + (1.0 - c2) * mb) / span
         lo, hi = w <= c1, w >= c2
-        a[lo], ap[lo], h[lo] = 1.0 - w[lo], -1.0, 0.0
-        a[hi], ap[hi], h[hi] = w[hi], 1.0, 0.0
-        if self._atoms[0]:
+        a[lo], a[hi] = 1.0 - w[lo], w[hi]
+        h[lo | hi] = 0.0
+        if self._atoms[0]:      # at an atom at c1 A' is taken from the right
+            lo = w < c1
             ap[w == c1] = self._ap_c1
-        return a, ap, h
+        ap[lo], vx[lo], vy[lo] = -1.0, 1.0, 0.0
+        ap[hi], vx[hi], vy[hi] = 1.0, 0.0, 1.0
+        return a, vx, vy, h, ap
 
     @_array_method
     def a(self, w):
@@ -500,15 +519,15 @@ class _LogisticModel(DependenceModel):
 
     @_array_method
     def a_prime(self, w):
-        return self._views(w)[1]
+        return self._views(w)[4]
 
     @_array_method
     def h(self, w):
-        return self._views(w)[2]
+        return self._views(w)[3]
 
     @_array_method
-    def a_a_prime_h(self, w):
-        return self._views(w)
+    def a_vx_vy_h(self, w):
+        return self._views(w)[:4]
 
     @_array_method
     def H(self, w):
@@ -517,9 +536,8 @@ class _LogisticModel(DependenceModel):
         if self._flat:
             inner = self._ap_c1 + 1.0
         else:
-            slope = self._kernel(np.maximum(w - c1, 0.0),
-                                 np.maximum(c2 - w, 0.0))[1]
-            inner = (self._h0 + slope) / (c2 - c1)
+            ea, eb = self._kernel_terms(w)[5:]
+            inner = (self._h0 + self.al * ea - self.be * eb) / (c2 - c1)
         out = np.where(w < c1, 0.0, np.where(w >= c2, 2.0, inner))
         if self._atoms[0]:
             out[w == c1] = self._ap_c1 + 1.0
@@ -547,11 +565,6 @@ class AsymLogisticModel(_LogisticModel):
 
     def __init__(self, params: AsymLogisticParams):
         p = self.params = _record(params, AsymLogisticParams)
-        # the kernel is of degree 1 in its weights: it runs on them over
-        # the power of two that puts the larger in [1, 2), an exact scaling
-        # that divides no weight by more than 1, so a subnormal weight
-        # stays what it is
-        self._scale = 2.0 ** (math.frexp(max(p.theta1, p.theta2))[1] - 1)
         super().__init__(0.0, 1.0, p.theta1, p.theta2, p.s)
 
 

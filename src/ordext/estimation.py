@@ -487,6 +487,8 @@ class _RestrictedLikelihood:
     result; a value call also takes the value of a kept gradient call.
     Each is a function of those bytes and the series alone, so a kept
     result is the one the call would compute.  Kept arrays are read-only.
+    A call takes each trend's bytes once, as keys=(g_x bytes, g_y bytes),
+    and every store it reaches keys with those same objects.
     """
 
     def __init__(self, series: BivariateSeries, lam_x, lam_y):
@@ -505,7 +507,7 @@ class _RestrictedLikelihood:
         self._kept = {name: [] for name in ("terms", "x", "y", "boundary",
                                             "penalty")}
 
-    def terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
+    def terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False, keys=None):
         """Per-observation log density; -inf entries flag zero-mass points.
 
         grad=True also returns the gradient of their sum (None when a
@@ -513,26 +515,27 @@ class _RestrictedLikelihood:
         repeated; a computed one counts as an evaluation, and its -inf
         return under its reason in INFEASIBLE_REASONS.
         """
-        key = (g_x.tobytes(), g_y.tobytes(),
-               struct.pack("4d", sig_x, sig_y, xi, s))
+        keys = keys or (g_x.tobytes(), g_y.tobytes())
+        key = keys + (struct.pack("4d", sig_x, sig_y, xi, s),)
         kept, computed = _recall(
             self._kept["terms"], key,
-            lambda: self._terms(g_x, g_y, sig_x, sig_y, xi, s, grad), grad)
+            lambda: self._terms(g_x, g_y, keys, sig_x, sig_y, xi, s, grad),
+            grad)
         if computed:
             self.evaluations += 1
         else:
             self.repeated += 1
         return kept if grad else kept[0]
 
-    def _terms(self, g_x, g_y, sig_x, sig_y, xi, s, grad):
+    def _terms(self, g_x, g_y, keys, sig_x, sig_y, xi, s, grad):
         # (terms, their gradient or None)
         if not (sig_x > 0 and sig_y > 0 and s > 1.0):
             return self._infeasible("support")
-        log_ex, ex = self._scale("x", self.x, g_x, sig_x, xi)
-        log_ey, ey = self._scale("y", self.y, g_y, sig_y, xi)
+        log_ex, ex = self._scale("x", self.x, g_x, keys[0], sig_x, xi)
+        log_ey, ey = self._scale("y", self.y, g_y, keys[1], sig_y, xi)
         if not (np.isfinite(log_ex).all() and np.isfinite(log_ey).all()):
             return self._infeasible("support")
-        c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=grad)
+        c = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad, keys)
         if grad:
             c, dc = c
         if c >= 0.5:
@@ -568,20 +571,21 @@ class _RestrictedLikelihood:
         self.infeasible[reason] += 1
         return self._bad, None
 
-    def penalty(self, g_x, g_y):
+    def penalty(self, g_x, g_y, keys=None):
         return _recall(
-            self._kept["penalty"], (g_x.tobytes(), g_y.tobytes()),
+            self._kept["penalty"], keys or (g_x.tobytes(), g_y.tobytes()),
             lambda: self.lam_x * roughness(g_x) + self.lam_y * roughness(g_y)
         )[0]
 
     def penalized(self, g_x, g_y, sig_x, sig_y, xi, s, grad=False):
-        t = self.terms(g_x, g_y, sig_x, sig_y, xi, s, grad=grad)
+        keys = g_x.tobytes(), g_y.tobytes()
+        t = self.terms(g_x, g_y, sig_x, sig_y, xi, s, grad=grad, keys=keys)
         if grad:
             t, dt = t
         total = float(t.sum())
         if not math.isfinite(total):
             return (-np.inf, None) if grad else -np.inf
-        total -= self.penalty(g_x, g_y)
+        total -= self.penalty(g_x, g_y, keys)
         return (total, dt) if grad else total
 
     def infeasibility(self, g_x, g_y, sig_x, sig_y, xi, s):
@@ -605,11 +609,12 @@ class _RestrictedLikelihood:
             uy = np.where(by < 0.0, (self.y - g_y) / sig_y, 0.0).sum()
             return 1.0 + score, np.array([0.0, -xi * ux / sig_x,
                                           -xi * uy / sig_y, ux + uy])
-        c, dc = self.boundary(g_x, g_y, sig_x, sig_y, xi, grad=True)
+        keys = g_x.tobytes(), g_y.tobytes()
+        c, dc = self.boundary(g_x, g_y, sig_x, sig_y, xi, True, keys)
         if c >= 0.5:
             return 1.0 + 10.0 * (c - 0.499), \
                 np.concatenate(([0.0], 10.0 * dc))
-        frac = _y_fraction(*self.log_scales(g_x, g_y, sig_x, sig_y, xi))
+        frac = _y_fraction(*self.log_scales(g_x, g_y, sig_x, sig_y, xi, keys))
         gap = c + BOUNDARY_MARGIN - frac
         value = 100.0 * float(np.maximum(gap, 0.0).sum())
         # d frac = -frac (1 - frac) d(log e_x - log e_y)
@@ -627,31 +632,32 @@ class _RestrictedLikelihood:
             m * dc[2] + (slope * (dx_xi - dy_xi)).sum(),
         ])
 
-    def boundary(self, g_x, g_y, sig_x, sig_y, xi, grad=False):
+    def boundary(self, g_x, g_y, sig_x, sig_y, xi, grad=False, keys=None):
         def compute():
             c = _trial_boundary(g_x, g_y, sig_x, sig_y, xi, self.data_lo,
                                 self.data_hi, grad=grad)
             return (c[0], _read_only(c[1])) if grad else (c, None)
-        key = (g_x.tobytes(), g_y.tobytes(),
-               struct.pack("3d", sig_x, sig_y, xi))
+        key = (keys or (g_x.tobytes(), g_y.tobytes())) \
+            + (struct.pack("3d", sig_x, sig_y, xi),)
         kept = _recall(self._kept["boundary"], key, compute, grad)[0]
         return kept if grad else kept[0]
 
-    def log_scales(self, g_x, g_y, sig_x, sig_y, xi):
+    def log_scales(self, g_x, g_y, sig_x, sig_y, xi, keys=None):
         """log of the data on the trial exponential scales (nan or inf
         off the support)."""
-        return (self._scale("x", self.x, g_x, sig_x, xi)[0],
-                self._scale("y", self.y, g_y, sig_y, xi)[0])
+        keys = keys or (g_x.tobytes(), g_y.tobytes())
+        return (self._scale("x", self.x, g_x, keys[0], sig_x, xi)[0],
+                self._scale("y", self.y, g_y, keys[1], sig_y, xi)[0])
 
-    def _scale(self, margin, z, g, sig, xi):
+    def _scale(self, margin, z, g, g_key, sig, xi):
         # (log scale, scale) of one margin, kept together: a trend stage
         # moves one margin, and the other's exponential is not taken again
         def compute():
             with np.errstate(all="ignore"):
                 log = _read_only(log_exp_scale(z, g, sig, xi))
                 return log, _read_only(np.exp(log))
-        key = (g.tobytes(), struct.pack("2d", sig, xi))
-        return _recall(self._kept[margin], key, compute)[0]
+        return _recall(self._kept[margin], (g_key, struct.pack("2d", sig, xi)),
+                       compute)[0]
 
 
 def _initial_state(series, lam_x, lam_y, lik, start):

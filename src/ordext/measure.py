@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import DependenceModel, RestrictedLogisticParams
+from .dependence import DependenceModel, RestrictedLogisticParams, _logistic
 from .errors import BoundaryError, DomainError
 from .margins import (XI_ZERO_TOL, GevmParams, exp_scale,
                       exp_scale_log_jacobian, log_exp_scale,
@@ -72,24 +72,15 @@ class FrechetPair:
 
 def _closed_form_parts(x, y, c, s):
     """(L, log a, V_x, q, K, R, log b, b^(s-1), 1 - a^(s-1)) at y/(x+y) > c,
-    the second branch of the closed form in log form, for V, its partials
-    and the log density: with L = (R^s + (Kx)^s)^(1/s), a = R/L, b = Kx/L,
-    V = (L + cx)/(1-c), V_y = a^(s-1) and -V_xy = a^(s-1) q.
+    the second branch of the closed form, for V, its partials and the log
+    density: the logistic kernel at R and Kx gives L = (R^s + (Kx)^s)^(1/s),
+    log a and log b, a = R/L, b = Kx/L, and V = (L + cx)/(1-c),
+    V_y = a^(s-1) and -V_xy = a^(s-1) q.
     """
     K = 1.0 - 2.0 * c
     # clamped at 0 for a point that rounds onto the boundary, where V = x
     R = np.maximum((1.0 - c) * y - c * x, 0.0)
-    kx = K * x
-    # logs of a and b through log1p, relative to the larger of R and Kx:
-    # powers of R, Kx and L themselves under- or overflow at large s long
-    # before a^(s-1) and b^(s-1) do
-    top = np.maximum(R, kx)
-    low = np.log(np.minimum(R, kx) / top)
-    log_p = np.log1p(np.exp(s * low)) / s
-    L = top * np.exp(log_p)
-    r_low = R < kx
-    la = np.where(r_low, low, 0.0) - log_p
-    lb = np.where(r_low, 0.0, low) - log_p
+    L, la, lb = _logistic(R, K * x, s)
     eb = np.exp((s - 1.0) * lb)                 # b^(s-1)
     one_ea = -np.expm1((s - 1.0) * la)          # 1 - a^(s-1)
     vx = (c * one_ea + K * eb) / (1.0 - c)
@@ -240,21 +231,16 @@ def joint_survival_gevm(x, y, mx: GevmParams, my: GevmParams,
 def _joint_log_density_exp(xe, ye, model: DependenceModel):
     """log joint density on exponential margins; -inf where mass vanishes.
 
-    Built by the chain rule on exp(-V): with w the y-fraction,
-    V_x = A - w A', V_y = A + (1-w) A' and V_xy = -w (1-w) h / (x+y).
+    Built by the chain rule on exp(-V): with w the y-fraction, the model
+    gives V_x and V_y, and V_xy = -w (1-w) h / (x+y).
     """
-    xe = np.asarray(xe, dtype=float)
-    ye = np.asarray(ye, dtype=float)
+    xe, ye = np.asarray(xe, dtype=float), np.asarray(ye, dtype=float)
     total = xe + ye
     w = ye / total
-    a, ap, h = model.a_a_prime_h(w)
-    vx = a - w * ap
-    vy = a + (1.0 - w) * ap
-    vxy = -w * (1.0 - w) * h / total
-    dens = vx * vy - vxy
+    a, vx, vy, h = model.a_vx_vy_h(w)
+    dens = vx * vy + w * (1.0 - w) * h / total
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(dens > 0.0, -total * a + np.log(np.maximum(dens, 1e-300)), -np.inf)
-    return out
+        return np.where(dens > 0.0, np.log(dens) - total * a, -np.inf)
 
 
 def joint_log_density_gevm(x, y, mx: GevmParams, my: GevmParams,
@@ -299,7 +285,7 @@ def boundary_constant(mu_x, mu_y, sig_x, sig_y, xi_x, xi_y, lo, hi,
     L = -log|x - t|, g = -1/xi with L = log|x|, which a Gumbel margin's
     linear log e outgrows.  Where the g agree log D tends to a shared
     shape's tail log(sigma_x/sigma_y)/xi, or is linear (two Gumbel
-    margins).  No row left gives c = 1, log D > 700 c = 0.
+    margins).  No row left gives c = 1, log D = inf c = 0.
     """
     def const(c):
         return (c, np.zeros(3)) if grad else c
@@ -376,9 +362,10 @@ def boundary_constant(mu_x, mu_y, sig_x, sig_y, xi_x, xi_y, lo, hi,
                               math.copysign(math.inf, 1.0 / xi_x - 1.0 / xi_y),
                               0, None))
     value, i, x = min(found, key=lambda f: f[0])
-    if not -math.inf < value <= 700.0:  # D = 0, or too large for exp
+    if not -math.inf < value < math.inf:    # D = 0 or D = inf
         return const(1.0 if value < 0.0 else 0.0)
-    c = 1.0 / (1.0 + math.exp(value))
+    # past 700 exp(value) may overflow, and 1 + exp(-value) rounds to 1
+    c = 1.0 / (1.0 + math.exp(value)) if value <= 700.0 else math.exp(-value)
     if not grad:
         return c
     if x is None:   # the tail, at an infinite end or along a row

@@ -51,10 +51,9 @@ _EVEN_CUTS = np.linspace(0.0, 1.0, 257)
 _W_TOL = 1e-12
 # every draw's y-fraction is at least this far above the ordering floor
 _FLOOR_GAP = 1e-12
-_EPS4 = 4.0 * np.finfo(float).eps
 # a panel of the inverse table is certified when, at the u-midpoints of its
 # nodes, the u-error is within _U_TOL (or within what a w-error of _W_TOL w
-# gives), A within _U_TOL relative and p within _U_TOL beyond its rounding
+# gives), A within _U_TOL relative and p within _U_TOL
 _U_TOL = 1e-12
 # the panel budget, which also bounds the rounds: the benchmark models take
 # ~440 panels; a model that runs out (s within ~1e-4 of 1) leaves its
@@ -72,23 +71,15 @@ _W, _A, _P = (slice(4 + 7 * k, 11 + 7 * k) for k in range(3))
 
 
 def _angular_law(model: DependenceModel, w):
-    """F, its density g, A, the Gamma(2) share p and the rounding scale of
-    p at w, any shape, from one a_a_prime_h call: with V_x = A - w A',
-    V_y = A + (1-w) A' and e = A w(1-w) h, F = w V_y/A,
+    """F, its density g, A and the Gamma(2) share p at w, any shape, from
+    one a_vx_vy_h call: with e = A w(1-w) h, F = w V_y/A,
     g = (V_x V_y + e)/A^2 and p = V_x V_y/(V_x V_y + e).  A p below 0, and
     the 0/0 of p at a support end, read 0: the draws treat them so, as
-    v < p is false for both.  p's rounding is that of V_x, which cancels
-    next to w = 1, and of V_y, which cancels next to the floor; it is 0
-    where V_y is 0 and p with it."""
-    a, ap, h = (k.reshape(w.shape) for k in model.a_a_prime_h(w.ravel()))
-    v = 1.0 - w
-    vx, vy = a - w * ap, a + v * ap
+    v < p is false for both."""
+    a, vx, vy, h = (k.reshape(w.shape) for k in model.a_vx_vy_h(w.ravel()))
     with np.errstate(all="ignore"):
-        tot = vx * vy + a * w * v * h
-        p = np.fmax(vx * vy / tot, 0.0)
-        scale = _EPS4 * p * (1.0 - p) * ((a + w * np.abs(ap)) / np.abs(vx)
-                                         + (a + v * np.abs(ap)) / np.abs(vy))
-        return w * vy / a, tot / (a * a), a, p, np.fmax(scale, 0.0)
+        tot = vx * vy + a * w * (1.0 - w) * h
+        return w * vy / a, tot / (a * a), a, np.fmax(vx * vy / tot, 0.0)
 
 
 def _cdf_table(model: DependenceModel):
@@ -98,7 +89,7 @@ def _cdf_table(model: DependenceModel):
     atoms = [q for q, m in model.point_masses() if 0.0 < q < 1.0 and m > 0.0]
     cuts = _sorted_unique(np.concatenate([model.graded_cuts(), _EVEN_CUTS,
                                           np.nextafter(atoms, 0.0)]))
-    f, _, a, _, _ = _angular_law(model, cuts)
+    f, _, a, _ = _angular_law(model, cuts)
     if not np.isfinite(f).all():
         raise NumericError("angular cdf is not finite", achieved_tol=np.inf)
     # the cuts are distinct, so an atom found on both sides is one cut
@@ -209,7 +200,7 @@ def _build_inverse(model: DependenceModel):
         while True:
             w = lo[:, None] + (hi - lo)[:, None] * _NODES
             w[:, -1] = hi
-            u, _, a, p, _ = _angular_law(model, w)
+            u, _, a, p = _angular_law(model, w)
             u[:, 0], u[:, -1] = u_lo, u_hi
             rows = np.empty((lo.size, _P.stop))
             rows[:, 0], rows[:, 1] = u_lo, 1.0 / (u_hi - u_lo)
@@ -225,11 +216,11 @@ def _build_inverse(model: DependenceModel):
             rows[narrow, _P.start] = p[narrow, _MID]
             mid_u = 0.5 * (u[:, 1:] + u[:, :-1])
             wc, ac, pc = _evaluate(lambda k: rows[:, k, None], mid_u)
-            fw, g, aw, pw, p_round = _angular_law(model, wc)
+            fw, g, aw, pw = _angular_law(model, wc)
             u_ok = np.abs(fw - mid_u) <= np.maximum(_U_TOL, _W_TOL * wc * g)
             u_ok[narrow] = True
             ok = (u_ok & (np.abs(ac - aw) <= _U_TOL * aw)
-                  & (np.abs(pc - pw) <= _U_TOL + p_round)).all(axis=1)
+                  & (np.abs(pc - pw) <= _U_TOL)).all(axis=1)
             mid = w[:, _MID]
             split = ~ok & (mid > lo) & (mid < hi)
             over = total + split.sum() - max(_MAX_PANELS, total)
@@ -285,7 +276,7 @@ def _bisect(model: DependenceModel, u, lo, hi):
         w[i] = 0.5 * (lo[i] + hi[i])
         i = i[(hi[i] - lo[i] > _W_TOL * hi[i]) & (w[i] > lo[i])
               & (w[i] < hi[i])]
-    _, _, a, p, _ = _angular_law(model, w)
+    _, _, a, p = _angular_law(model, w)
     return w, a, p
 
 

@@ -221,8 +221,12 @@ def _masked_H(m, w):
     it was before H ran the kernel on clipped distances."""
     out = np.zeros_like(w)
     mid = (w >= m.c1) & (w < m.c2)
-    slope = _logistic(w[mid] - m.c1, m.c2 - w[mid], m.al, m.be, m.s)[1]
-    out[mid] = (m.be + slope) / (m.c2 - m.c1)
+    # the kernel runs on the weights over the model's power-of-two scale
+    with np.errstate(divide="ignore"):
+        _, la, lb = _logistic(m.al / m._scale * (w[mid] - m.c1),
+                              m.be / m._scale * (m.c2 - w[mid]), m.s)
+    out[mid] = (m.be + m.al * np.exp((m.s - 1.0) * la)
+                - m.be * np.exp((m.s - 1.0) * lb)) / (m.c2 - m.c1)
     out[w >= m.c2] = 2.0
     return out
 
@@ -287,15 +291,24 @@ def test_measure_function_equals_slope_plus_one():
 
 
 def test_one_pass_views_equal_each_view():
-    # a_a_prime_h is the sampler's and the joint density's single kernel
-    # pass; it must give the same bits as the three views one by one
+    # a_vx_vy_h is the sampler's and the joint density's single kernel
+    # pass: its A and h are the views' bits, and its V_x and V_y are
+    # A - w A' and A + (1-w) A' within the rounding of those differences
     for m in ALL_FAMILY_CASES + [PointMassModel.perfect_dependence()]:
         grid = np.unique(np.concatenate(
             [np.linspace(0.0, 1.0, 401), m.breakpoints(), [0.0, 1.0]]))
-        a, a_prime, h = m.a_a_prime_h(grid)
-        for got, view in ((a, m.a), (a_prime, m.a_prime), (h, m.h)):
+        a, vx, vy, h = m.a_vx_vy_h(grid)
+        for got, view in ((a, m.a), (h, m.h)):
             assert np.array_equal(got, view(grid)), (type(m).__name__, view)
-        assert list(m.a_a_prime_h(0.5)) == [m.a(0.5), m.a_prime(0.5), m.h(0.5)]
+        ap = m.a_prime(grid)
+        for got, diff, v in ((vx, a - grid * ap, grid),
+                             (vy, a + (1.0 - grid) * ap, 1.0 - grid)):
+            assert np.all(np.abs(got - diff) <= 1e-14 * (a + v * np.abs(ap))
+                          ), type(m).__name__
+        one = m.a_vx_vy_h(0.5)
+        assert [one[0], one[3]] == [m.a(0.5), m.h(0.5)]
+        assert [float(k) for k in one[1:3]] == [k[grid == 0.5][0]
+                                                for k in (vx, vy)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ordext import (BoundaryError, DomainError, ExpPair, FrechetPair,
                     GevmParams, NumericError, PointMassModel,
@@ -362,6 +362,8 @@ def test_c_from_margins_degenerate_and_grid_cases():
        st.floats(0.1, 10.0),
        st.one_of(st.floats(-0.45, 0.95), st.floats(-1e-8, 1e-8)),
        st.floats(-60.0, 60.0), st.floats(1e-3, 80.0))
+# log D = 705 at the window's lower end: c = exp(-705), once read as 0
+@example(-13.0, 0.0, 0.1, 3.0, 0.0, 60.0, 1.0)
 def test_shared_shape_boundary_matches_dense_scan(mu_x, gap, sig_x, sig_y, xi,
                                                   x_lo, width):
     mx, my = GevmParams(mu_x, sig_x, xi), GevmParams(mu_x + gap, sig_y, xi)
@@ -547,3 +549,88 @@ def test_closed_form_at_extreme_scales(x, y, c, s):
         wants = _closed_form_mp(*(mpmath.mpf(v) for v in (x, y, c, s)))[1:]
         for got, want in zip(v_partials(pair, c, s), wants):
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# the logistic families, each placed on [c1, c2] with weights (al, be)
+END_CASES = [("restricted", {"c": 0.25}), ("restricted", {"c": 1.0 / 33.0}),
+             ("restricted", {"c": 0.0358}), ("upper", {"c": 0.75}),
+             ("interval", {"c1": 0.25, "c2": 0.75}),
+             ("asymmetric", {"theta1": 0.4, "theta2": 0.7})]
+
+
+def _placement_mp(family, params):
+    """(c1, c2, al, be) of a family, in exact arithmetic from its record."""
+    import mpmath
+    p = {k: mpmath.mpf(v) for k, v in params.items()}
+    if family == "restricted":
+        return p["c"], 1, 1, 1 - 2 * p["c"]
+    if family == "upper":
+        return 0, p["c"], 2 * p["c"] - 1, 1
+    if family == "interval":
+        return p["c1"], p["c2"], 2 * p["c2"] - 1, 1 - 2 * p["c1"]
+    return 0, 1, p["theta1"], p["theta2"]
+
+
+def _angular_mp(family, params, s, w, total):
+    """(log density at y-fraction w and x + y = total, F, p, log a) of a
+    family, from the textbook derivatives of
+    A = ((c2 - al) u + (1 - c1 - be) v + L)/(c2 - c1), with
+    L = ((al u)^s + (be v)^s)^(1/s) and a = al u/L: V_x = A - w A' and
+    V_y = A + (1-w) A', both taken where they cancel, at 600 digits."""
+    import mpmath
+    c1, c2, al, be = _placement_mp(family, params)
+    s, w, total = (mpmath.mpf(v) for v in (s, w, total))
+    span, u, v = c2 - c1, w - c1, c2 - w
+    p, q = al * u, be * v
+    big_l = (p ** s + q ** s) ** (1 / s)
+    a = ((c2 - al) * u + (1 - c1 - be) * v + big_l) / span
+    ap = ((c2 - al) - (1 - c1 - be) + al * (p / big_l) ** (s - 1)
+          - be * (q / big_l) ** (s - 1)) / span
+    h = (s - 1) * (al * be) ** 2 * span * (p * q) ** (s - 2) \
+        / big_l ** (2 * s - 1)
+    vv = (a - w * ap) * (a + (1 - w) * ap)
+    e = a * w * (1 - w) * h
+    return (-total * a + mpmath.log(vv + e / (total * a)),
+            w * (a + (1 - w) * ap) / a, vv / (vv + e), mpmath.log(p / big_l))
+
+
+def test_density_and_angular_law_at_the_support_ends_match_high_precision():
+    # V_x = A - w A' cancels next to the upper support end and V_y =
+    # A + (1-w) A' next to the floor; formed so, the joint log density was
+    # off by 4.95 on restricted (0.25, 5) at w = c (1 + 1e-6), and F read 0
+    # on a stretch above c for (0.0358, 12.96).  The log density is
+    # checked to 1e-12 (1 + |l|) and p to 1e-12 relative where the density
+    # is a normal float, F to 4 eps (1 + (s-1)|log a|) relative, the
+    # rounding of log a carried into a^(s-1), where it is one.
+    mpmath = pytest.importorskip("mpmath")
+    from ordext.measure import _joint_log_density_exp
+    from ordext.simulate import _angular_law
+    eps = np.finfo(float).eps
+    checked = 0
+    with mpmath.workdps(600):
+        for family, params in END_CASES:
+            c1, c2 = (float(e) for e in _placement_mp(family, params)[:2])
+            for s in (1.5, 2.0, 5.0, 12.96, 48.0):
+                model = make_model(family, s=s, **params)
+                for d in (1e-9, 1e-6, 1e-3):
+                    for w0, t0 in ((c1 + d, 0.5), (c1 * (1.0 + d) or d, 3.0),
+                                   (c2 - d, 0.5), (c2 - d, 3.0)):
+                        xe, ye = t0 * (1.0 - w0), t0 * w0
+                        total = xe + ye
+                        w = ye / total
+                        ll, f, p, log_a = _angular_mp(family, params, s, w,
+                                                      total)
+                        got = _joint_log_density_exp(xe, ye, model)
+                        f_got, _, _, p_got = (
+                            float(k[0]) for k in _angular_law(model,
+                                                              np.array([w])))
+                        where = (family, params, s, w)
+                        if ll + total > -700:
+                            assert abs(got - ll) <= 1e-12 * (1 + abs(ll)), \
+                                where
+                            assert abs(p_got - p) <= 1e-12 * p, where
+                            checked += 1
+                        if f > 1e-300:
+                            tol = 4 * eps * (1 + (s - 1) * abs(log_a))
+                            assert abs(f_got - f) <= tol * f, where
+    assert checked == 338

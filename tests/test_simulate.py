@@ -126,15 +126,15 @@ def test_a_build_out_of_budget_uses_all_of_it(monkeypatch):
 
 
 def counted_points(monkeypatch):
-    """The sizes of the a_a_prime_h calls of the logistic models, as a
+    """The sizes of the a_vx_vy_h calls of the logistic models, as a
     list that grows with each call."""
-    points, kernel = [], _LogisticModel.a_a_prime_h
+    points, kernel = [], _LogisticModel.a_vx_vy_h
 
     def counted(self, w):
         points.append(np.size(w))
         return kernel(self, w)
 
-    monkeypatch.setattr(_LogisticModel, "a_a_prime_h", counted)
+    monkeypatch.setattr(_LogisticModel, "a_vx_vy_h", counted)
     return points
 
 
@@ -236,7 +236,7 @@ def test_cuts_and_table_match_the_np_unique_forms(model):
     atoms = [q for q, m in model.point_masses() if 0.0 < q < 1.0 and m > 0.0]
     cuts = np.unique(np.concatenate([cuts, simulate._EVEN_CUTS,
                                      np.nextafter(atoms, 0.0)]))
-    f, _, a, _, _ = _angular_law(model, cuts)
+    f, _, a, _ = _angular_law(model, cuts)
     old = (cuts, np.maximum.accumulate(np.clip(f, 0.0, 1.0)), a,
            np.isin(cuts, atoms))
     for new, ref in zip(simulate._cdf_table(model), old, strict=True):
