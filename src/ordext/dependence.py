@@ -44,9 +44,19 @@ DEFAULT_QUAD_TOL = 1e-10
 # parameter records
 # ---------------------------------------------------------------------------
 
+# the largest dependence strength a record accepts.  The sampler's inverse
+# table certifies every asymmetric model of the property sweep's weights up
+# to s = 2e4, and not all of them at 3e4, where the turnover needs panels
+# ~1e-9 wide; and at s = 1e308 the restricted joint density, which carries
+# the factor s - 1, overflows to +inf on x = y.  The fit keeps s in
+# [1 + 1e-6, 61].
+_MAX_STRENGTH = 1e4
+
+
 def _check_strength(s):
-    if not 1.0 <= s < math.inf:
-        raise ParameterError("dependence strength s must be finite and >= 1")
+    if not 1.0 <= s <= _MAX_STRENGTH:
+        raise ParameterError("dependence strength s must be finite and >= 1, "
+                             f"and at most {_MAX_STRENGTH:g}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +128,9 @@ class NadarajahGeneralParams:
     def __post_init__(self):
         if not (0.0 <= self.a < 0.5 < self.b <= 1.0):
             raise ParameterError("need 0 <= a < 1/2 < b <= 1")
-        if not 1.0 < self.s < math.inf:
-            raise ParameterError("the general density requires a finite s > 1")
+        _check_strength(self.s)
+        if self.s == 1.0:
+            raise ParameterError("the general density requires s > 1")
         if not (self.gamma1 >= 0.0 and self.gamma2 >= 0.0):   # NaN fails too
             raise ParameterError("atom masses must be nonnegative")
         if self.gamma1 + self.gamma2 >= 2.0:

@@ -16,10 +16,8 @@ w is a polynomial in u, and A and the Gamma(2) share p are polynomials in
 w, checked between their nodes against the kernel.  A guide table over u
 finds a pair's panel without a search (Chen & Asau, AIIE Trans. 6(2),
 1974), so a draw is a lookup and three polynomial evaluations, with no
-kernel call.  A u that falls in a panel the build could not certify is
-found by bisection on F inside the panel's w-interval, until the bracket
-is within _W_TOL of w or its midpoint rounds onto an end; a float
-interval can be halved only so often, so this always ends.
+kernel call.  A model whose table the build cannot certify within its
+panel budget raises NumericError at its first draw.
 Every draw's w is at least the ordering floor plus _FLOOR_GAP, which
 lifts the draws on an atom at the floor (s = 1) and, for s near 1, those
 within _FLOOR_GAP of it.
@@ -46,8 +44,7 @@ from .series import BivariateSeries
 _SOLVE_BLOCK = 8192
 # with the graded cuts, no cell of the table of F spans more than 1/256
 _EVEN_CUTS = np.linspace(0.0, 1.0, 257)
-# the w-resolution, relative: a panel this narrow takes a constant row,
-# and a bisection stops when its bracket is this narrow
+# the w-resolution, relative: a panel this narrow takes a constant row
 _W_TOL = 1e-12
 # every draw's y-fraction is at least this far above the ordering floor
 _FLOOR_GAP = 1e-12
@@ -56,8 +53,8 @@ _FLOOR_GAP = 1e-12
 # gives), A within _U_TOL relative and p within _U_TOL
 _U_TOL = 1e-12
 # the panel budget, which also bounds the rounds: the benchmark models take
-# ~440 panels; a model that runs out (s within ~1e-4 of 1) leaves its
-# failing panels to bisection
+# 439 and 307 panels, and s within 1e-6 of 1 under 700; a build that would
+# pass it raises NumericError
 _MAX_PANELS = 2048
 # the nodes of a panel in w: Chebyshev-Lobatto, an odd count, so the middle
 # node, where a panel that fails is split, sits exactly halfway
@@ -125,16 +122,12 @@ def _cell(guide, f, u):
 
 class _Inverse(NamedTuple):
     """The certified inverse of F: the u-edges of the panels and their
-    guide table, a row per panel, stored by columns (row j for the panel
-    _cell gives as j; row 0 is never drawn), and whether each row is
-    uncertified.  An uncertified row keeps its panel's w-interval: its
-    lower end in column 2, and its upper end as the constant w it
-    evaluates to."""
+    guide table, and a row per panel, stored by columns (row j for the
+    panel _cell gives as j; row 0 is never drawn)."""
 
     edges: np.ndarray
     panel_guide: tuple
     columns: np.ndarray
-    uncertified: np.ndarray
 
 
 def _horner(col, terms, x):
@@ -158,101 +151,89 @@ def _evaluate(col, u):
 
 
 def _power_basis(t, y):
-    """Per row, the power-basis coefficients of the polynomial through the
-    points (t_k, y_k), by Newton's divided differences; where two t_k are
-    equal they are not finite, and the panel fails its check."""
+    """Along the first axis, the power-basis coefficients of the polynomial
+    through the points (t_k, y_k), by Newton's divided differences; where
+    two t_k are equal they are not finite, and the panel fails its check."""
     c = y.copy()
-    for k in range(1, c.shape[1]):
-        c[:, k:] = (c[:, k:] - c[:, k - 1:-1]) / (t[:, k:] - t[:, :-k])
+    for k in range(1, len(c)):
+        c[k:] = (c[k:] - c[k - 1:-1]) / (t[k:] - t[:-k])
     out = np.zeros_like(c)
-    out[:, 0] = c[:, -1]
-    for k in range(c.shape[1] - 2, -1, -1):     # out (x - t_k) + c_k
-        out[:, 1:] = out[:, :-1] - t[:, k, None] * out[:, 1:]
-        out[:, 0] = c[:, k] - t[:, k] * out[:, 0]
+    out[0] = c[-1]
+    for k in range(len(c) - 2, -1, -1):     # out (x - t_k) + c_k
+        out[1:] = out[:-1] - t[k] * out[1:]
+        out[0] = c[k] - t[k] * out[0]
     return out
 
 
-# node values to power-basis coefficients in s = (w - lo)/(hi - lo): row k
-# is the Lagrange polynomial of node k (np.linalg would start LAPACK, and
-# its buffers, at import)
-_TO_POWER = _power_basis(np.tile(_NODES, (7, 1)), np.eye(7))
-
-
 def _build_inverse(model: DependenceModel):
-    """_Inverse of the model.  The panels start as the cells of the table
-    of F.  An atom's cell takes a constant row (the atom, A there, p = 0),
-    and a panel no u falls in is left out.  Each round evaluates the
-    kernel once at _NODES of every open panel and once at the u-midpoints
-    of the nodes, where it checks the interpolants; a panel that fails is
-    split at its middle node while the panel budget lasts.  A round whose
-    splits would pass the budget splits the failing panels of most u-mass
-    that fit, and leaves the rest uncertified."""
+    """_Inverse of the model, built by columns, a panel per column.  The
+    panels start as the cells of the table of F.  An atom's cell takes a
+    constant row (the atom, A there, p = 0), and a panel no u falls in is
+    left out.  Each round evaluates the kernel once at _NODES of every
+    open panel and once at the u-midpoints of the nodes, where it checks
+    the interpolants; a panel that fails is split at its middle node.  The
+    interpolants pass through the nodes as they were rounded: w at their
+    u, A and p at their panel coordinates s, which _evaluate recomputes
+    from w the same way.  Raises NumericError, with the failing panels'
+    u-mass, when the splits would pass the panel budget or a failing
+    panel's middle node rounds onto an end."""
     cuts, f, a_cut, jump = _cdf_table(model)
     lo, hi, u_lo, u_hi = cuts[:-1], cuts[1:], f[:-1], f[1:]
-    rows = np.zeros((np.count_nonzero(jump[1:]), _P.stop))
-    rows[:, 0], rows[:, _W.start] = u_lo[jump[1:]], hi[jump[1:]]
-    rows[:, _A.start] = a_cut[1:][jump[1:]]
-    done = [(lo[jump[1:]], rows, np.zeros(len(rows), dtype=bool))]
+    cols = np.zeros((_P.stop, np.count_nonzero(jump[1:])))
+    cols[0], cols[_W.start] = u_lo[jump[1:]], hi[jump[1:]]
+    cols[_A.start] = a_cut[1:][jump[1:]]
+    done = [(lo[jump[1:]], cols)]
     keep = ~jump[1:] & (u_hi > u_lo)
     lo, hi, u_lo, u_hi = lo[keep], hi[keep], u_lo[keep], u_hi[keep]
     total = cuts.size - 1
     with np.errstate(all="ignore"):
         while True:
-            w = lo[:, None] + (hi - lo)[:, None] * _NODES
-            w[:, -1] = hi
+            w = lo + (hi - lo) * _NODES[:, None]
+            w[-1] = hi
             u, _, a, p = _angular_law(model, w)
-            u[:, 0], u[:, -1] = u_lo, u_hi
-            rows = np.empty((lo.size, _P.stop))
-            rows[:, 0], rows[:, 1] = u_lo, 1.0 / (u_hi - u_lo)
-            rows[:, 2], rows[:, 3] = lo, 1.0 / (hi - lo)
-            rows[:, _W] = _power_basis((u - u_lo[:, None]) * rows[:, 1:2], w)
-            rows[:, _A], rows[:, _P] = a @ _TO_POWER, p @ _TO_POWER
+            u[0], u[-1] = u_lo, u_hi
+            cols = np.empty((_P.stop, lo.size))
+            cols[0], cols[1] = u_lo, 1.0 / (u_hi - u_lo)
+            cols[2], cols[3] = lo, 1.0 / (hi - lo)
+            t, s = (u - u_lo) * cols[1], (w - lo) * cols[3]
+            cols[_W.start:] = _power_basis(
+                np.stack([t, s, s], axis=1), np.stack([w, a, p], axis=1)
+            ).transpose(1, 0, 2).reshape(_P.stop - _W.start, -1)
             # a panel within _W_TOL of its w, or within _U_TOL of its u,
             # takes a constant row: its values at its middle node
             narrow = (hi - lo <= _W_TOL * hi) | (u_hi - u_lo <= _U_TOL)
-            rows[narrow, 1], rows[narrow, 3:] = 0.0, 0.0
-            rows[narrow, _W.start] = w[narrow, _MID]
-            rows[narrow, _A.start] = a[narrow, _MID]
-            rows[narrow, _P.start] = p[narrow, _MID]
-            mid_u = 0.5 * (u[:, 1:] + u[:, :-1])
-            wc, ac, pc = _evaluate(lambda k: rows[:, k, None], mid_u)
+            cols[1, narrow], cols[3:, narrow] = 0.0, 0.0
+            cols[_W.start, narrow] = w[_MID, narrow]
+            cols[_A.start, narrow] = a[_MID, narrow]
+            cols[_P.start, narrow] = p[_MID, narrow]
+            mid_u = 0.5 * (u[1:] + u[:-1])
+            wc, ac, pc = _evaluate(lambda k: cols[k], mid_u)
             fw, g, aw, pw = _angular_law(model, wc)
             u_ok = np.abs(fw - mid_u) <= np.maximum(_U_TOL, _W_TOL * wc * g)
-            u_ok[narrow] = True
-            ok = (u_ok & (np.abs(ac - aw) <= _U_TOL * aw)
-                  & (np.abs(pc - pw) <= _U_TOL)).all(axis=1)
-            mid = w[:, _MID]
-            split = ~ok & (mid > lo) & (mid < hi)
-            over = total + split.sum() - max(_MAX_PANELS, total)
-            if over > 0:
-                # the budget left splits the failing panels of most u-mass
-                which = np.flatnonzero(split)
-                split[which[np.argsort(u_hi[which] - u_lo[which],
-                                       kind="stable")[:over]]] = False
-            # an uncertified row is constant at its upper end in w: no NaN
-            # to warn about, and bisection reads its w-interval
-            uncertified = ~ok & ~split
-            rows[uncertified, 1], rows[uncertified, 3:] = 0.0, 0.0
-            rows[uncertified, _W.start] = hi[uncertified]
-            done.append((lo[~split], rows[~split], uncertified[~split]))
+            u_ok[:, narrow] = True
+            split = ~(u_ok & (np.abs(ac - aw) <= _U_TOL * aw)
+                      & (np.abs(pc - pw) <= _U_TOL)).all(axis=0)
+            done.append((lo[~split], cols[:, ~split]))
             if not split.any():
                 break
             total += split.sum()
-            mid, u_mid = mid[split], u[split, _MID]
+            mid, u_mid = w[_MID, split], u[_MID, split]
             lo, hi, u_lo, u_hi = lo[split], hi[split], u_lo[split], u_hi[split]
+            if total > _MAX_PANELS or not np.all((mid > lo) & (mid < hi)):
+                raise NumericError(
+                    f"inverse table not certified within {_MAX_PANELS} "
+                    "panels", achieved_tol=float(np.sum(u_hi - u_lo)))
             u_mid = np.minimum(np.maximum(u_mid, u_lo), u_hi)
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
             u_lo = np.concatenate([u_lo, u_mid])
             u_hi = np.concatenate([u_mid, u_hi])
             keep = u_hi > u_lo
             lo, hi, u_lo, u_hi = lo[keep], hi[keep], u_lo[keep], u_hi[keep]
-    lo, rows, uncertified = (np.concatenate(part) for part in zip(*done))
-    order = np.argsort(lo)
-    rows, uncertified = rows[order], uncertified[order]
-    edges = np.append(rows[:, 0], f[-1])
+    lo, cols = (np.concatenate(part, axis=-1) for part in zip(*done))
+    cols = cols[:, np.argsort(lo)]
+    edges = np.append(cols[0], f[-1])
     return _Inverse(edges, _guide(edges),
-                    np.concatenate([np.zeros((1, _P.stop)), rows]).T.copy(),
-                    np.concatenate([[False], uncertified]))
+                    np.concatenate([np.zeros((_P.stop, 1)), cols], axis=1))
 
 
 def _inverse_table(model: DependenceModel):
@@ -264,43 +245,12 @@ def _inverse_table(model: DependenceModel):
     return inverse
 
 
-def _bisect(model: DependenceModel, u, lo, hi):
-    """w in [lo, hi] with F(w) = u by bisection on F, then A(w) and the
-    Gamma(2) share.  A pair stops when its bracket is within _W_TOL of hi
-    or its midpoint rounds onto an end."""
-    w = 0.5 * (lo + hi)
-    i = np.flatnonzero((hi - lo > _W_TOL * hi) & (w > lo) & (w < hi))
-    while i.size:
-        below = _angular_law(model, w[i])[0] < u[i]
-        lo[i[below]], hi[i[~below]] = w[i[below]], w[i[~below]]
-        w[i] = 0.5 * (lo[i] + hi[i])
-        i = i[(hi[i] - lo[i] > _W_TOL * hi[i]) & (w[i] > lo[i])
-              & (w[i] < hi[i])]
-    _, _, a, p = _angular_law(model, w)
-    return w, a, p
-
-
-def _draw_block(model: DependenceModel, inverse: _Inverse, u):
-    """w, A(w) and the Gamma(2) share for one block, through the inverse
-    table; a u in an uncertified panel is found by bisection in it."""
-    j = _cell(inverse.panel_guide, inverse.edges, u)
-    # one column at a time: the block's rows at once would set the heap peak
-    w, a, p = _evaluate(lambda k: inverse.columns[k].take(j), u)
-    k = np.flatnonzero(inverse.uncertified[j])
-    if k.size:
-        w[k], a[k], p[k] = _bisect(model, u[k],
-                                   inverse.columns[2].take(j[k]), w[k])
-    return w, a, p
-
-
 def sample_pairs(model: DependenceModel, n, rng):
     """Draw n exponential-scale pairs from the model, from two uniforms
     and two unit exponentials per pair, all drawn first, through the
-    model's inverse table, which the first call builds and keeps.  A u in
-    a panel the build left uncertified is found by bisection on F in the
-    panel's w-interval, which stops when the bracket is within _W_TOL of
-    w or its midpoint rounds onto an end.  Raises NumericError if F is
-    not finite on the table of F."""
+    model's inverse table, which the first call builds and keeps.  Raises
+    NumericError if F is not finite on the table of F or the table cannot
+    be certified."""
     if n < 1:
         raise ParameterError("sample size must be positive")
     u, v = rng.random((2, n))
@@ -308,9 +258,12 @@ def sample_pairs(model: DependenceModel, n, rng):
     x, y = rng.exponential(size=(2, n))
     inverse = _inverse_table(model)
     floor = model.ordering_floor() + _FLOOR_GAP
-    for k in range(0, n, _SOLVE_BLOCK):
-        b = slice(k, k + _SOLVE_BLOCK)
-        w, a, p = _draw_block(model, inverse, u[b])
+    for start in range(0, n, _SOLVE_BLOCK):
+        b = slice(start, start + _SOLVE_BLOCK)
+        j = _cell(inverse.panel_guide, inverse.edges, u[b])
+        # one column at a time: the block's rows at once would set the heap
+        # peak
+        w, a, p = _evaluate(lambda k: inverse.columns[k].take(j), u[b])
         t = (x[b] + np.where(v[b] < p, y[b], 0.0)) / a
         w = np.maximum(w, floor)
         x[b], y[b] = t * (1.0 - w), t * w

@@ -583,10 +583,13 @@ def test_options_flags_defaults_and_help_are_pinned():
     (("--mu-x", "-1e308", "--slope-x", "-1e308"),
      "linear trend overflows the float range"),
     (("--s", "inf"), "dependence strength s must be finite and >= 1"),
-], ids=["slope_inf", "slope_nan", "trend_overflow", "s_inf"])
+    (("--s", "1e308"), "and at most 10000"),
+], ids=["slope_inf", "slope_nan", "trend_overflow", "s_inf", "s_huge"])
 def test_records_refuse_non_finite_values(tmp_path, capsys, argv, message):
     # once a numpy warning and a misleading "x has a NaN or infinite
-    # value", or for s = inf exit 0 with a density of +inf
+    # value", or for s = inf exit 0 with a density of +inf, and for
+    # s = 1e308 a density of +inf on x = y (the family is restricted,
+    # c = 0.25)
     margins = {"--mu-x": "100", "--sigma-x": "4", "--xi-x": "0.2",
                "--mu-y": "150", "--sigma-y": "2", "--xi-y": "0.2"}
     margins.update(zip(argv[::2], argv[1::2]))

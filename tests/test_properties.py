@@ -22,7 +22,7 @@ from hypothesis import (Phase, assume, example, given,  # noqa: E402
 
 from ordext import (AsymLogisticParams, BivariateSeries,  # noqa: E402
                     CurveTable, ExpPair, FitResult, GevmParams, InputError,
-                    NumericError, OrdextError, joint_log_density_gevm,
+                    NumericError, ParameterError, joint_log_density_gevm,
                     make_model,
                     pickands_modified, pickands_raw, sample_pairs, v_closed,
                     v_from_a, v_numeric,
@@ -274,18 +274,6 @@ def test_sample_pairs_never_raises(model, seed, n):
     assert np.all(ye / (xe + ye) > model.ordering_floor())
 
 
-def test_newton_steps_stop_where_the_cdf_is_flat(monkeypatch):
-    # the 20,000-pair example above with the fallback forced: a zero panel
-    # budget leaves 62 % of its u-mass, and 12,317 of its draws, to
-    # bisection
-    monkeypatch.setattr(simulate, "_MAX_PANELS", 0)
-    model = make_model("restricted", c=0.03584706133560239,
-                       s=12.960043900521248)
-    xe, ye = sample_pairs(model, 20_000, np.random.default_rng(225))
-    assert np.isfinite(xe).all() and np.isfinite(ye).all()
-    assert np.all(ye / (xe + ye) > model.ordering_floor())
-
-
 @given(st.one_of(
     st.sampled_from(ALL_FAMILY_CASES),
     family_models(any_strength),
@@ -296,17 +284,18 @@ def test_newton_steps_stop_where_the_cdf_is_flat(monkeypatch):
 @example(SUBNORMAL_WEIGHTS, 0)
 @example(make_model("restricted", c=0.25, s=1.0), 0)
 def test_inverse_table_is_certified(model, seed):
-    # at random u in certified panels: the u-error within _U_TOL, or w
-    # within _W_TOL w of the inverse (F(w -+ d) bracket u); on a polynomial
-    # panel A within _U_TOL relative and p within _U_TOL.  The build checks
-    # these at the u-midpoints of the nodes only, so the bounds here are
-    # twice its tolerances.
-    inverse = simulate._build_inverse(model)
-    if any(model is case for case in ALL_FAMILY_CASES):
-        assert not inverse.uncertified[1:].any()
-    u = np.random.default_rng(seed).random(2000)
+    assert_table_inverts_the_cdf(
+        model, np.random.default_rng(seed).random(2000))
+
+
+def assert_table_inverts_the_cdf(model, u):
+    """At each u: the u-error within _U_TOL, or w within _W_TOL w of the
+    inverse (F(w -+ d) bracket u); on a polynomial panel A within _U_TOL
+    relative and p within _U_TOL.  The build checks these at the
+    u-midpoints of the nodes only, so the bounds here are twice its
+    tolerances."""
+    inverse = simulate._inverse_table(model)
     j = simulate._cell(inverse.panel_guide, inverse.edges, u)
-    u, j = u[~inverse.uncertified[j]], j[~inverse.uncertified[j]]
     w, a, p = simulate._evaluate(lambda k: inverse.columns[k][j], u)
     d = 2.0 * simulate._W_TOL * w
     with np.errstate(all="ignore"):
@@ -315,7 +304,7 @@ def test_inverse_table_is_certified(model, seed):
         above = simulate._angular_law(model, w + d)[0]
     u_ok = ((np.abs(f - u) <= 2.0 * simulate._U_TOL)
             | ((below <= u) & (u <= above)))
-    assert u_ok.all(), (w[~u_ok], u[~u_ok], f[~u_ok])
+    assert u_ok.all(), (model.params, w[~u_ok], u[~u_ok], f[~u_ok])
     poly = inverse.columns[1][j] != 0.0
     assert np.all(np.abs(a - a_w)[poly] <= 2.0 * simulate._U_TOL * a_w[poly])
     assert np.all(np.abs(p - p_w)[poly] <= 2.0 * simulate._U_TOL)
@@ -363,47 +352,72 @@ def sweep_specs(strengths):
 
 
 def every_call_is_finite_or_refused(spec, n):
-    """make_model, then A, A', h and H on a grid with the support ends,
-    n sampled pairs and the joint log density on data-scale points, x = y
-    among them: each call gives finite values (-inf for a log density off
-    the support) or raises an OrdextError."""
-    def check(call, log=False):
-        try:
-            out = np.asarray(call(), dtype=float)
-        except OrdextError:
-            return
-        assert np.all(np.isfinite(out) | (log & (out == -np.inf))), spec
-
+    """make_model, which may refuse the spec with a ParameterError; then,
+    on the model it accepts, A, A', h and H on a grid with the support
+    ends, n sampled pairs and the joint log density on data-scale points,
+    x = y among them, each of which gives finite values (-inf for a log
+    density off the support)."""
     try:
         model = make_model(spec[0], **spec[1])
-    except OrdextError:
+    except ParameterError:
         return
     w = np.concatenate([np.linspace(0.0, 1.0, 101), model.support()])
     for view in (model.a, model.a_prime, model.h, model.H):
-        check(lambda: view(w))
-    check(lambda: np.concatenate(sample_pairs(model, n,
-                                              np.random.default_rng(n))))
+        assert np.isfinite(view(w)).all(), spec
+    pairs = sample_pairs(model, n, np.random.default_rng(n))
+    assert np.isfinite(pairs).all(), spec
     x, y = (v.ravel() for v in np.meshgrid([-1.0, 0.0, 0.5, 2.0],
                                            [-1.0, 0.0, 0.5, 2.0]))
     gumbel = GevmParams(0.0, 1.0, 0.0)
-    check(lambda: joint_log_density_gevm(x, y, gumbel, gumbel, model),
-          log=True)
+    out = joint_log_density_gevm(x, y, gumbel, gumbel, model)
+    assert np.all(np.isfinite(out) | (out == -np.inf)), spec
 
 
 @settings(max_examples=300)
-@given(sweep_specs([1.0, 1.0 + 1e-12, 1.0 + 1e-6, 48.0, 1e6]),
+@given(sweep_specs([1.0, 1.0 + 1e-12, 1.0 + 1e-6, 48.0, 1e4, 1e6]),
        st.integers(1, 100))
 def test_every_family_call_is_finite_or_refused(spec, n):
     every_call_is_finite_or_refused(spec, n)
 
 
-@pytest.mark.xfail(strict=True, reason="at s = 1e308 h overflows next to "
-                   "the turnover, and the joint log density is +inf there, "
-                   "on x = y for the restricted family")
+# the records refuse s above 1e4: at 1e308 h overflowed next to the
+# turnover, and the restricted joint log density was +inf on x = y
 @settings(max_examples=50, phases=[Phase.explicit, Phase.generate])
 @given(sweep_specs([1e308]), st.integers(1, 100))
 def test_strength_at_the_float_limit_is_finite_or_refused(spec, n):
     every_call_is_finite_or_refused(spec, n)
+
+
+# the sweep's constants at these strengths: each model builds its inverse
+# table, which inverts F in the middle of each of its panels, or its record
+# refuses it
+GRID_STRENGTHS = [1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.5, 2.0,
+                  12.96, 48.0, 1e3, 1e4]
+
+
+def test_every_sweep_grid_model_certifies_its_table_or_is_refused():
+    uncertified = []
+    for s in GRID_STRENGTHS:
+        specs = ([("restricted", {"c": c, "s": s}) for c in SWEEP_LOW_C]
+                 + [("upper", {"c": c, "s": s}) for c in SWEEP_HIGH_C]
+                 + [("interval", {"c1": c1, "c2": c2, "s": s})
+                    for c1 in SWEEP_LOW_C for c2 in SWEEP_HIGH_C]
+                 + [("asymmetric", {"theta1": t1, "theta2": t2, "s": s})
+                    for t1 in SWEEP_WEIGHTS for t2 in SWEEP_WEIGHTS])
+        for family, params in specs:
+            try:
+                model = make_model(family, **params)
+            except ParameterError:
+                continue
+            try:
+                edges = simulate._inverse_table(model).edges
+            except NumericError as exc:
+                uncertified.append((family, params, exc.achieved_tol))
+                continue
+            # the middle of every panel in u, below 1 as a draw's u is
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            assert_table_inverts_the_cdf(model, mid[mid < 1.0])
+    assert not uncertified
 
 
 # exponential-scale values: 0 or a normal float (the reference rounds

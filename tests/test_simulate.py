@@ -11,9 +11,10 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import chi2, kstest, spearmanr
 
 import ordext
-from ordext import (GevmParams, ParameterError, PointMassModel, StudyConfig,
-                    TrendSpec, joint_log_density_gevm, make_model, run_study,
-                    sample_pair, sample_pairs, simulate)
+from ordext import (GevmParams, NumericError, ParameterError, PointMassModel,
+                    StudyConfig, TrendSpec, joint_log_density_gevm,
+                    make_model, run_study, sample_pair, sample_pairs,
+                    simulate)
 from ordext.dependence import _GRADING, _LogisticModel
 from ordext.simulate import _angular_law
 from test_dependence import ALL_FAMILY_CASES
@@ -70,59 +71,30 @@ def test_perfect_dependence_draws_lie_on_the_diagonal():
 
 
 def test_draws_do_not_depend_on_the_block_size(monkeypatch):
-    for model in (make_model("restricted", c=0.3, s=1.3),
-                  make_model("interval", c1=0.25, c2=0.75, s=2.0),
-                  make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0)):
-        draws = []
-        for block in (7, 1000):
-            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
-            draws.append(sample_pairs(model, 1000, np.random.default_rng(6)))
-        assert np.array_equal(draws[0][1], draws[1][1])
+    for n, models in (
+            (1000, (make_model("restricted", c=0.3, s=1.3),
+                    make_model("interval", c1=0.25, c2=0.75, s=2.0),
+                    make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0))),
+            (10_000, (make_model("restricted", c=0.3, s=1.3),
+                      make_model("interval", c1=0.25, c2=0.75, s=2.0)))):
+        for model in models:
+            draws = []
+            for block in (7, 1000):
+                monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
+                draws.append(sample_pairs(model, n, np.random.default_rng(6)))
+            assert np.array_equal(draws[0][0], draws[1][0])
+            assert np.array_equal(draws[0][1], draws[1][1])
 
 
-def force_bisection(monkeypatch, models=()):
-    """A panel budget below the cells' count splits no panel, so the cells
-    that fail their first check are left uncertified and their draws are
-    found by bisection; the given models, which may hold a table, build
-    theirs afresh, and get back what they held after the test."""
-    monkeypatch.setattr(simulate, "_MAX_PANELS", 0)
-    for model in models:
-        monkeypatch.setitem(model.__dict__, "_inverse", None)
-
-
-def test_table_draws_do_not_depend_on_the_block_size(monkeypatch):
-    # with the fallback forced a block mixes table and bisection pairs
-    # (restricted (0.3, 1.3) leaves 19 % of its u-mass to bisection,
-    # interval (0.25, 0.75, 2) none)
-    force_bisection(monkeypatch)
-    for model in (make_model("restricted", c=0.3, s=1.3),
-                  make_model("interval", c1=0.25, c2=0.75, s=2.0)):
-        draws = []
-        for block in (7, 1000):
-            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
-            draws.append(sample_pairs(model, 10_000,
-                                      np.random.default_rng(6)))
-        assert np.array_equal(draws[0][0], draws[1][0])
-        assert np.array_equal(draws[0][1], draws[1][1])
-        inverse = simulate._inverse_table(model)
-        share = np.diff(inverse.edges)[inverse.uncertified[1:]].sum()
-        assert share > 1e-3 if model.s == 1.3 else share == 0.0
-
-
-def test_a_build_out_of_budget_uses_all_of_it(monkeypatch):
-    # restricted (0.3, 1.3) starts from its cells and certifies after 30
-    # splits; with k < 30 splits left in the budget the build makes k more
-    # panels, where a round that would pass the budget once split none
-    cells = simulate._cdf_table(make_model("restricted", c=0.3, s=1.3))[0]
-    panels, shares = [], []
-    for k in (0, 1, 7, 29):
-        monkeypatch.setattr(simulate, "_MAX_PANELS", cells.size - 1 + k)
-        inverse = simulate._build_inverse(make_model("restricted", c=0.3,
-                                                     s=1.3))
-        panels.append(inverse.columns.shape[1] - 1)
-        shares.append(np.diff(inverse.edges)[inverse.uncertified[1:]].sum())
-    assert panels == [panels[0] + k for k in (0, 1, 7, 29)]
-    assert shares[0] > shares[1] > shares[2] > shares[3] > 0.0
+def test_a_build_out_of_budget_raises(monkeypatch):
+    # restricted (0.3, 1.3) splits some of its cells before it certifies;
+    # a panel budget below the cells' count allows no split
+    model = make_model("restricted", c=0.3, s=1.3)
+    cells = simulate._cdf_table(model)[0].size - 1
+    monkeypatch.setattr(simulate, "_MAX_PANELS", cells - 1)
+    with pytest.raises(NumericError, match="not certified") as refused:
+        sample_pairs(model, 10, np.random.default_rng(0))
+    assert 0.0 < refused.value.achieved_tol <= 1.0
 
 
 def counted_points(monkeypatch):
@@ -210,13 +182,6 @@ def test_draws_follow_the_joint_survival():
         assert np.max(np.abs(z)) <= 4.0, (model.params, z)
 
 
-def test_newton_draws_follow_the_joint_survival(monkeypatch):
-    # the same check with the fallback forced: every cell that fails its
-    # first check is left to bisection
-    force_bisection(monkeypatch, LAW_MODELS)
-    test_draws_follow_the_joint_survival()
-
-
 def old_graded_cuts(model):
     edges = np.array([0.0, *model.split_points(), 1.0])
     lo, hi = edges[:-1, None], edges[1:, None]
@@ -275,13 +240,6 @@ def test_sample_pairs_heap_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 5.21 * 2 ** 20
-
-
-def test_newton_sample_pairs_heap_peak(monkeypatch):
-    # the same bound with the fallback forced, where a block's bisection
-    # steps replace its table reads
-    force_bisection(monkeypatch)
-    test_sample_pairs_heap_peak()
 
 
 def test_sampler_size_validation():
