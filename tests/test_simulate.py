@@ -71,19 +71,29 @@ def test_perfect_dependence_draws_lie_on_the_diagonal():
 
 
 def test_draws_do_not_depend_on_the_block_size(monkeypatch):
-    for n, models in (
-            (1000, (make_model("restricted", c=0.3, s=1.3),
-                    make_model("interval", c1=0.25, c2=0.75, s=2.0),
-                    make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0))),
-            (10_000, (make_model("restricted", c=0.3, s=1.3),
-                      make_model("interval", c1=0.25, c2=0.75, s=2.0)))):
-        for model in models:
-            draws = []
-            for block in (7, 1000):
-                monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
-                draws.append(sample_pairs(model, n, np.random.default_rng(6)))
-            assert np.array_equal(draws[0][0], draws[1][0])
-            assert np.array_equal(draws[0][1], draws[1][1])
+    for model in (make_model("restricted", c=0.3, s=1.3),
+                  make_model("interval", c1=0.25, c2=0.75, s=2.0),
+                  make_model("asymmetric", theta1=0.4, theta2=0.7, s=3.0)):
+        draws = []
+        for block in (7, 1000):
+            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
+            draws.append(sample_pairs(model, 1000, np.random.default_rng(6)))
+        assert np.array_equal(draws[0][0], draws[1][0])
+        assert np.array_equal(draws[0][1], draws[1][1])
+
+
+def test_table_draws_do_not_depend_on_the_block_size(monkeypatch):
+    # 10,000 pairs span many blocks of 7 and several of 1000, and each
+    # block reads the one certified table
+    for model in (make_model("restricted", c=0.3, s=1.3),
+                  make_model("interval", c1=0.25, c2=0.75, s=2.0)):
+        draws = []
+        for block in (7, 1000):
+            monkeypatch.setattr(simulate, "_SOLVE_BLOCK", block)
+            draws.append(sample_pairs(model, 10_000,
+                                      np.random.default_rng(6)))
+        assert np.array_equal(draws[0][0], draws[1][0])
+        assert np.array_equal(draws[0][1], draws[1][1])
 
 
 def test_a_build_out_of_budget_raises(monkeypatch):
