@@ -100,7 +100,7 @@ COMMAND_OPTIONS = {
         "data": Option(_STR, None, "input CSV (required)", True),
         "lambda_x": Option(_FLOAT, 1000.0, "smoothing weight for the X trend"),
         "lambda_y": Option(_FLOAT, 1000.0, "smoothing weight for the Y trend"),
-        "max_outer": Option(_INT, 60, "outer map cap"),
+        "max_outer": Option(_INT, FitConfig.max_outer, "outer map cap"),
         "out_dir": Option(_STR, None, "output directory (required)", True),
     },
     "depfn": {
@@ -135,7 +135,8 @@ COMMAND_OPTIONS = {
                            "smoothing weight for the X trend"),
         "lambda_y": Option(_FLOAT, STUDY_DESIGN["lambda_y"],
                            "smoothing weight for the Y trend"),
-        "max_outer": Option(_INT, 60, "outer map cap per fit"),
+        "max_outer": Option(_INT, FitConfig.max_outer,
+                            "outer map cap per fit"),
         "out_dir": Option(_STR, None, "output directory (required)", True),
     },
 }
@@ -419,7 +420,8 @@ def _medians(fits, keys):
 def run_study_pipeline(seed, out_dir, reps=STUDY_DESIGN["reps"],
                        n_times=STUDY_DESIGN["n_times"],
                        lambda_x=STUDY_DESIGN["lambda_x"],
-                       lambda_y=STUDY_DESIGN["lambda_y"], max_outer=60):
+                       lambda_y=STUDY_DESIGN["lambda_y"],
+                       max_outer=FitConfig.max_outer):
     """End-to-end reference study: simulate, fit every replicate, emit
     the parameter summary, both boundary estimates, and all figure data.
 

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ParameterError
 
 DEFAULT_QUAD_TOL = 1e-10
+MOMENT_TOL = 1e-8       # validate_dependence's bound on |moment - 1|
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +458,12 @@ class _LogisticModel(DependenceModel):
         self._flat = s == 1.0 or al == 0.0 or be == 0.0
         if self._flat:      # the weights carry nothing, the atoms all
             al = be = 0.0
-        # the end atoms, A's linear part in (u, v), A' and H less the
-        # kernel's slope, each times c2 - c1
+        # the end atoms, A's linear part in (u, v) and H less the kernel's
+        # slope, each times c2 - c1
         self._k = (2.0 * c2 - 1.0 - al, 1.0 - 2.0 * c1 - be)
         self._atoms = tuple(k / (c2 - c1) for k in self._k)
         self._lin = ((1.0 - c2) + self._k[0], c1 + self._k[1])
-        self._ap0, self._h0 = self._lin[0] - self._lin[1], self._k[0] + be
-        # A' right of c1 when an atom sits there, and on all of [c1, c2)
-        # in the flat case; H = A' + 1
-        self._ap_c1 = self._atoms[0] - 1.0
+        self._h0 = self._k[0] + be
         self.al, self.be = al, be
         # L is of degree 1 in the weights, log a and log b of degree 0: the
         # kernel runs on them over the power of two that puts the larger in
@@ -490,18 +488,16 @@ class _LogisticModel(DependenceModel):
                     np.exp((self.s - 1.0) * lb))
 
     def _views(self, w):
-        """A, V_x, V_y, h and A' at w, from one kernel evaluation.  L is
-        homogeneous, so A, A', V_x and V_y pick up one factor 1/(c2 - c1),
-        and h the factor c2 - c1."""
+        """A, V_x, V_y and h at w, from one kernel evaluation.  L is
+        homogeneous, so A, V_x and V_y pick up one factor 1/(c2 - c1), and
+        h the factor c2 - c1."""
         c1, c2, span = self.c1, self.c2, self.c2 - self.c1
         if self._flat:
             u, v = np.maximum(w - c1, 0.0), np.maximum(c2 - w, 0.0)
             big_l = ta = tb = ma = mb = h = np.zeros_like(w)
-            ap = np.full_like(w, self._ap_c1)
         else:
             u, v, big_l, la, lb, ea, eb = self._kernel_terms(w)
             ta, tb = self.al * ea, self.be * eb
-            ap = (self._ap0 + ta - tb) / span
             # h is 0/0 at u = 0 or v = 0, and may overflow next to them at
             # s < 2, as may an exponent's product at s near the float
             # limit (see _kernel_terms); the tails are written over them
@@ -517,12 +513,11 @@ class _LogisticModel(DependenceModel):
         lo, hi = w <= c1, w >= c2
         a[lo], a[hi] = 1.0 - w[lo], w[hi]
         h[lo | hi] = 0.0
-        if self._atoms[0]:      # at an atom at c1 A' is taken from the right
-            lo = w < c1
-            ap[w == c1] = self._ap_c1
-        ap[lo], vx[lo], vy[lo] = -1.0, 1.0, 0.0
-        ap[hi], vx[hi], vy[hi] = 1.0, 0.0, 1.0
-        return a, vx, vy, h, ap
+        if self._atoms[0]:      # with an atom at c1, V_x and V_y at c1
+            lo = w < c1         # are their limits from the right
+        vx[lo], vy[lo] = 1.0, 0.0
+        vx[hi], vy[hi] = 0.0, 1.0
+        return a, vx, vy, h
 
     @_array_method
     def a(self, w):
@@ -530,7 +525,7 @@ class _LogisticModel(DependenceModel):
 
     @_array_method
     def a_prime(self, w):
-        return self._views(w)[4]
+        return self.H(w) - 1.0
 
     @_array_method
     def h(self, w):
@@ -538,20 +533,22 @@ class _LogisticModel(DependenceModel):
 
     @_array_method
     def a_vx_vy_h(self, w):
-        return self._views(w)[:4]
+        return self._views(w)
 
     @_array_method
     def H(self, w):
-        # on clipped distances, as in _views: 0 below c1, 2 from c2 on
+        # on clipped distances, as in _views: 0 below c1, 2 from c2 on; the
+        # atom at c1, if any, is counted at c1, and in the flat case it is
+        # all H holds inside
         c1, c2 = self.c1, self.c2
         if self._flat:
-            inner = self._ap_c1 + 1.0
+            inner = self._atoms[0]
         else:
             ea, eb = self._kernel_terms(w)[5:]
             inner = (self._h0 + self.al * ea - self.be * eb) / (c2 - c1)
         out = np.where(w < c1, 0.0, np.where(w >= c2, 2.0, inner))
         if self._atoms[0]:
-            out[w == c1] = self._ap_c1 + 1.0
+            out[w == c1] = self._atoms[0]
         return out
 
     def support(self):
@@ -744,14 +741,13 @@ class ValidationReport:
         ]
 
 
-def validate_dependence(model: DependenceModel, n=101,
-                        moment_tol=1e-8) -> ValidationReport:
+def validate_dependence(model: DependenceModel, n=101) -> ValidationReport:
     """Check the defining properties of a dependence family on a grid.
 
     Verifies the endpoint values A(0) = A(1) = 1, the envelope
     max(w, 1-w) <= A <= 1, discrete convexity, and both first moments of
-    the spectral measure (by quadrature of the measure function H, which
-    counts the atoms).  Failures are reported, not raised.
+    the spectral measure to MOMENT_TOL (by quadrature of the measure
+    function H, which counts the atoms).  Failures are reported, not raised.
     """
     if n < 3:
         raise ParameterError("grid size must be at least 3")
@@ -786,7 +782,7 @@ def validate_dependence(model: DependenceModel, n=101,
         for name, moment in (("moment_q", big_g.moment),
                              ("moment_1mq", big_g.g[-1])):
             checks.append(ValidationCheck(
-                name, abs(moment - 1.0) <= moment_tol,
+                name, abs(moment - 1.0) <= MOMENT_TOL,
                 f"moment from the measure function = {moment:.12f}"))
 
     return ValidationReport(checks)

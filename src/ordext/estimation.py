@@ -76,6 +76,8 @@ from .series import BivariateSeries
 XI_BOUNDS = (-0.45, 0.95)       # box for the shared shape xi
 BOUNDARY_MARGIN = 1e-3          # least gap between y-fractions and c
 TREND_MAX_ITER = 50             # Newton steps per trend stage
+TREND_TOL = 1e-12               # relative gain at which a trend stage ends
+OUTER_TOL = 1e-8                # relative gain at which the outer loop stalls
 SCALAR_MAX_ITER = 60            # L-BFGS-B iterations per scalar start
 SQUAREM_TRIES = 3               # SQUAREM step lengths tried per cycle
 # why a likelihood evaluation is -inf: bad scalars or an observation off
@@ -119,7 +121,24 @@ class PickandsCurve:
             raise InputError("omega and value grids must have equal length")
 
 
-def _check_sample(xe, ye):
+# a sample whose largest value lies outside [2^-960, 2^960] is multiplied
+# by the power of two 2^-e that puts that value in [1/2, 1), which is exact
+# for every value it keeps in the normal range; x + y, sums of up to 2^60
+# values and their ratios to a fraction then stay in range.  The modified
+# estimate is free of each margin's scale and the smallest y-fraction of a
+# common one, and the raw estimate takes the factor 2^-e back
+_EXPONENT_RANGE = 960
+
+
+def _exponent(top):
+    e = math.frexp(top)[1]
+    return e if abs(e) > _EXPONENT_RANGE else 0
+
+
+def _check_sample(xe, ye, each=False):
+    """The sample as float arrays, rescaled as above (each margin on its
+    own with each=True), and the exponent e of x's rescale (the common one
+    with each=False); InputError if it is not a sample of pairs."""
     xe = np.asarray(xe, dtype=float)
     ye = np.asarray(ye, dtype=float)
     if xe.size == 0 or ye.size == 0:
@@ -130,12 +149,16 @@ def _check_sample(xe, ye):
         raise InputError("sample has a non-finite value")
     if np.any(xe < 0.0) or np.any(ye < 0.0):
         raise InputError("sample has a negative value")
-    if np.any(xe + ye == 0.0):
-        raise InputError("sample has a pair with x + y = 0")
+    tops = (xe.max(), ye.max()) if each else (max(xe.max(), ye.max()),) * 2
+    ex, ey = map(_exponent, tops)
+    xe, ye = (np.ldexp(v, -e) if e else v for v, e in ((xe, ex), (ye, ey)))
+    if np.any((xe == 0.0) & (ye == 0.0)):
+        raise InputError("sample has a pair with x + y = 0, or too small "
+                         "to keep beside its largest value")
     if not np.any((xe > 0.0) & (ye > 0.0)):
         # at every 0 < w < 1 each pooled minimum would be 0, and A = inf
         raise InputError("sample has no pair with x > 0 and y > 0")
-    return xe, ye
+    return xe, ye, ex
 
 
 # a rounded y-fraction fl(y/(x+y)) is within eps of the exact one, and the
@@ -163,7 +186,10 @@ def _pooled_minimum_mean(xe, ye, w):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     _check_unit_interval(w)
     n = xe.size
-    k = ye / (xe + ye)
+    # a pair that the mean rescaling rounds to (0, 0) has a NaN k, which
+    # sorts last, and adds 0 on either side of its split
+    with np.errstate(invalid="ignore"):
+        k = ye / (xe + ye)
     order = np.argsort(k)
     lo = np.searchsorted(k, w - _TIE, sorter=order)
     hi = np.searchsorted(k, w + _TIE, side="right", sorter=order)
@@ -190,15 +216,25 @@ def _pooled_minimum_mean(xe, ye, w):
     return out
 
 
+def _inverse_mean(xe, ye, w, e=0):
+    """2^-e / (mean pooled minimum) at each w; InputError where that lies
+    past the float range."""
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.ldexp(1.0 / _pooled_minimum_mean(xe, ye, w), -e)
+    if not np.isfinite(out).all():
+        raise InputError("the estimate lies past the float range")
+    return out
+
+
 def pickands_raw(xe, ye, w):
     """Pooled-minimum estimate of A(w); biased at the endpoints.
 
     At w = 0 the statistic degenerates to the sample mean of X, so the
     estimate is 1/mean(X) rather than 1 (and 1/mean(Y) at w = 1).
     """
-    xe, ye = _check_sample(xe, ye)
+    xe, ye, e = _check_sample(xe, ye)
     scalar = np.ndim(w) == 0
-    out = 1.0 / _pooled_minimum_mean(xe, ye, w)
+    out = _inverse_mean(xe, ye, w, e)
     return float(out[0]) if scalar else out
 
 
@@ -209,10 +245,10 @@ def pickands_modified(xe, ye, w):
     max(w, 1-w); both identities hold analytically, and the return value
     is clamped onto them to guard against last-ulp rounding.
     """
-    xe, ye = _check_sample(xe, ye)
+    xe, ye, _ = _check_sample(xe, ye, each=True)
     scalar = np.ndim(w) == 0
     warr = np.atleast_1d(np.asarray(w, dtype=float))
-    out = 1.0 / _pooled_minimum_mean(xe / np.mean(xe), ye / np.mean(ye), warr)
+    out = _inverse_mean(xe / np.mean(xe), ye / np.mean(ye), warr)
     out = np.maximum(out, np.maximum(warr, 1.0 - warr))
     out[warr == 0.0] = 1.0
     out[warr == 1.0] = 1.0
@@ -238,7 +274,7 @@ def estimate_c_hat(xe, ye):
     (every observation has y-fraction above c), so the estimate is biased
     upward.
     """
-    xe, ye = _check_sample(xe, ye)
+    xe, ye, _ = _check_sample(xe, ye)
     return float(np.min(ye / (xe + ye)))
 
 
@@ -278,39 +314,40 @@ def _dtd_dot(g):
 
 
 def roughness(g):
-    """Sum of squared second differences along the time grid, g'D'Dg."""
+    """Sum of squared second differences over the index of g, g'D'Dg; inf
+    past the float range, where a penalized objective is -inf."""
     g = np.asarray(g, dtype=float)
     if len(g) < 3:
         return 0.0
-    return float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) ** 2).sum())
+    with np.errstate(over="ignore"):
+        return float(((g[:-2] - 2.0 * g[1:-1] + g[2:]) ** 2).sum())
 
 
-def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
-    """Maximise sum(objective(g)) - lam * roughness(g) over a trend vector.
+def trend_penalized(objective, lam, g0):
+    """Maximise sum(objective(g)) - lam * roughness(g) from g0.
 
     objective(g) must return the per-observation log-likelihood terms as a
-    vector aligned with times, where term i depends on g only through
-    g[i].  That separability makes the Hessian of the penalized objective
+    vector aligned with g, where term i depends on g only through g[i].
+    That separability makes the Hessian of the penalized objective
     diagonal-plus-pentadiagonal, so each damped Newton step is one banded
     solve and a stage costs O(n) per step; derivatives of the terms come
     from simultaneous central differences (two extra objective evaluations
-    per step).  Raises NumericError when the Newton system cannot be
-    solved at any damping level or gives a non-finite step; a line search
-    that finds no ascent ends the stage normally.
+    per step).  At most TREND_MAX_ITER steps; a step gaining at most
+    TREND_TOL (1 + |value|), or a line search with no ascent, ends the
+    stage; NumericError when the Newton system cannot be solved at any
+    damping level or gives a non-finite step.
 
-    lam = 0 interpolates the per-time maximisers; large lam approaches
-    the best straight line under the objective.  A weight outside
-    [0, MAX_SMOOTHING] raises InputError before any work.
+    lam = 0 interpolates the per-time maximisers and large lam approaches
+    the best straight line.  A weight outside [0, MAX_SMOOTHING], or a g0
+    not 1-D of 3 or more values, raises InputError before any work.
     """
     if not 0.0 <= lam <= MAX_SMOOTHING:
         raise InputError("smoothing weight must be between 0 and 2^47 "
                          f"(1.4e14), got {lam:g}")
-    times = np.asarray(times, dtype=float)
-    m = len(times)
-    if m < 3:
-        raise InputError("need at least 3 observation times")
-    g = np.zeros(m) if g0 is None else np.asarray(g0, dtype=float).copy()
-    pen_band = _penalty_band(m, lam)
+    g = np.array(g0, dtype=float)
+    if g.ndim != 1 or g.size < 3:
+        raise InputError("need a 1-D trend of at least 3 values")
+    pen_band = _penalty_band(g.size, lam)
 
     def value(vec, terms=None):
         if terms is None:
@@ -322,7 +359,7 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
     if not math.isfinite(current):
         raise NumericError("trend update started from an infeasible point")
 
-    for _ in range(max_iter):
+    for _ in range(TREND_MAX_ITER):
         eps = 1e-5 * np.maximum(1.0, np.abs(g))
         up = np.asarray(objective(g + eps), dtype=float)
         dn = np.asarray(objective(g - eps), dtype=float)
@@ -364,7 +401,7 @@ def trend_penalized(objective, lam, times, g0=None, max_iter=50, tol=1e-12):
             alpha *= 0.5
         if not improved:
             break
-        if gain <= tol * (1.0 + abs(current)):
+        if gain <= TREND_TOL * (1.0 + abs(current)):
             break
     return g
 
@@ -383,18 +420,37 @@ def ridge_trend(y, lam):
 # penalized likelihood fit of the restricted model
 # ---------------------------------------------------------------------------
 
+# the state of a fit, in the likelihood's argument order
+STATE_KEYS = ("g_x", "g_y", "sigma_x", "sigma_y", "xi", "s")
+
+
 @dataclass
 class FitConfig:
-    """Outer-loop cap and stall tolerance, and an optional start point."""
+    """Outer-loop cap, and an optional start point: a dict of some of
+    STATE_KEYS, the trends as 1-D arrays and the scalars as numbers."""
 
     max_outer: int = 60
-    outer_tol: float = 1e-8
     start: dict | None = None
 
     def __post_init__(self):
         if not isinstance(self.max_outer, (int, np.integer)) \
-                or self.max_outer < 1:
+                or isinstance(self.max_outer, bool) or self.max_outer < 1:
             raise ParameterError("max_outer must be a positive integer")
+        if self.start is None:
+            return
+        unknown = set(self.start) - set(STATE_KEYS)
+        if unknown:
+            raise ParameterError(f"unknown start keys {sorted(unknown)}; "
+                                 f"the state is {STATE_KEYS}")
+        try:
+            self.start = {k: np.array(v, dtype=float) if k.startswith("g_")
+                          else float(v) for k, v in self.start.items()}
+        except (TypeError, ValueError):
+            raise ParameterError("start scalars must be numbers and start "
+                                 "trends arrays of numbers") from None
+        if any(np.ndim(v) != 1 for k, v in self.start.items()
+               if k.startswith("g_")):
+            raise ParameterError("start trends must be 1-D")
 
 
 @dataclass
@@ -685,16 +741,10 @@ def _initial_state(series, lam_x, lam_y, lik, start):
     wall = (sig_x - sig_y) / gap if gap > 0 else 0.3
     xi0 = min(max(0.12, 1.5 * wall), 0.4)
     state = {"g_x": g_x, "g_y": g_y, "sigma_x": sig_x, "sigma_y": sig_y,
-             "xi": xi0, "s": 1.5}
-    if start:
-        for key in state:
-            if key in start:
-                state[key] = np.asarray(start[key], dtype=float) \
-                    if key.startswith("g_") else float(start[key])
+             "xi": xi0, "s": 1.5, **(start or {})}
 
     def feasible(st):
-        return np.isfinite(lik.penalized(st["g_x"], st["g_y"], st["sigma_x"],
-                                         st["sigma_y"], st["xi"], st["s"]))
+        return np.isfinite(lik.penalized(*(st[k] for k in STATE_KEYS)))
 
     if feasible(state):
         return state
@@ -752,15 +802,16 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
     if not series.is_ordered():
         raise InputError("fit requires x_i < y_i for every observation")
     series = series.sorted_by_time()
-    if len(series) < 3:
-        raise InputError("need at least 3 observations")
-
     n = len(series)
+    if n < 3:
+        raise InputError("need at least 3 observations")
+    if any(len(g) != n for k, g in (config.start or {}).items()
+           if k.startswith("g_")):
+        raise InputError(f"start trends must have the series' {n} values")
+
     lik = _RestrictedLikelihood(series, lam_x, lam_y)
     init = _initial_state(series, lam_x, lam_y, lik, config.start)
-    # a state is (g_x, g_y, sigma_x, sigma_y, xi, s), lik's argument order
-    state = tuple(init[k] for k in ("g_x", "g_y", "sigma_x", "sigma_y", "xi",
-                                    "s"))
+    state = tuple(init[k] for k in STATE_KEYS)
 
     bounds = [(math.log(1e-6), math.log(60.0)),
               (math.log(1e-8), math.log(1e8)),
@@ -805,10 +856,10 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
 
     def outer_map(st, multi_start=False):
         g_x, g_y, *scalars = st
-        g_x = trend_penalized(lambda g: lik.terms(g, g_y, *scalars),
-                              lam_x, series.t, g_x, max_iter=TREND_MAX_ITER)
-        g_y = trend_penalized(lambda g: lik.terms(g_x, g, *scalars),
-                              lam_y, series.t, g_y, max_iter=TREND_MAX_ITER)
+        g_x = trend_penalized(lambda g: lik.terms(g, g_y, *scalars), lam_x,
+                              g_x)
+        g_y = trend_penalized(lambda g: lik.terms(g_x, g, *scalars), lam_y,
+                              g_y)
         return scalar_stage((g_x, g_y, *scalars), multi_start)
 
     explore = config.start is None
@@ -833,7 +884,7 @@ def fit_restricted(series: BivariateSeries, lam_x, lam_y,
         diagnostics["maps"] += 1
         new_state = outer_map(state, explore and diagnostics["maps"] == 1)
         new = lik.penalized(*new_state)
-        stall = config.outer_tol * (1.0 + abs(current))
+        stall = OUTER_TOL * (1.0 + abs(current))
         if new - current <= stall and explore and not diagnostics["rescued"]:
             # one multi-start rescue from the accepted state, kept only if
             # it genuinely clears the stall bar

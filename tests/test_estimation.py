@@ -155,6 +155,51 @@ def test_estimators_reject_bad_samples(case, estimator):
         ESTIMATORS[estimator](np.array(xe), np.array(ye))
 
 
+# finite samples past the float range of x + y, of a sum of the sample or
+# of 1/mean: each estimate is finite, or the raw one, whose value lies past
+# the float range, is refused
+EXTREME_SAMPLES = {
+    "near_1e308": (np.full(5, 1e308), np.array([1.7e308, 1.2e308, 1e308,
+                                                 1.5e308, 1.1e308])),
+    "300_at_1e306": (np.full(300, 1e306), np.full(300, 2e306)),
+    "subnormal": (np.arange(1.0, 301.0) * 1e-312, np.arange(300.0, 0, -1)
+                  * 1e-312),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_SAMPLES)
+def test_estimators_on_extreme_finite_samples(case):
+    xe, ye = EXTREME_SAMPLES[case]
+    for variant in ("modified", "raw"):
+        try:
+            curve = pickands_curve(xe, ye, variant=variant)
+        except InputError as exc:
+            assert (case, variant) == ("subnormal", "raw"), exc
+            assert "past the float range" in str(exc)
+        else:
+            assert np.isfinite(curve.values).all(), (case, variant)
+    c_hat = estimate_c_hat(xe, ye)
+    assert c_hat == float(np.min(ye / (xe + ye) if case == "subnormal"
+                                 else (ye / 4) / (xe / 4 + ye / 4)))
+
+
+@pytest.mark.parametrize("k, j", [(1018, 0), (-1000, 5), (960, -960),
+                                  (7, 1018), (-3, -1000)])
+def test_modified_curve_and_c_hat_are_free_of_a_power_of_two_scale(k, j):
+    # the modified estimate divides each margin by its mean and the
+    # smallest y-fraction is a ratio, so an exact rescale, even one to the
+    # ends of the float range, leaves their bits as they are; the y-fraction
+    # only under a common scale
+    rng = np.random.default_rng(4)
+    xe, ye = rng.exponential(size=300), rng.exponential(size=300)
+    grid = np.linspace(0.0, 1.0, 201)
+    curve = pickands_modified(xe, ye, grid)
+    assert np.array_equal(
+        pickands_modified(np.ldexp(xe, k), np.ldexp(ye, j), grid), curve)
+    assert estimate_c_hat(np.ldexp(xe, k), np.ldexp(ye, k)) \
+        == estimate_c_hat(xe, ye)
+
+
 @pytest.mark.parametrize("w", [-0.1, 1.5, np.nan])
 def test_pickands_rejects_fractions_outside_unit_interval(w):
     xe, ye = np.array([0.5, 1.5]), np.array([1.2, 0.8])
@@ -203,20 +248,19 @@ def test_estimate_c_hat_bias_and_shrinkage():
 def test_trend_penalized_toy_objectives():
     rng = np.random.default_rng(5)
     y = rng.normal(size=30) + np.linspace(0.0, 4.0, 30)
-    times = np.arange(30.0)
 
     def obj(g):
         return -0.5 * (g - y) ** 2
 
-    assert np.allclose(trend_penalized(obj, 0.0, times, np.zeros(30)), y,
+    assert np.allclose(trend_penalized(obj, 0.0, np.zeros(30)), y,
                        atol=1e-10)
     lam = 6.0
-    assert np.allclose(trend_penalized(obj, lam, times, np.zeros(30)),
+    assert np.allclose(trend_penalized(obj, lam, np.zeros(30)),
                        ridge_trend(y, lam), atol=1e-8)
-    flat = trend_penalized(obj, 1e9, times, np.zeros(30))
+    flat = trend_penalized(obj, 1e9, np.zeros(30))
     assert float(np.max(np.abs(np.diff(flat, 2)))) <= 1e-6
     with pytest.raises(InputError):
-        trend_penalized(obj, -1.0, times)
+        trend_penalized(obj, -1.0, np.zeros(30))
 
 
 def test_trend_penalized_raises_on_non_finite_step():
@@ -225,7 +269,7 @@ def test_trend_penalized_raises_on_non_finite_step():
         return 1e308 * np.tanh(1e10 * g)
 
     with pytest.raises(NumericError, match="not finite"):
-        trend_penalized(obj, 10.0, np.arange(20.0), np.zeros(20))
+        trend_penalized(obj, 10.0, np.zeros(20))
 
 
 @pytest.mark.parametrize("lam", [np.nextafter(2.0 ** 47, np.inf), 1e200,
@@ -241,7 +285,7 @@ def test_trend_penalized_refuses_a_weight_past_2_to_the_47(lam):
         return -0.5 * g ** 2
 
     with pytest.raises(InputError, match="between 0 and 2"):
-        trend_penalized(obj, lam, np.arange(20.0), np.zeros(20))
+        trend_penalized(obj, lam, np.zeros(20))
     assert calls == []
 
 
@@ -263,6 +307,27 @@ def test_fit_rejects_bad_input():
         fit_restricted(swapped, 10.0, 10.0)
     with pytest.raises(InputError):
         fit_restricted(series, -1.0, 10.0)
+
+
+@pytest.mark.parametrize("config", [
+    dict(start={"sigma": 2.0}),             # an unknown key
+    dict(start={"g_y": "abc"}),             # a trend that is not numbers
+    dict(start={"xi": [0.1, 0.2]}),         # a scalar that is not one
+    dict(start={"g_x": 1.0}),               # a trend that is not 1-D
+    dict(max_outer=True),                   # a bool, which would count as 1
+], ids=["unknown_key", "text_trend", "array_scalar", "scalar_trend",
+        "bool_cap"])
+def test_fit_config_refuses_a_bad_warm_start(config):
+    with pytest.raises(ParameterError):
+        FitConfig(**config)
+
+
+def test_fit_refuses_start_trends_of_another_length(monkeypatch):
+    # numpy's broadcast ValueError once; the refusal comes before any work
+    monkeypatch.setattr(estimation, "ridge_trend", None)
+    config = FitConfig(start={"g_x": np.zeros(5)})
+    with pytest.raises(InputError, match="60 values"):
+        fit_restricted(make_series(60), 10.0, 10.0, config)
 
 
 @pytest.mark.parametrize("lam", [np.nextafter(2.0 ** 47, np.inf), 3e14, 1e16,
@@ -439,7 +504,7 @@ def test_boundary_positive_shape_matches_closed_form(inputs, xi):
     assert c == c_old and np.array_equal(dc, dc_old)
 
 
-DEEP = FitConfig(max_outer=200, outer_tol=1e-13)
+DEEP = FitConfig(max_outer=200)
 
 
 @pytest.fixture(scope="module")
@@ -475,8 +540,7 @@ def test_fit_is_fixed_point(reference_fit):
     start = dict(s=fit.s, sigma_x=fit.sigma_x, sigma_y=fit.sigma_y,
                  xi=fit.xi, g_x=fit.g_x, g_y=fit.g_y)
     refit = fit_restricted(series, 1000.0, 1000.0,
-                           FitConfig(max_outer=200, outer_tol=1e-13,
-                                     start=start))
+                           FitConfig(max_outer=200, start=start))
     assert abs(refit.s - fit.s) <= 1e-6
     assert abs(refit.sigma_x - fit.sigma_x) <= 1e-6
     assert abs(refit.sigma_y - fit.sigma_y) <= 1e-6
